@@ -4,16 +4,8 @@ Dirichlet distributions, including the asymptotic limit law under uniform p."""
 __version__ = "0.1.0"
 
 from .errors import CapacityError, ConfigError, DomainError, ValidationError
-from .sampling import (
-    CountVector,
-    SimplexVector,
-    StreamKey,
-    empirical_frequency,
-    sample_dirichlet,
-    sample_multinomial,
-    sample_standard_normal_vector,
-)
-from .deviation import DeviationResult, deviation_result, l1_deviation, maximizer, z_n_value
+from .sampling import SimplexVector, StreamKey
+from .deviation import l1_deviation, maximizer, z_n_value
 from .bounds import (
     BoundEvaluation,
     BoundFamily,
@@ -25,15 +17,11 @@ from .bounds import (
     weissman_epsilon,
 )
 from .asymptotic import (
-    LimitSample,
     anticoncentration_threshold,
     expected_Z,
     gaussian_lipschitz_tail,
-    helmert_diagonalizer,
     helmert_matrix,
     limit_covariance,
-    sample_limit_Y,
-    sample_Z,
 )
 from .montecarlo import (
     DeviationSource,
@@ -57,16 +45,12 @@ from .experiment import (
 
 __all__ = [
     "BoundEvaluation", "BoundFamily", "BoundSpec", "CapacityError", "ConfigError",
-    "CountVector", "DeviationResult", "DeviationSource", "DomainError",
-    "ExperimentConfig", "LimitSample", "QuantileCurve", "Report", "SimplexVector",
-    "StreamKey", "TailEstimate", "ValidationError", "Verdict",
+    "DeviationSource", "DomainError", "ExperimentConfig", "QuantileCurve", "Report",
+    "SimplexVector", "StreamKey", "TailEstimate", "ValidationError", "Verdict",
     "agrawal_epsilon", "anticoncentration_threshold", "clopper_pearson",
-    "devroye_epsilon", "devroye_valid", "deviation_result", "emit_plot_data",
-    "emit_report", "empirical_frequency", "estimate_quantile_curve",
-    "estimate_tail_probability", "evaluate_bound", "exact_tail_small",
-    "expected_Z", "falsify_bound", "gaussian_lipschitz_tail",
-    "helmert_diagonalizer", "helmert_matrix", "l1_deviation", "limit_covariance",
-    "maximizer", "parse_config", "run_experiment", "sample_Z", "sample_dirichlet",
-    "sample_limit_Y", "sample_multinomial", "sample_standard_normal_vector",
-    "weissman_epsilon", "z_n_value",
+    "devroye_epsilon", "devroye_valid", "emit_plot_data", "emit_report",
+    "estimate_quantile_curve", "estimate_tail_probability", "evaluate_bound",
+    "exact_tail_small", "expected_Z", "falsify_bound", "gaussian_lipschitz_tail",
+    "helmert_matrix", "l1_deviation", "limit_covariance", "maximizer",
+    "parse_config", "run_experiment", "weissman_epsilon", "z_n_value",
 ]

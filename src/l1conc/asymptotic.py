@@ -26,14 +26,6 @@ class LimitCovariance:
     matrix: np.ndarray
 
 
-@dataclass(frozen=True)
-class OrthogonalDiagonalizer:
-    """An orthogonal matrix U with U Sigma U^T = blockdiag((S/(S-1)) I_{S-1}, 0)."""
-
-    S: int
-    U: np.ndarray
-
-
 def limit_covariance(S: int) -> LimitCovariance:
     if S < 2:
         raise ValidationError("S must be >= 2")
@@ -58,10 +50,6 @@ def helmert_matrix(S: int) -> np.ndarray:
         U[k - 1, k] = -k * h
     U[S - 1, :] = 1.0 / math.sqrt(S)
     return U
-
-
-def helmert_diagonalizer(S: int) -> OrthogonalDiagonalizer:
-    return OrthogonalDiagonalizer(S=S, U=helmert_matrix(S))
 
 
 def _offdiag_coeffs(S: int) -> np.ndarray:
@@ -124,19 +112,6 @@ def sample_limit_Y_batch(S: int, size: int, key: StreamKey) -> np.ndarray:
     return limit_Y_from_W(W)
 
 
-def sample_limit_Y(S: int, key: StreamKey) -> np.ndarray:
-    return sample_limit_Y_batch(S, 1, key)[0]
-
-
-@dataclass(frozen=True)
-class LimitSample:
-    """One draw of the limit variable Z at box scale D."""
-
-    z: float
-    S: int
-    D: float
-
-
 def limit_Z_from_Y(Y: np.ndarray, D: float = 1.0) -> np.ndarray:
     """Z = D·sqrt((S-1)/S^2) · sum of positive parts of Y, along the last axis."""
     S = Y.shape[-1]
@@ -148,11 +123,6 @@ def sample_Z_batch(S: int, D: float, size: int, key: StreamKey) -> np.ndarray:
     if D <= 0:
         raise ValidationError("D must be > 0")
     return limit_Z_from_Y(sample_limit_Y_batch(S, size, key), D)
-
-
-def sample_Z(S: int, D: float, key: StreamKey) -> LimitSample:
-    z = float(sample_Z_batch(S, D, 1, key)[0])
-    return LimitSample(z=z, S=S, D=D)
 
 
 def positive_part_functional(w: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ import sys
 from .errors import CapacityError, ConfigError, DomainError, ValidationError
 from .experiment import (
     ExperimentConfig,
+    build_task,
     emit_plot_data,
     emit_report,
     parse_config,
@@ -82,10 +83,8 @@ def _config_from_flags(args) -> ExperimentConfig:
         if value is not None:
             raw[key] = (0, str(value))
     # reuse the config validator so flags and files share one rule set
-    from .experiment import _build_task
-
     errors: list[str] = []
-    task = _build_task(0, raw, errors)
+    task = build_task(0, raw, errors)
     if errors:
         raise ConfigError("; ".join(errors))
     return ExperimentConfig(master_seed=args.seed, tasks=[task], workers=args.workers)
@@ -120,7 +119,11 @@ def _run(args) -> int:
 
 def _reemit(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
-        report = report_from_dict(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # invalid JSON or invalid UTF-8
+            raise ConfigError(f"{args.input}: not a JSON report ({exc})")
+    report = report_from_dict(obj)
     if args.plot_task:
         _write(emit_plot_data(report, args.plot_task), args.out)
     else:

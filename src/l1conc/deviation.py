@@ -1,26 +1,25 @@
 """The deviation statistic: l1 distance between two probability vectors and
 its equivalent formulation as a maximum over the box [0, D]^S."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ValidationError
-from .sampling import SimplexVector, as_simplex
+from .sampling import SimplexVector
 
 
 def _aligned(phat, p):
     a = phat.entries if isinstance(phat, SimplexVector) else np.asarray(phat, dtype=float)
     b = p.entries if isinstance(p, SimplexVector) else np.asarray(p, dtype=float)
-    if a.shape != b.shape:
+    if a.shape[-1:] != b.shape[-1:]:
         raise ValidationError(f"length mismatch: {a.shape} vs {b.shape}")
     return a, b
 
 
-def l1_deviation(phat, p) -> float:
-    """Sum of absolute entrywise differences; lies in [0, 2] on the simplex."""
+def l1_deviation(phat, p):
+    """Sum of absolute entrywise differences along the last axis; lies in
+    [0, 2] on the simplex.  A batch of rows gives one value per row."""
     a, b = _aligned(phat, p)
-    return float(np.abs(a - b).sum())
+    return np.abs(a - b).sum(axis=-1)
 
 
 def z_n_value(phat, p, D: float) -> float:
@@ -36,22 +35,3 @@ def maximizer(phat, p, D: float) -> np.ndarray:
         raise ValidationError("D must be > 0")
     a, b = _aligned(phat, p)
     return np.where(a - b > 0, float(D), 0.0)
-
-
-@dataclass(frozen=True)
-class DeviationResult:
-    """l1 distance, the scaled box maximum, and the vertex attaining it."""
-
-    l1: float
-    z_n: float
-    maximizer: np.ndarray
-
-
-def deviation_result(phat, p, D: float = 1.0) -> DeviationResult:
-    phat = as_simplex(phat)
-    p = as_simplex(p)
-    return DeviationResult(
-        l1=l1_deviation(phat, p),
-        z_n=z_n_value(phat, p, D),
-        maximizer=maximizer(phat, p, D),
-    )

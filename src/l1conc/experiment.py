@@ -22,9 +22,9 @@ from .bounds import BoundFamily, BoundSpec
 from .errors import ConfigError
 from .montecarlo import (
     DeviationSource,
-    dkw_halfwidth,
-    draw_samples,
+    estimate_quantile_curve,
     falsify_bound,
+    summarize_samples,
     tail_estimate_from_count,
 )
 
@@ -47,6 +47,9 @@ _BOUND_ALIASES = {
 }
 
 WORKERS_ENV_VAR = "L1CONC_WORKERS"
+
+# a task's rows draw from streams ``task_index << ROW_BITS | row``
+ROW_BITS = 12
 
 
 @dataclass
@@ -158,7 +161,7 @@ _TASK_KEYS = {
 }
 
 
-def _build_task(index: int, raw: dict, errors: list) -> TaskConfig:
+def build_task(index: int, raw: dict, errors: list) -> TaskConfig:
     path = f"task[{index}]"
     task = TaskConfig(task_id=f"task{index}", kind="")
     for key in raw:
@@ -210,6 +213,9 @@ def _build_task(index: int, raw: dict, errors: list) -> TaskConfig:
         for d in task.deltas:
             if not (0.0 < d <= 1.0):
                 errors.append(f"{path}.delta: value {d} outside (0, 1]")
+    for key, values in (("S", task.S_values), ("delta", task.deltas)):
+        if len(values) > 1 << ROW_BITS:
+            errors.append(f"{path}.{key}: a sweep has at most {1 << ROW_BITS} values")
     if val("threshold") is not None:
         task.thresholds = _parse_list(val("threshold"), float, f"{path}.threshold", errors)
     if val("grid") is not None:
@@ -293,13 +299,13 @@ def parse_config(text: str) -> ExperimentConfig:
     if "workers" in globals_:
         text_w = globals_["workers"][1]
         if text_w == "auto":
-            workers = os.cpu_count() or 1
+            workers = len(os.sched_getaffinity(0))
         else:
             workers = _parse_scalar(text_w, int, "workers", errors)
             if workers is not None and workers < 1:
                 errors.append("workers: must be >= 1 or 'auto'")
 
-    tasks = [_build_task(i, raw, errors) for i, raw in enumerate(raw_tasks)]
+    tasks = [build_task(i, raw, errors) for i, raw in enumerate(raw_tasks)]
     if errors:
         raise ConfigError("; ".join(errors))
     return ExperimentConfig(master_seed=master_seed, tasks=tasks, workers=workers)
@@ -354,7 +360,7 @@ def _source_for(task: TaskConfig, S: int) -> DeviationSource:
 
 
 def _run_task(task: TaskConfig, task_index: int, master_seed: int, workers: int) -> list[dict]:
-    stream_base = task_index << 12
+    stream_base = task_index << ROW_BITS
     rows: list[dict] = []
     S = task.S_values[0]
     if task.kind == "falsify":
@@ -374,24 +380,21 @@ def _run_task(task: TaskConfig, task_index: int, master_seed: int, workers: int)
                 outcome=verdict.outcome,
             ))
     elif task.kind == "tail":
-        source = _source_for(task, S)
-        samples = draw_samples(source, task.trials, master_seed,
-                               stream=stream_base, workers=workers)
-        for threshold in task.thresholds:
-            k = int(np.count_nonzero(samples >= threshold))
-            est = tail_estimate_from_count(threshold, k, task.trials, task.ci_level)
+        summary = summarize_samples(_source_for(task, S), task.trials, master_seed,
+                                    thresholds=task.thresholds, stream=stream_base,
+                                    workers=workers)
+        for threshold, k in zip(task.thresholds, summary.at_least):
+            est = tail_estimate_from_count(threshold, int(k), task.trials, task.ci_level)
             rows.append(_row(
                 task, master_seed, S=S, threshold=threshold,
                 point=est.point, ci_low=est.ci_low, ci_high=est.ci_high,
             ))
     elif task.kind == "quantiles":
-        source = _source_for(task, S)
-        samples = np.sort(draw_samples(source, task.trials, master_seed,
-                                       stream=stream_base, workers=workers))
-        half = dkw_halfwidth(task.trials, task.band_level)
-        counts = np.searchsorted(samples, np.asarray(task.grid), side="right")
-        for g, c in zip(task.grid, counts):
-            cdf = c / task.trials
+        curve = estimate_quantile_curve(_source_for(task, S), task.grid, task.trials,
+                                        master_seed, band_level=task.band_level,
+                                        stream=stream_base, workers=workers)
+        half = curve.dkw_halfwidth
+        for g, cdf in zip(task.grid, curve.cdf_estimates):
             rows.append(_row(
                 task, master_seed, S=S, threshold=float(g), point=float(cdf),
                 ci_low=max(0.0, cdf - half), ci_high=min(1.0, cdf + half),
@@ -399,11 +402,10 @@ def _run_task(task: TaskConfig, task_index: int, master_seed: int, workers: int)
     elif task.kind == "asymptotic-mean":
         z_crit = float(norm.ppf(0.5 + task.ci_level / 2.0))
         for r, S in enumerate(task.S_values):
-            source = DeviationSource(family="limit", S=S, D=task.D)
-            samples = draw_samples(source, task.trials, master_seed,
-                                   stream=stream_base | r, workers=workers)
-            mean = float(samples.mean())
-            se = float(samples.std(ddof=1)) / math.sqrt(task.trials)
+            summary = summarize_samples(_source_for(task, S), task.trials, master_seed,
+                                        stream=stream_base | r, workers=workers)
+            mean = float(summary.mean)
+            se = math.sqrt(summary.variance) / math.sqrt(task.trials)
             rows.append(_row(
                 task, master_seed, S=S,
                 epsilon=task.D * expected_Z(S),
@@ -456,8 +458,13 @@ def report_to_dict(report: Report) -> dict:
 
 
 def report_from_dict(obj: dict) -> Report:
+    if not isinstance(obj, dict):
+        raise ConfigError("a report must be a JSON object")
     if obj.get("schema") != SCHEMA_VERSION:
         raise ConfigError(f"unsupported report schema {obj.get('schema')!r}")
+    missing = [key for key in ("master_seed", "tasks", "rows") if key not in obj]
+    if missing:
+        raise ConfigError(f"report lacks {', '.join(missing)}")
     return Report(
         master_seed=obj["master_seed"],
         tasks=obj["tasks"],

@@ -2,14 +2,17 @@
 intervals, a small-instance enumeration oracle, and bound falsification.
 
 Trials are drawn in fixed-size chunks, each chunk from its own Philox stream
-derived from ``(master_seed, stream, chunk_index)``.  Chunk boundaries do not
-depend on the worker count, and chunk results are reassembled in index order,
-so every estimate is bit-identical whether it ran on 1 worker or 64.
+derived from ``(master_seed, stream, chunk_index)``.  Estimators reduce each
+chunk to exceedance counts, at-most counts and moments where it is drawn, so
+memory does not grow with ``trials``.  Chunk boundaries do not depend on the
+worker count, and chunk results are merged in index order, so every estimate
+is bit-identical whether it ran on 1 worker or 64.
 """
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial, reduce
 
 import numpy as np
 from scipy.special import gammaln
@@ -17,6 +20,7 @@ from scipy.stats import beta as beta_dist
 
 from .asymptotic import sample_Z_batch
 from .bounds import BoundEvaluation, BoundSpec, evaluate_bound
+from .deviation import l1_deviation
 from .errors import CapacityError, ValidationError
 from .sampling import StreamKey, as_simplex, sample_dirichlet_batch, sample_multinomial_batch
 
@@ -77,38 +81,93 @@ def _draw_chunk(source: DeviationSource, master_seed: int, stream: int, chunk: i
     else:
         p = source.p_vector()
         if source.family == "multinomial":
-            counts = sample_multinomial_batch(p, source.n, count, key)
-            out = np.abs(counts / float(source.n) - p).sum(axis=1)
+            phat = sample_multinomial_batch(p, source.n, count, key) / float(source.n)
         else:
-            x = sample_dirichlet_batch(source.n * p, count, key)
-            out = np.abs(x - p).sum(axis=1)
+            phat = sample_dirichlet_batch(source.n * p, count, key)
+        out = l1_deviation(phat, p)
     if source.scale != 1.0:
         out = source.scale * out
     return out
 
 
-def draw_samples(source: DeviationSource, trials: int, master_seed: int, *,
-                 stream: int = 0, workers: int = 1) -> np.ndarray:
-    """Draw ``trials`` deviation samples, reproducible and worker-independent."""
+def _map_chunks(fn, source: DeviationSource, trials: int, master_seed: int, stream: int,
+                workers: int) -> list:
+    """``fn(source, master_seed, stream, chunk, size)`` for every chunk of
+    ``trials``, in chunk order, on a process pool when ``workers > 1``."""
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     nchunks = (trials + CHUNK_SIZE - 1) // CHUNK_SIZE
     sizes = [CHUNK_SIZE] * (nchunks - 1) + [trials - CHUNK_SIZE * (nchunks - 1)]
+    args = ([source] * nchunks, [master_seed] * nchunks, [stream] * nchunks, range(nchunks), sizes)
     if workers > 1 and nchunks > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    _draw_chunk,
-                    [source] * nchunks,
-                    [master_seed] * nchunks,
-                    [stream] * nchunks,
-                    range(nchunks),
-                    sizes,
-                )
-            )
-    else:
-        parts = [_draw_chunk(source, master_seed, stream, i, sz) for i, sz in enumerate(sizes)]
-    return np.concatenate(parts)
+            return list(pool.map(fn, *args))
+    return list(map(fn, *args))
+
+
+def draw_samples(source: DeviationSource, trials: int, master_seed: int, *,
+                 stream: int = 0, workers: int = 1) -> np.ndarray:
+    """Draw ``trials`` deviation samples, reproducible and worker-independent."""
+    return np.concatenate(_map_chunks(_draw_chunk, source, trials, master_seed, stream, workers))
+
+
+@dataclass(frozen=True)
+class SampleSummary:
+    """Counts and moments of a run of deviation samples.
+
+    ``at_least[i]`` counts samples >= ``thresholds[i]`` and ``at_most[j]``
+    counts samples <= ``grid[j]``; ``mean`` and ``m2`` (the centred sum of
+    squares) are the moments of all ``count`` samples.
+    """
+
+    at_least: np.ndarray
+    at_most: np.ndarray
+    count: int
+    mean: float
+    m2: float
+
+    @property
+    def variance(self) -> float:
+        """Unbiased (ddof=1) sample variance."""
+        return self.m2 / (self.count - 1)
+
+    def merge(self, later: "SampleSummary") -> "SampleSummary":
+        """Summary of these samples followed by ``later``'s: counts add, and
+        the moments merge by the pairwise update of Chan, Golub and LeVeque."""
+        n = self.count + later.count
+        delta = later.mean - self.mean
+        return SampleSummary(
+            at_least=self.at_least + later.at_least,
+            at_most=self.at_most + later.at_most,
+            count=n,
+            mean=self.mean + delta * later.count / n,
+            m2=self.m2 + later.m2 + delta * delta * self.count * later.count / n,
+        )
+
+
+def _reduce_chunk(source: DeviationSource, master_seed: int, stream: int, chunk: int,
+                  count: int, *, thresholds: np.ndarray, grid: np.ndarray) -> SampleSummary:
+    x = _draw_chunk(source, master_seed, stream, chunk, count)
+    ordered = np.sort(x)
+    mean = x.mean()
+    return SampleSummary(
+        at_least=count - np.searchsorted(ordered, thresholds, side="left"),
+        at_most=np.searchsorted(ordered, grid, side="right"),
+        count=count,
+        mean=mean,
+        m2=np.square(x - mean).sum(),
+    )
+
+
+def summarize_samples(source: DeviationSource, trials: int, master_seed: int, *,
+                      thresholds=(), grid=(), stream: int = 0,
+                      workers: int = 1) -> SampleSummary:
+    """Counts and moments of the samples ``draw_samples`` would return, reduced
+    chunk by chunk, so memory does not grow with ``trials``."""
+    reduce_chunk = partial(_reduce_chunk, thresholds=np.asarray(thresholds, dtype=float),
+                           grid=np.asarray(grid, dtype=float))
+    parts = _map_chunks(reduce_chunk, source, trials, master_seed, stream, workers)
+    return reduce(SampleSummary.merge, parts)
 
 
 def clopper_pearson(successes: int, trials: int, level: float = 0.95) -> tuple[float, float]:
@@ -157,9 +216,9 @@ def estimate_tail_probability(source: DeviationSource, threshold: float, trials:
                               stream: int = 0, workers: int = 1) -> TailEstimate:
     """Monte Carlo estimate of P(statistic >= threshold) with a Clopper-Pearson
     interval, deterministic given the master seed."""
-    samples = draw_samples(source, trials, master_seed, stream=stream, workers=workers)
-    k = int(np.count_nonzero(samples >= threshold))
-    return tail_estimate_from_count(threshold, k, trials, ci_level)
+    summary = summarize_samples(source, trials, master_seed, thresholds=[threshold],
+                                stream=stream, workers=workers)
+    return tail_estimate_from_count(threshold, int(summary.at_least[0]), trials, ci_level)
 
 
 def _compositions(n: int, S: int):
@@ -233,11 +292,11 @@ def estimate_quantile_curve(source: DeviationSource, grid, trials: int, master_s
         raise ValidationError("grid must be a nonempty 1-d array")
     if np.any(np.diff(grid) <= 0):
         raise ValidationError("grid must be strictly ascending")
-    samples = np.sort(draw_samples(source, trials, master_seed, stream=stream, workers=workers))
-    counts = np.searchsorted(samples, grid, side="right")
+    summary = summarize_samples(source, trials, master_seed, grid=grid,
+                                stream=stream, workers=workers)
     return QuantileCurve(
         grid=grid,
-        cdf_estimates=counts / float(trials),
+        cdf_estimates=summary.at_most / float(trials),
         dkw_halfwidth=dkw_halfwidth(trials, band_level),
         trials=trials,
         band_level=band_level,

@@ -1,4 +1,4 @@
-"""Seedable samplers for multinomial counts, Dirichlet vectors and Gaussian vectors.
+"""Seedable batch samplers for multinomial counts and Dirichlet vectors.
 
 All randomness flows through counter-based Philox streams keyed by a
 :class:`StreamKey`, so any draw is reproducible from ``(master_seed,
@@ -36,10 +36,6 @@ class SimplexVector:
                 f"simplex vector entries sum to {e.sum()!r}, not 1 within {SIMPLEX_SUM_TOL}"
             )
 
-    @property
-    def dim(self) -> int:
-        return self.entries.size
-
     def __len__(self) -> int:
         return self.entries.size
 
@@ -55,24 +51,6 @@ def as_simplex(p) -> SimplexVector:
     if isinstance(p, SimplexVector):
         return p
     return SimplexVector(np.asarray(p, dtype=float))
-
-
-@dataclass(frozen=True)
-class CountVector:
-    """Multinomial outcome counts summing exactly to the trial count ``n``."""
-
-    counts: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64)
-        object.__setattr__(self, "counts", c)
-        if c.ndim != 1 or c.size < 1:
-            raise ValidationError("counts must be a 1-d array with at least one entry")
-        if np.any(c < 0):
-            raise ValidationError("counts must be nonnegative")
-        if int(c.sum()) != int(self.n):
-            raise ValidationError(f"counts sum to {int(c.sum())}, expected n={self.n}")
 
 
 @dataclass(frozen=True)
@@ -123,16 +101,6 @@ def _multinomial_chain(rng: np.random.Generator, p: np.ndarray, n_arr: np.ndarra
     return counts
 
 
-def sample_multinomial(p, n: int, key: StreamKey) -> CountVector:
-    """Draw one Multinomial(n, p) count vector, deterministic given ``key``."""
-    p = as_simplex(p)
-    if n < 0:
-        raise ValidationError("trial count n must be >= 0")
-    rng = key.generator()
-    counts = _multinomial_chain(rng, p.entries, np.array([n]))[0]
-    return CountVector(counts, n)
-
-
 def sample_multinomial_batch(p, n: int, size: int, key: StreamKey) -> np.ndarray:
     """Draw ``size`` independent Multinomial(n, p) rows from one stream."""
     p = as_simplex(p)
@@ -142,13 +110,6 @@ def sample_multinomial_batch(p, n: int, size: int, key: StreamKey) -> np.ndarray
         raise ValidationError("batch size must be >= 1")
     rng = key.generator()
     return _multinomial_chain(rng, p.entries, np.full(size, n, dtype=np.int64))
-
-
-def empirical_frequency(c: CountVector) -> SimplexVector:
-    """Counts scaled by 1/n: the empirical distribution of the sample."""
-    if c.n < 1:
-        raise ValidationError("empirical frequency undefined for n = 0")
-    return SimplexVector(c.counts / float(c.n))
 
 
 def _gamma_to_simplex(g: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -165,21 +126,11 @@ def _gamma_to_simplex(g: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return g / s
 
 
-def sample_dirichlet(alpha, key: StreamKey) -> SimplexVector:
-    """Draw one Dirichlet(alpha) vector via normalized Gamma variates."""
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.ndim != 1 or alpha.size < 1:
-        raise ValidationError("alpha must be a 1-d array with at least one entry")
-    if np.any(alpha <= 0):
-        raise ValidationError("alpha entries must be > 0")
-    rng = key.generator()
-    g = rng.standard_gamma(alpha)
-    return SimplexVector(_gamma_to_simplex(g, alpha))
-
-
 def sample_dirichlet_batch(alpha, size: int, key: StreamKey) -> np.ndarray:
     """Draw ``size`` Dirichlet(alpha) rows from one stream."""
     alpha = np.asarray(alpha, dtype=float)
+    if alpha.ndim != 1 or alpha.size < 1:
+        raise ValidationError("alpha must be a 1-d array with at least one entry")
     if np.any(alpha <= 0):
         raise ValidationError("alpha entries must be > 0")
     if size < 1:
@@ -187,10 +138,3 @@ def sample_dirichlet_batch(alpha, size: int, key: StreamKey) -> np.ndarray:
     rng = key.generator()
     g = rng.standard_gamma(alpha, size=(size, alpha.size))
     return _gamma_to_simplex(g, alpha)
-
-
-def sample_standard_normal_vector(dim: int, key: StreamKey) -> np.ndarray:
-    """Draw ``dim`` i.i.d. N(0,1) variates, deterministic given ``key``."""
-    if dim < 1:
-        raise ValidationError("dim must be >= 1")
-    return key.generator().standard_normal(dim)

@@ -14,9 +14,7 @@ from l1conc.asymptotic import (
     limit_Y_from_W,
     limit_Z_from_Y,
     positive_part_functional,
-    sample_limit_Y,
     sample_limit_Y_batch,
-    sample_Z,
     sample_Z_batch,
 )
 from l1conc.errors import DomainError, ValidationError
@@ -121,8 +119,9 @@ class TestLimitSampling:
         assert abs(pos.mean() - 1.0 / math.sqrt(2 * math.pi)) <= 3 * se
 
     def test_scalar_api_deterministic(self):
-        assert np.array_equal(sample_limit_Y(7, KEY), sample_limit_Y(7, KEY))
-        assert sample_Z(7, 2.0, KEY).z == sample_Z(7, 2.0, KEY).z
+        # single draws (size 1) replay exactly from the key
+        assert np.array_equal(sample_limit_Y_batch(7, 1, KEY), sample_limit_Y_batch(7, 1, KEY))
+        assert sample_Z_batch(7, 2.0, 1, KEY)[0] == sample_Z_batch(7, 2.0, 1, KEY)[0]
 
     def test_z_scales_with_D(self):
         a = sample_Z_batch(9, 1.0, 100, KEY.child(4))

@@ -111,3 +111,22 @@ class TestReportCommand:
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "report", "--in", str(tmp_path / "nope.json"))
         assert code == EXIT_USAGE
+
+    def test_invalid_json_is_usage_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        code, _, err = run_cli(capsys, "report", "--in", str(bad))
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_report_missing_keys_is_usage_error(self, capsys, tmp_path):
+        bad = tmp_path / "partial.json"
+        bad.write_text(json.dumps({"schema": 1, "version": "0.1.0"}))
+        code, _, err = run_cli(capsys, "report", "--in", str(bad))
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "master_seed" in err and "rows" in err
+        bad.write_text("[1, 2]")
+        code, _, err = run_cli(capsys, "report", "--in", str(bad))
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and len(err.splitlines()) == 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from l1conc.deviation import deviation_result, l1_deviation, maximizer, z_n_value
+from l1conc.deviation import l1_deviation, maximizer, z_n_value
 from l1conc.errors import ValidationError
 
 
@@ -25,6 +25,15 @@ class TestL1Deviation:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             l1_deviation([0.5, 0.5], [1.0, 0.0, 0.0])
+        with pytest.raises(ValidationError):
+            l1_deviation(np.full((4, 2), 0.5), [1.0, 0.0, 0.0])
+
+    def test_rows_along_last_axis(self):
+        rng = np.random.default_rng(4)
+        rows, p = rng.dirichlet(np.ones(5), size=7), rng.dirichlet(np.ones(5))
+        got = l1_deviation(rows, p)
+        assert got.shape == (7,)
+        assert np.array_equal(got, [l1_deviation(r, p) for r in rows])
 
 
 class TestZnValue:
@@ -36,6 +45,13 @@ class TestZnValue:
     def test_bad_D(self):
         with pytest.raises(ValidationError):
             z_n_value([0.5, 0.5], [0.5, 0.5], 0.0)
+
+    def test_consistent_with_l1_and_maximizer(self):
+        phat, p, D = [0.6, 0.4], [0.5, 0.5], 2.0
+        z = z_n_value(phat, p, D)
+        assert z == pytest.approx(l1_deviation(phat, p) * D / 2, rel=1e-12)
+        assert 0.0 <= z <= D
+        assert set(np.unique(maximizer(phat, p, D))) <= {0.0, D}
 
     def test_scale_covariance(self):
         rng = np.random.default_rng(12)
@@ -75,11 +91,3 @@ class TestMaximizer:
         phat, p = rng.dirichlet(np.ones(5)), rng.dirichlet(np.ones(5))
         v = maximizer(phat, p, 1.0)
         assert np.dot(phat - p, v) == pytest.approx(brute_force_box_max(phat - p, 1.0), abs=1e-12)
-
-
-class TestDeviationResult:
-    def test_consistency(self):
-        r = deviation_result([0.6, 0.4], [0.5, 0.5], D=2.0)
-        assert r.z_n == pytest.approx(r.l1 * 1.0, rel=1e-12)
-        assert 0.0 <= r.z_n <= 2.0
-        assert set(np.unique(r.maximizer)) <= {0.0, 2.0}

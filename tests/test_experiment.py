@@ -65,6 +65,23 @@ class TestParseConfig:
         msg = str(exc.value)
         assert "task[0].S" in msg and "task[0].delta" in msg
 
+    def test_sweep_longer_than_stream_rows_rejected(self):
+        # a task owns 4096 streams; row 4096 would reuse the next task's row 0
+        deltas = ",".join(["0.05"] * 4097)
+        with pytest.raises(ConfigError, match=r"task\[0\]\.delta"):
+            parse_config(MINIMAL_FALSIFY.replace("delta = 0.05", f"delta = {deltas}"))
+        S = ",".join(["5"] * 4097)
+        with pytest.raises(ConfigError, match=r"task\[0\]\.S"):
+            parse_config(f"master_seed = 1\n[task]\nkind = asymptotic-mean\nS = {S}\n")
+        assert len(parse_config(f"master_seed = 1\n[task]\nkind = asymptotic-mean\n"
+                                f"S = {S[2:]}\n").tasks[0].S_values) == 4096
+
+    def test_workers_auto_uses_affinity(self, monkeypatch):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 2, 5})
+        monkeypatch.setattr("os.cpu_count", lambda: 64)
+        cfg = parse_config("master_seed = 1\nworkers = auto\n")
+        assert cfg.workers == 3
+
     def test_comments_and_grid(self):
         cfg = parse_config(
             "# experiment\nmaster_seed = 3\n[task]\nkind = quantiles\n"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from l1conc.montecarlo import (
     estimate_tail_probability,
     exact_tail_small,
     falsify_bound,
+    summarize_samples,
     tail_estimate_from_count,
 )
 
@@ -81,6 +83,38 @@ class TestDeviationSource:
         source = DeviationSource("dirichlet", 3, n=30)
         s = draw_samples(source, 2000, SEED)
         assert np.all(s >= 0) and np.all(s <= 2.0)
+
+
+class TestSummarizeSamples:
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("source, thresholds, grid", [
+        # on the S=3, n=6 lattice every l1 value is a multiple of 1/3, so
+        # thresholds and grid points tie with samples
+        (DeviationSource("multinomial", 3, n=6), [0.0, 1 / 3, 2 / 3, 1.0, 4 / 3],
+         [0.0, 1 / 3, 2 / 3, 1.0, 4 / 3]),
+        (DeviationSource("limit", 10), [1.2, 0.5, 2.0], np.linspace(0.0, 3.0, 13)),
+    ], ids=["multinomial-lattice", "limit"])
+    def test_matches_draw_samples(self, source, thresholds, grid, workers):
+        trials = 40_000  # two full chunks and a partial one
+        x = draw_samples(source, trials, SEED, stream=3)
+        got = summarize_samples(source, trials, SEED, thresholds=thresholds, grid=grid,
+                                stream=3, workers=workers)
+        assert got.count == trials
+        assert got.at_least.tolist() == [int(np.count_nonzero(x >= t)) for t in thresholds]
+        assert got.at_most.tolist() == [int(np.count_nonzero(x <= g)) for g in grid]
+        assert got.mean == pytest.approx(np.mean(x), rel=1e-12)
+        assert got.variance == pytest.approx(np.var(x, ddof=1), rel=1e-12)
+
+    def test_memory_flat_in_trials(self):
+        # 2^20 draws are 8 MB as one array; the chunk reduction never holds them
+        source = DeviationSource("limit", 2)
+        tracemalloc.start()
+        try:
+            estimate_tail_probability(source, 0.5, 2**20, SEED)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestTailEstimation:
