@@ -27,22 +27,33 @@ EXIT_VIOLATED = 10
 
 RUN_COMMANDS = ("tail", "quantiles", "falsify", "asymptotic-mean")
 
+# the task keys a run command takes as flags; their values reach build_task
+# as text, so a bad flag fails exactly like the same key in a config file
+TASK_FLAGS = {
+    "S": "dimension, or comma list for asymptotic-mean sweeps",
+    "n": "sample size for finite-n families",
+    "delta": "failure probability, or comma list (falsify)",
+    "threshold": "deviation threshold(s) for tail tasks",
+    "grid": "CDF grid: 'lo:hi:count' or comma list (quantiles)",
+    "trials": "Monte Carlo trials (default 10000)",
+    "D": "box scale of the limit family (default 1)",
+    "family": "distribution family: multinomial, dirichlet or limit",
+    "bound": "weissman-union, weissman-exact, devroye or agrawal (falsify)",
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Turns usage errors into ConfigError, so they exit 1 like config errors."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
 
 def _add_run_flags(sub):
-    sub.add_argument("--config", help="config file; overrides the direct flags")
+    sub.add_argument("--config", help="config file; excludes the task flags")
     sub.add_argument("--seed", type=int, help="master seed (mandatory, never auto-generated)")
-    sub.add_argument("--S", help="dimension, or comma list for asymptotic-mean sweeps")
-    sub.add_argument("--n", type=int, help="sample size for finite-n families")
-    sub.add_argument("--delta", help="failure probability, or comma list")
-    sub.add_argument("--threshold", help="deviation threshold(s) for tail tasks")
-    sub.add_argument("--grid", help="CDF grid: 'lo:hi:count' or comma list")
-    sub.add_argument("--trials", type=int, help="Monte Carlo trials (default 10000)")
-    sub.add_argument("--D", type=float, help="box scale (default 1)")
-    sub.add_argument("--family", choices=["multinomial", "dirichlet", "limit"],
-                     help="distribution family")
-    sub.add_argument("--bound",
-                     choices=["weissman-union", "weissman-exact", "devroye", "agrawal"],
-                     help="bound family for falsify tasks")
+    for name, text in TASK_FLAGS.items():
+        sub.add_argument(f"--{name}", help=text)
     sub.add_argument("--workers", type=int, help="parallel workers (default 1 or env)")
     sub.add_argument("--format", choices=["csv", "json"], default="json")
     sub.add_argument("--out", help="report output path (default stdout)")
@@ -50,7 +61,7 @@ def _add_run_flags(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="l1conc",
         description="Monte Carlo verification of l1 concentration bounds",
     )
@@ -65,26 +76,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_flags(args) -> ExperimentConfig:
+def _config_from_flags(args, flags: dict) -> ExperimentConfig:
     if args.seed is None:
         raise ConfigError("--seed is required (seeds are never auto-generated)")
-    raw = {"kind": (0, args.command)}
-    for key, value in (
-        ("family", args.family),
-        ("bound", args.bound),
-        ("S", args.S),
-        ("delta", args.delta),
-        ("threshold", args.threshold),
-        ("grid", args.grid),
-    ):
-        if value is not None:
-            raw[key] = (0, str(value))
-    for key, value in (("n", args.n), ("trials", args.trials), ("D", args.D)):
-        if value is not None:
-            raw[key] = (0, str(value))
-    # reuse the config validator so flags and files share one rule set
     errors: list[str] = []
-    task = build_task(0, raw, errors)
+    task = build_task(0, {"kind": (0, args.command), **flags}, errors)
     if errors:
         raise ConfigError("; ".join(errors))
     return ExperimentConfig(master_seed=args.seed, tasks=[task], workers=args.workers)
@@ -100,6 +96,9 @@ def _write(data: bytes, path: str | None):
 
 
 def _run(args) -> int:
+    flags = {key: (0, value) for key in TASK_FLAGS if (value := getattr(args, key)) is not None}
+    if args.config and flags:
+        raise ConfigError(f"--config cannot be combined with task flags: --{', --'.join(flags)}")
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = parse_config(fh.read())
@@ -108,7 +107,7 @@ def _run(args) -> int:
         if args.seed is not None:
             config.master_seed = args.seed
     else:
-        config = _config_from_flags(args)
+        config = _config_from_flags(args, flags)
     report = run_experiment(config)
     _write(emit_report(report, args.format), args.out)
     if args.plot_out:
@@ -133,9 +132,8 @@ def _reemit(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "report":
             return _reemit(args)
         return _run(args)

@@ -12,6 +12,8 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.stats import norm
@@ -21,6 +23,7 @@ from .asymptotic import expected_Z
 from .bounds import BoundFamily, BoundSpec
 from .errors import ConfigError
 from .montecarlo import (
+    SOURCE_FAMILIES,
     DeviationSource,
     estimate_quantile_curve,
     falsify_bound,
@@ -31,6 +34,8 @@ from .montecarlo import (
 SCHEMA_VERSION = 1
 
 TASK_KINDS = ("tail", "quantiles", "falsify", "asymptotic-mean")
+
+FINITE_N = ("multinomial", "dirichlet")
 
 CSV_COLUMNS = (
     "task_id", "kind", "family", "S", "n", "delta", "D", "threshold",
@@ -69,21 +74,13 @@ class TaskConfig:
     band_level: float = 0.05
 
     def echo(self) -> dict:
-        return {
-            "id": self.task_id,
-            "kind": self.kind,
-            "family": self.family,
-            "bound": self.bound.value if self.bound else None,
-            "S": list(self.S_values),
-            "n": self.n,
-            "delta": list(self.deltas),
-            "threshold": list(self.thresholds),
-            "grid": list(self.grid),
-            "trials": self.trials,
-            "D": self.D,
-            "ci_level": self.ci_level,
-            "band_level": self.band_level,
-        }
+        out = {"id": self.task_id, "kind": self.kind}
+        for key, spec in TASK_KEYS.items():
+            value = getattr(self, spec.attr)
+            if isinstance(value, BoundFamily):
+                value = value.value
+            out[key] = list(value) if isinstance(value, list) else value
+        return out
 
 
 @dataclass
@@ -119,7 +116,7 @@ def bound_family_from_name(name: str) -> BoundFamily:
 # config parsing
 
 
-def _parse_scalar(text, kind, path, errors):
+def _parse_scalar(kind, text, path, errors):
     try:
         return kind(text)
     except ValueError:
@@ -127,10 +124,10 @@ def _parse_scalar(text, kind, path, errors):
         return None
 
 
-def _parse_list(text, kind, path, errors):
+def _parse_list(kind, text, path, errors):
     out = []
     for part in text.split(","):
-        v = _parse_scalar(part.strip(), kind, path, errors)
+        v = _parse_scalar(kind, part.strip(), path, errors)
         if v is None:
             return []
         out.append(v)
@@ -143,121 +140,123 @@ def _parse_grid(text, path, errors):
         if len(parts) != 3:
             errors.append(f"{path}: grid must be 'lo:hi:count' or a comma list")
             return []
-        lo = _parse_scalar(parts[0], float, path, errors)
-        hi = _parse_scalar(parts[1], float, path, errors)
-        count = _parse_scalar(parts[2], int, path, errors)
+        lo = _parse_scalar(float, parts[0], path, errors)
+        hi = _parse_scalar(float, parts[1], path, errors)
+        count = _parse_scalar(int, parts[2], path, errors)
         if None in (lo, hi, count):
             return []
         if count < 2 or hi <= lo:
             errors.append(f"{path}: grid needs hi > lo and count >= 2")
             return []
         return [float(x) for x in np.linspace(lo, hi, count)]
-    return _parse_list(text, float, path, errors)
+    return _parse_list(float, text, path, errors)
 
 
-_TASK_KEYS = {
-    "kind", "family", "bound", "S", "n", "delta", "threshold", "grid",
-    "trials", "D", "ci_level", "band_level",
+def _parse_bound(text, path, errors):
+    try:
+        return bound_family_from_name(text)
+    except ConfigError as exc:
+        errors.append(f"{path}: {exc}")
+
+
+class TaskKey(NamedTuple):
+    """A ``[task]`` key: the TaskConfig attribute it sets, its parser
+    ``(text, path, errors) -> value or None``, and the task kinds and
+    families whose rows it changes; anywhere else it is an error."""
+
+    attr: str
+    parse: Callable
+    kinds: tuple = TASK_KINDS
+    families: tuple = SOURCE_FAMILIES
+
+
+# every task key except ``kind``: config blocks and the CLI's task flags are
+# parsed by this table, and the report's task echo is written from it
+TASK_KEYS = {
+    "family": TaskKey("family", lambda text, path, errors: text),
+    "bound": TaskKey("bound", _parse_bound, ("falsify",)),
+    "S": TaskKey("S_values", partial(_parse_list, int)),
+    "n": TaskKey("n", partial(_parse_scalar, int), families=FINITE_N),
+    "delta": TaskKey("deltas", partial(_parse_list, float), ("falsify",)),
+    "threshold": TaskKey("thresholds", partial(_parse_list, float), ("tail",)),
+    "grid": TaskKey("grid", _parse_grid, ("quantiles",)),
+    "trials": TaskKey("trials", partial(_parse_scalar, int)),
+    "D": TaskKey("D", partial(_parse_scalar, float), families=("limit",)),
+    "ci_level": TaskKey("ci_level", partial(_parse_scalar, float),
+                        ("falsify", "tail", "asymptotic-mean")),
+    "band_level": TaskKey("band_level", partial(_parse_scalar, float), ("quantiles",)),
+}
+
+# keys each kind requires; finite-n families also require ``n``
+REQUIRED_KEYS = {
+    "tail": ("S", "threshold"),
+    "quantiles": ("S", "grid"),
+    "falsify": ("S", "bound", "delta"),
+    "asymptotic-mean": ("S",),
 }
 
 
 def build_task(index: int, raw: dict, errors: list) -> TaskConfig:
+    """Validate one ``[task]`` block of ``key -> (lineno, text)``, appending
+    every problem to ``errors`` as ``task[index].<key>: ...``."""
     path = f"task[{index}]"
     task = TaskConfig(task_id=f"task{index}", kind="")
-    for key in raw:
-        if key not in _TASK_KEYS:
-            errors.append(f"{path}.{key}: unknown key")
-
-    def val(key):
-        return raw[key][1] if key in raw else None
-
-    kind = val("kind")
+    kind = raw.get("kind", (0, None))[1]
     if kind not in TASK_KINDS:
         errors.append(f"{path}.kind: must be one of {', '.join(TASK_KINDS)}")
         return task
     task.kind = kind
+    task.family = raw.get("family", (0, "limit" if kind == "asymptotic-mean" else task.family))[1]
+    if task.family not in SOURCE_FAMILIES:
+        errors.append(f"{path}.family: unknown distribution family {task.family!r}")
+        return task
 
-    if val("family") is not None:
-        task.family = val("family")
-    elif kind == "asymptotic-mean":
-        task.family = "limit"
+    for key, (_, text) in raw.items():
+        spec = TASK_KEYS.get(key)
+        if key == "kind":
+            pass
+        elif spec is None:
+            errors.append(f"{path}.{key}: unknown key")
+        elif kind not in spec.kinds:
+            errors.append(f"{path}.{key}: not used by {kind} tasks")
+        elif task.family not in spec.families:
+            errors.append(f"{path}.{key}: not used by the {task.family} family")
+        else:
+            value = spec.parse(text, f"{path}.{key}", errors)
+            if value is not None:
+                setattr(task, spec.attr, value)
+
+    for key in REQUIRED_KEYS[kind] + (("n",) if task.family in FINITE_N else ()):
+        if key not in raw:
+            errors.append(f"{path}.{key}: required for {kind} tasks on the {task.family} family")
+
     if kind == "asymptotic-mean" and task.family != "limit":
         errors.append(f"{path}.family: asymptotic-mean tasks use the limit family")
-    if task.family not in ("multinomial", "dirichlet", "limit"):
-        errors.append(f"{path}.family: unknown distribution family {task.family!r}")
-
-    if val("bound") is not None:
-        try:
-            task.bound = bound_family_from_name(val("bound"))
-        except ConfigError as exc:
-            errors.append(f"{path}.bound: {exc}")
-
-    if val("S") is not None:
-        task.S_values = _parse_list(val("S"), int, f"{path}.S", errors)
-    if not task.S_values:
-        errors.append(f"{path}.S: required")
-    elif any(s < 2 for s in task.S_values):
+    if kind == "falsify" and task.family == "limit":
+        errors.append(f"{path}.family: falsify tasks need a finite-n family")
+    if any(s < 2 for s in task.S_values):
         errors.append(f"{path}.S: every value must be >= 2")
     elif len(task.S_values) > 1 and kind != "asymptotic-mean":
         errors.append(f"{path}.S: only asymptotic-mean tasks accept an S sweep")
-
-    if val("n") is not None:
-        task.n = _parse_scalar(val("n"), int, f"{path}.n", errors)
-        if task.n is not None and task.n < 1:
-            errors.append(f"{path}.n: must be >= 1")
-    if task.family in ("multinomial", "dirichlet") and task.n is None:
-        errors.append(f"{path}.n: required for finite-n families")
-
-    if val("delta") is not None:
-        task.deltas = _parse_list(val("delta"), float, f"{path}.delta", errors)
-        for d in task.deltas:
-            if not (0.0 < d <= 1.0):
-                errors.append(f"{path}.delta: value {d} outside (0, 1]")
+    if task.n is not None and task.n < 1:
+        errors.append(f"{path}.n: must be >= 1")
+    for d in task.deltas:
+        if not (0.0 < d <= 1.0):
+            errors.append(f"{path}.delta: value {d} outside (0, 1]")
     for key, values in (("S", task.S_values), ("delta", task.deltas)):
         if len(values) > 1 << ROW_BITS:
             errors.append(f"{path}.{key}: a sweep has at most {1 << ROW_BITS} values")
-    if val("threshold") is not None:
-        task.thresholds = _parse_list(val("threshold"), float, f"{path}.threshold", errors)
-    if val("grid") is not None:
-        task.grid = _parse_grid(val("grid"), f"{path}.grid", errors)
-        if task.grid and any(b <= a for a, b in zip(task.grid, task.grid[1:])):
-            errors.append(f"{path}.grid: must be strictly ascending")
-
-    if val("trials") is not None:
-        t = _parse_scalar(val("trials"), int, f"{path}.trials", errors)
-        if t is not None:
-            task.trials = t
+    if task.grid and any(b <= a for a, b in zip(task.grid, task.grid[1:])):
+        errors.append(f"{path}.grid: must be strictly ascending")
     if task.trials < 1:
         errors.append(f"{path}.trials: must be >= 1")
-    if val("D") is not None:
-        d = _parse_scalar(val("D"), float, f"{path}.D", errors)
-        if d is not None:
-            task.D = d
+    if kind == "falsify" and task.trials < 100:
+        errors.append(f"{path}.trials: falsify tasks need >= 100 trials")
     if task.D <= 0:
         errors.append(f"{path}.D: must be > 0")
     for key in ("ci_level", "band_level"):
-        if val(key) is not None:
-            v = _parse_scalar(val(key), float, f"{path}.{key}", errors)
-            if v is not None:
-                setattr(task, key, v)
         if not (0.0 < getattr(task, key) < 1.0):
             errors.append(f"{path}.{key}: must lie in (0, 1)")
-
-    if kind == "falsify":
-        if task.bound is None:
-            errors.append(f"{path}.bound: required for falsify tasks")
-        if not task.deltas:
-            errors.append(f"{path}.delta: required for falsify tasks")
-        if task.trials < 100:
-            errors.append(f"{path}.trials: falsify tasks need >= 100 trials")
-        if task.family == "limit":
-            errors.append(f"{path}.family: falsify tasks need a finite-n family")
-    elif kind == "tail":
-        if not task.thresholds:
-            errors.append(f"{path}.threshold: required for tail tasks")
-    elif kind == "quantiles":
-        if not task.grid:
-            errors.append(f"{path}.grid: required for quantiles tasks")
     return task
 
 
@@ -292,7 +291,7 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.append("master_seed: required (seeds are never auto-generated)")
         master_seed = 0
     else:
-        master_seed = _parse_scalar(globals_["master_seed"][1], int, "master_seed", errors) or 0
+        master_seed = _parse_scalar(int, globals_["master_seed"][1], "master_seed", errors) or 0
         if master_seed < 0:
             errors.append("master_seed: must be >= 0")
     workers = None
@@ -301,7 +300,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if text_w == "auto":
             workers = len(os.sched_getaffinity(0))
         else:
-            workers = _parse_scalar(text_w, int, "workers", errors)
+            workers = _parse_scalar(int, text_w, "workers", errors)
             if workers is not None and workers < 1:
                 errors.append("workers: must be >= 1 or 'auto'")
 
@@ -312,16 +311,20 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def resolve_workers(config: ExperimentConfig) -> int:
-    """Config value wins; otherwise the environment override; otherwise 1."""
-    if config.workers is not None:
-        return config.workers
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
+    """Config (or ``--workers``) value wins; otherwise the environment
+    override; otherwise 1.  A count below 1 from any source is an error."""
+    source, workers = "workers (config or --workers)", config.workers
+    if workers is None:
+        source, text = WORKERS_ENV_VAR, os.environ.get(WORKERS_ENV_VAR)
+        if not text:
+            return 1
         try:
-            return max(1, int(env))
+            workers = int(text)
         except ValueError:
-            raise ConfigError(f"{WORKERS_ENV_VAR}: cannot parse {env!r}")
-    return 1
+            raise ConfigError(f"{WORKERS_ENV_VAR}: cannot parse {text!r}")
+    if workers < 1:
+        raise ConfigError(f"{source}: must be >= 1, got {workers}")
+    return workers
 
 
 # ---------------------------------------------------------------------------
@@ -329,34 +332,13 @@ def resolve_workers(config: ExperimentConfig) -> int:
 
 
 def _row(task: TaskConfig, seed: int, **kw) -> dict:
-    base = {
-        "task_id": task.task_id,
-        "kind": task.kind,
-        "family": task.family,
-        "S": None,
-        "n": task.n,
-        "delta": None,
-        "D": task.D,
-        "threshold": None,
-        "epsilon": None,
-        "point": None,
-        "ci_low": None,
-        "ci_high": None,
-        "outcome": None,
-        "trials": task.trials,
-        "seed": seed,
-    }
-    base.update(kw)
-    return base
+    return {**dict.fromkeys(CSV_COLUMNS), "task_id": task.task_id, "kind": task.kind,
+            "family": task.family, "n": task.n, "D": task.D, "trials": task.trials,
+            "seed": seed, **kw}
 
 
 def _source_for(task: TaskConfig, S: int) -> DeviationSource:
-    return DeviationSource(
-        family=task.family,
-        S=S,
-        n=None if task.family == "limit" else task.n,
-        D=task.D,
-    )
+    return DeviationSource(family=task.family, S=S, n=task.n, D=task.D)
 
 
 def _run_task(task: TaskConfig, task_index: int, master_seed: int, workers: int) -> list[dict]:
@@ -465,6 +447,10 @@ def report_from_dict(obj: dict) -> Report:
     missing = [key for key in ("master_seed", "tasks", "rows") if key not in obj]
     if missing:
         raise ConfigError(f"report lacks {', '.join(missing)}")
+    if not (isinstance(obj["tasks"], list) and isinstance(obj["rows"], list)):
+        raise ConfigError("report tasks and rows must be lists")
+    if not all(isinstance(row, dict) for row in obj["rows"]):
+        raise ConfigError("every report row must be an object")
     return Report(
         master_seed=obj["master_seed"],
         tasks=obj["tasks"],
@@ -522,5 +508,8 @@ def emit_plot_data(report: Report, task_id: str) -> bytes:
         values = [row.get(k) for k in keys]
         if any(v is None for v in values):
             raise ConfigError(f"task {task_id!r} rows lack curve data")
-        lines.append(" ".join(repr(float(_jsonable(v))) for v in values))
+        try:
+            lines.append(" ".join(repr(float(_jsonable(v))) for v in values))
+        except (TypeError, ValueError):
+            raise ConfigError(f"task {task_id!r} has a non-numeric curve cell")
     return ("\n".join(lines) + "\n").encode()

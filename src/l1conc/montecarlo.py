@@ -34,7 +34,8 @@ SOURCE_FAMILIES = ("multinomial", "dirichlet", "limit")
 
 @dataclass(frozen=True)
 class DeviationSource:
-    """Describes which deviation statistic a Monte Carlo run samples.
+    """Describes which deviation statistic a Monte Carlo run samples, always
+    under the uniform p = (1/S, ..., 1/S).
 
     ``multinomial``/``dirichlet`` sources produce the l1 distance between a
     finite-n empirical (or Dirichlet(n·p)) vector and p; ``limit`` sources
@@ -46,7 +47,6 @@ class DeviationSource:
     S: int
     n: int | None = None
     D: float = 1.0
-    p: tuple | None = None
     scale: float = 1.0
 
     def __post_init__(self):
@@ -59,13 +59,6 @@ class DeviationSource:
                 raise ValidationError("finite-n sources require n >= 1")
         if self.D <= 0:
             raise ValidationError("D must be > 0")
-        if self.p is not None:
-            as_simplex(np.asarray(self.p))
-
-    def p_vector(self) -> np.ndarray:
-        if self.p is None:
-            return np.full(self.S, 1.0 / self.S)
-        return np.asarray(self.p, dtype=float)
 
 
 def _stream_index(stream: int, chunk: int) -> int:
@@ -79,7 +72,7 @@ def _draw_chunk(source: DeviationSource, master_seed: int, stream: int, chunk: i
     if source.family == "limit":
         out = sample_Z_batch(source.S, source.D, count, key)
     else:
-        p = source.p_vector()
+        p = np.full(source.S, 1.0 / source.S)
         if source.family == "multinomial":
             phat = sample_multinomial_batch(p, source.n, count, key) / float(source.n)
         else:

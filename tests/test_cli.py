@@ -126,7 +126,70 @@ class TestReportCommand:
         assert code == EXIT_USAGE
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "master_seed" in err and "rows" in err
-        bad.write_text("[1, 2]")
-        code, _, err = run_cli(capsys, "report", "--in", str(bad))
+        row = {"task_id": "t", "kind": "tail", "threshold": 0.5, "point": "abc",
+               "ci_low": 0.1, "ci_high": 0.9}
+        for text, extra in (
+            ("[1, 2]", ()),
+            (json.dumps({"schema": 1, "master_seed": 1, "tasks": [], "rows": [1]}), ()),
+            (json.dumps({"schema": 1, "master_seed": 1, "tasks": [], "rows": 5}), ()),
+            (json.dumps({"schema": 1, "master_seed": 1, "tasks": [], "rows": [row]}),
+             ("--plot-task", "t")),
+        ):
+            bad.write_text(text)
+            code, _, err = run_cli(capsys, "report", "--in", str(bad), *extra)
+            assert code == EXIT_USAGE, text
+            assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+TAIL = ("tail", "--seed", "4", "--S", "3", "--n", "50", "--threshold", "0.2", "--trials", "200")
+
+
+class TestUsageErrors:
+    def assert_usage_error(self, capsys, argv, *needles):
+        code, _, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE
         assert err.startswith("error:") and len(err.splitlines()) == 1
+        for needle in needles:
+            assert needle in err
+
+    def test_parser_errors_exit_1(self, capsys):
+        self.assert_usage_error(capsys, ["bogus"], "bogus")
+        self.assert_usage_error(capsys, [])
+        self.assert_usage_error(capsys, ["falsify", "--seed", "abc"], "--seed")
+        self.assert_usage_error(capsys, ["report"], "--in")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["falsify", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for flag in ("--S", "--n", "--delta", "--threshold", "--grid", "--trials", "--D",
+                     "--family", "--bound"):
+            assert f" {flag} " in out
+
+    @pytest.mark.parametrize("key,extra", [
+        ("n", ("--n", "abc")),
+        ("trials", ("--n", "5", "--trials", "1e4")),
+        ("D", ("--family", "limit", "--D", "two")),
+    ])
+    def test_non_numeric_flag_is_config_error(self, capsys, key, extra):
+        argv = ["tail", "--seed", "1", "--S", "3", "--threshold", "1", *extra]
+        self.assert_usage_error(capsys, argv, f"task[0].{key}: cannot parse")
+
+    def test_unused_flag_is_config_error(self, capsys):
+        self.assert_usage_error(capsys, [*TAIL, "--D", "2"], "task[0].D")
+        self.assert_usage_error(capsys, [*TAIL, "--delta", "0.1"], "task[0].delta")
+
+    def test_task_flag_with_config_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("master_seed = 9\n[task]\nkind = asymptotic-mean\nS = 5\ntrials = 10\n")
+        self.assert_usage_error(capsys, ["asymptotic-mean", "--config", str(cfg), "--S", "7"],
+                                "--S")
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_flag_below_one_rejected(self, capsys, workers):
+        self.assert_usage_error(capsys, [*TAIL, "--workers", workers], "--workers", workers)
+
+    def test_workers_env_below_one_rejected(self, capsys, monkeypatch):
+        monkeypatch.setenv("L1CONC_WORKERS", "0")
+        self.assert_usage_error(capsys, list(TAIL), "L1CONC_WORKERS")

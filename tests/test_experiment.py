@@ -76,6 +76,28 @@ class TestParseConfig:
         assert len(parse_config(f"master_seed = 1\n[task]\nkind = asymptotic-mean\n"
                                 f"S = {S[2:]}\n").tasks[0].S_values) == 4096
 
+    @pytest.mark.parametrize("task,key", [
+        ("kind = tail\nS = 3\nn = 50\nthreshold = 0.2\nD = 2", "D"),
+        ("kind = tail\nfamily = dirichlet\nS = 3\nn = 50\nthreshold = 0.2\nD = 2", "D"),
+        ("kind = tail\nfamily = limit\nS = 3\nn = 50\nthreshold = 0.2", "n"),
+        ("kind = tail\nS = 3\nn = 50\nthreshold = 0.2\ngrid = 0:1:3", "grid"),
+        ("kind = tail\nS = 3\nn = 50\nthreshold = 0.2\nbound = agrawal", "bound"),
+        ("kind = tail\nS = 3\nn = 50\nthreshold = 0.2\ndelta = 0.1", "delta"),
+        ("kind = falsify\nbound = agrawal\nS = 3\nn = 50\ndelta = 0.1\nthreshold = 0.2",
+         "threshold"),
+        ("kind = quantiles\nfamily = limit\nS = 3\ngrid = 0:1:3\nci_level = 0.9", "ci_level"),
+        ("kind = asymptotic-mean\nS = 3\nband_level = 0.1", "band_level"),
+    ])
+    def test_unused_key_rejected(self, task, key):
+        with pytest.raises(ConfigError, match=rf"task\[0\]\.{key}: not used by"):
+            parse_config(f"master_seed = 1\n[task]\n{task}\n")
+
+    def test_required_keys(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config("master_seed = 1\n[task]\nkind = falsify\n")
+        for key in ("S", "n", "bound", "delta"):
+            assert f"task[0].{key}: required" in str(exc.value)
+
     def test_workers_auto_uses_affinity(self, monkeypatch):
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 2, 5})
         monkeypatch.setattr("os.cpu_count", lambda: 64)

@@ -1,0 +1,145 @@
+"""Property-based tests of the config parser and the report round trip."""
+
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from l1conc.cli import main
+from l1conc.errors import ConfigError
+from l1conc.experiment import (
+    CSV_COLUMNS,
+    FINITE_N,
+    REQUIRED_KEYS,
+    TASK_KEYS,
+    TASK_KINDS,
+    Report,
+    emit_report,
+    parse_config,
+)
+from l1conc.montecarlo import SOURCE_FAMILIES
+
+FAMILIES_OF = {
+    "tail": SOURCE_FAMILIES,
+    "quantiles": SOURCE_FAMILIES,
+    "falsify": FINITE_N,
+    "asymptotic-mean": ("limit",),
+}
+
+
+def used(kind: str, family: str, key: str) -> bool:
+    spec = TASK_KEYS[key]
+    return kind in spec.kinds and family in spec.families
+
+
+def floats(lo, hi, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw).map(repr)
+
+
+def comma_list(values):
+    return st.lists(values, min_size=1, max_size=4).map(",".join)
+
+
+def unit_interval():
+    return floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def grids(draw):
+    if draw(st.booleans()):
+        lo = draw(st.floats(-100.0, 100.0))
+        width = draw(st.floats(0.01, 100.0))
+        return f"{lo!r}:{lo + width!r}:{draw(st.integers(2, 50))}"
+    points = draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6, unique=True))
+    return ",".join(map(repr, sorted(points)))
+
+
+def value_text(kind: str, key: str):
+    """Text of a valid value of ``key`` on a ``kind`` task."""
+    return {
+        "bound": st.sampled_from(["weissman-union", "WeissmanExact", "devroye", "agrawal"]),
+        "S": comma_list(st.integers(2, 500).map(str)) if kind == "asymptotic-mean"
+        else st.integers(2, 500).map(str),
+        "n": st.integers(1, 10**6).map(str),
+        "delta": comma_list(floats(0.0, 1.0, exclude_min=True)),
+        "threshold": comma_list(floats(-10.0, 10.0)),
+        "grid": grids(),
+        "trials": st.integers(100 if kind == "falsify" else 1, 10**7).map(str),
+        "D": floats(1e-6, 1e6),
+        "ci_level": unit_interval(),
+        "band_level": unit_interval(),
+    }[key]
+
+
+@st.composite
+def valid_tasks(draw, kind=None):
+    """A ``key -> text`` block that parses, drawn from the key table."""
+    kind = kind or draw(st.sampled_from(TASK_KINDS))
+    family = draw(st.sampled_from(FAMILIES_OF[kind]))
+    task = {"kind": kind, "family": family}
+    required = set(REQUIRED_KEYS[kind]) | ({"n"} if family in FINITE_N else set())
+    for key in TASK_KEYS:
+        if key != "family" and used(kind, family, key) and (
+                key in required or draw(st.booleans())):
+            task[key] = draw(value_text(kind, key))
+    return task
+
+
+def config_text(seed: int, tasks: list[dict]) -> str:
+    blocks = ["[task]\n" + "".join(f"{k} = {v}\n" for k, v in t.items()) for t in tasks]
+    return f"master_seed = {seed}\n" + "".join(blocks)
+
+
+def echo_to_block(echo: dict) -> dict:
+    """The config block of a task echo: every set key its task uses."""
+    block = {"kind": echo["kind"]}
+    for key in TASK_KEYS:
+        value = echo[key]
+        if value not in (None, []) and used(echo["kind"], echo["family"], key):
+            block[key] = ",".join(map(repr, value)) if isinstance(value, list) else value
+    return block
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32), tasks=st.lists(valid_tasks(), min_size=1, max_size=3))
+def test_config_echo_round_trip(seed, tasks):
+    echoes = [t.echo() for t in parse_config(config_text(seed, tasks)).tasks]
+    again = parse_config(config_text(seed, [echo_to_block(e) for e in echoes]))
+    assert [t.echo() for t in again.tasks] == echoes
+
+
+UNUSED = [(kind, family, key) for kind in TASK_KINDS for family in SOURCE_FAMILIES
+          for key in TASK_KEYS if not used(kind, family, key)]
+
+
+@pytest.mark.parametrize("kind,family,key", UNUSED)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_unused_key_is_config_error(kind, family, key, data):
+    task = data.draw(valid_tasks(kind))
+    task["family"] = family
+    task[key] = data.draw(value_text(kind, key))
+    with pytest.raises(ConfigError, match=rf"task\[0\]\.{key}: not used by"):
+        parse_config(config_text(1, [task]))
+
+
+cells = st.one_of(st.none(), st.integers(-2**62, 2**62), st.text(max_size=8),
+                  st.floats(allow_nan=False))
+rows = st.fixed_dictionaries({c: cells for c in CSV_COLUMNS})
+task_echoes = st.dictionaries(st.text(max_size=6), st.one_of(cells, st.lists(cells, max_size=3)),
+                              max_size=4)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**63), tasks=st.lists(task_echoes, max_size=3),
+       rows=st.lists(rows, max_size=4), fmt=st.sampled_from(["json", "csv"]))
+def test_report_reemit_byte_identical(seed, tasks, rows, fmt):
+    report = Report(master_seed=seed, tasks=tasks, rows=rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        saved, out = Path(tmp, "r.json"), Path(tmp, "out")
+        saved.write_bytes(emit_report(report, "json"))
+        code = main(["report", "--in", str(saved), "--format", fmt, "--out", str(out)])
+        assert code in (0, 10)
+        assert out.read_bytes() == emit_report(report, fmt)
