@@ -25,9 +25,10 @@ from .errors import ConfigError
 from .montecarlo import (
     SOURCE_FAMILIES,
     DeviationSource,
-    estimate_quantile_curve,
-    falsify_bound,
-    summarize_samples,
+    SampleRequest,
+    dkw_halfwidth,
+    falsify_cell,
+    summarize_many,
     tail_estimate_from_count,
 )
 
@@ -252,6 +253,8 @@ def build_task(index: int, raw: dict, errors: list) -> TaskConfig:
         errors.append(f"{path}.trials: must be >= 1")
     if kind == "falsify" and task.trials < 100:
         errors.append(f"{path}.trials: falsify tasks need >= 100 trials")
+    if kind == "asymptotic-mean" and task.trials < 2:
+        errors.append(f"{path}.trials: asymptotic-mean tasks need >= 2 trials")
     if task.D <= 0:
         errors.append(f"{path}.D: must be > 0")
     for key in ("ci_level", "band_level"):
@@ -341,78 +344,78 @@ def _source_for(task: TaskConfig, S: int) -> DeviationSource:
     return DeviationSource(family=task.family, S=S, n=task.n, D=task.D)
 
 
-def _run_task(task: TaskConfig, task_index: int, master_seed: int, workers: int) -> list[dict]:
+def _task_cells(task: TaskConfig, task_index: int, seed: int) -> list:
+    """``(request, rows)`` for every cell of a task: the samples the cell
+    needs, and the function that turns their summary into report rows."""
     stream_base = task_index << ROW_BITS
-    rows: list[dict] = []
     S = task.S_values[0]
     if task.kind == "falsify":
-        for r, delta in enumerate(task.deltas):
-            spec = BoundSpec(family=task.bound, n=task.n, S=S, delta=delta)
-            verdict = falsify_bound(
-                spec, task.trials, master_seed,
-                family=task.family, ci_level=task.ci_level,
-                stream=stream_base | r, workers=workers,
-            )
+        def rows(verdict_of, summary):
+            verdict = verdict_of(summary)
             est = verdict.estimate
-            rows.append(_row(
-                task, master_seed,
-                family=verdict.spec.family.value, S=S, delta=delta,
+            return [_row(
+                task, seed, family=verdict.spec.family.value, S=S, delta=verdict.claimed_delta,
                 threshold=est.threshold, epsilon=verdict.evaluation.epsilon,
                 point=est.point, ci_low=est.ci_low, ci_high=est.ci_high,
                 outcome=verdict.outcome,
-            ))
-    elif task.kind == "tail":
-        summary = summarize_samples(_source_for(task, S), task.trials, master_seed,
-                                    thresholds=task.thresholds, stream=stream_base,
-                                    workers=workers)
-        for threshold, k in zip(task.thresholds, summary.at_least):
-            est = tail_estimate_from_count(threshold, int(k), task.trials, task.ci_level)
-            rows.append(_row(
-                task, master_seed, S=S, threshold=threshold,
-                point=est.point, ci_low=est.ci_low, ci_high=est.ci_high,
-            ))
-    elif task.kind == "quantiles":
-        curve = estimate_quantile_curve(_source_for(task, S), task.grid, task.trials,
-                                        master_seed, band_level=task.band_level,
-                                        stream=stream_base, workers=workers)
-        half = curve.dkw_halfwidth
-        for g, cdf in zip(task.grid, curve.cdf_estimates):
-            rows.append(_row(
-                task, master_seed, S=S, threshold=float(g), point=float(cdf),
-                ci_low=max(0.0, cdf - half), ci_high=min(1.0, cdf + half),
-            ))
-    elif task.kind == "asymptotic-mean":
+            )]
+        cells = []
+        for r, delta in enumerate(task.deltas):
+            request, verdict_of = falsify_cell(
+                BoundSpec(family=task.bound, n=task.n, S=S, delta=delta), task.trials,
+                family=task.family, ci_level=task.ci_level, stream=stream_base | r)
+            cells.append((request, partial(rows, verdict_of)))
+        return cells
+    if task.kind == "tail":
+        def rows(summary):
+            out = []
+            for threshold, k in zip(task.thresholds, summary.at_least):
+                est = tail_estimate_from_count(threshold, int(k), task.trials, task.ci_level)
+                out.append(_row(task, seed, S=S, threshold=threshold,
+                                point=est.point, ci_low=est.ci_low, ci_high=est.ci_high))
+            return out
+        request = SampleRequest(_source_for(task, S), task.trials, stream_base,
+                                thresholds=tuple(task.thresholds))
+        return [(request, rows)]
+    if task.kind == "quantiles":
+        def rows(summary):
+            half = dkw_halfwidth(task.trials, task.band_level)
+            return [_row(task, seed, S=S, threshold=float(g), point=float(cdf),
+                         ci_low=max(0.0, cdf - half), ci_high=min(1.0, cdf + half))
+                    for g, cdf in zip(task.grid, summary.at_most / float(task.trials))]
+        request = SampleRequest(_source_for(task, S), task.trials, stream_base,
+                                grid=tuple(task.grid))
+        return [(request, rows)]
+    if task.kind == "asymptotic-mean":
         z_crit = float(norm.ppf(0.5 + task.ci_level / 2.0))
-        for r, S in enumerate(task.S_values):
-            summary = summarize_samples(_source_for(task, S), task.trials, master_seed,
-                                        stream=stream_base | r, workers=workers)
+
+        def rows(S, summary):
             mean = float(summary.mean)
             se = math.sqrt(summary.variance) / math.sqrt(task.trials)
-            rows.append(_row(
-                task, master_seed, S=S,
-                epsilon=task.D * expected_Z(S),
-                point=mean, ci_low=mean - z_crit * se, ci_high=mean + z_crit * se,
-            ))
-    else:  # pragma: no cover
-        raise ConfigError(f"unknown task kind {task.kind!r}")
-    return rows
+            return [_row(task, seed, S=S, epsilon=task.D * expected_Z(S),
+                         point=mean, ci_low=mean - z_crit * se, ci_high=mean + z_crit * se)]
+        return [(SampleRequest(_source_for(task, S), task.trials, stream_base | r),
+                 partial(rows, S)) for r, S in enumerate(task.S_values)]
+    raise ConfigError(f"unknown task kind {task.kind!r}")  # pragma: no cover
 
 
 def run_experiment(config: ExperimentConfig) -> Report:
     """Execute every task and aggregate results into a Report.
 
-    The report content depends only on the config and master seed, never on
-    the worker count or scheduling.
+    The samples of every cell of every task are summarized in one
+    ``summarize_many`` call, so a run starts at most one process pool.  The
+    report content depends only on the config and master seed, never on the
+    worker count or scheduling.
     """
     workers = resolve_workers(config)
     start = time.monotonic()
-    rows: list[dict] = []
-    for i, task in enumerate(config.tasks):
-        rows.extend(_run_task(task, i, config.master_seed, workers))
+    cells = [cell for i, task in enumerate(config.tasks)
+             for cell in _task_cells(task, i, config.master_seed)]
+    summaries = summarize_many([request for request, _ in cells], config.master_seed, workers)
     return Report(
         master_seed=config.master_seed,
         tasks=[t.echo() for t in config.tasks],
-        rows=rows,
+        rows=[row for (_, rows), summary in zip(cells, summaries) for row in rows(summary)],
         runtime_seconds=time.monotonic() - start,
     )
 

@@ -4,15 +4,19 @@ intervals, a small-instance enumeration oracle, and bound falsification.
 Trials are drawn in fixed-size chunks, each chunk from its own Philox stream
 derived from ``(master_seed, stream, chunk_index)``.  Estimators reduce each
 chunk to exceedance counts, at-most counts and moments where it is drawn, so
-memory does not grow with ``trials``.  Chunk boundaries do not depend on the
-worker count, and chunk results are merged in index order, so every estimate
-is bit-identical whether it ran on 1 worker or 64.
+memory does not grow with ``trials``.  ``summarize_many`` schedules the chunks
+of many sample requests (every cell of an experiment) together, on at most one
+process pool, which it shuts down before returning.  Chunk boundaries do not
+depend on the worker count, and chunk results are merged in index order, so
+every estimate is bit-identical whether it ran on 1 worker or 64.
 """
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
+from itertools import starmap
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -39,8 +43,9 @@ class DeviationSource:
 
     ``multinomial``/``dirichlet`` sources produce the l1 distance between a
     finite-n empirical (or Dirichlet(n·p)) vector and p; ``limit`` sources
-    produce the asymptotic variable directly.  ``scale`` multiplies every
-    sample, e.g. sqrt(n)·D/2 to compare finite-n draws with the limit law.
+    produce the asymptotic variable directly, at the scale ``D`` that only
+    they take.  ``scale`` multiplies every sample, e.g. sqrt(n)·D/2 to compare
+    finite-n draws with the limit law.
     """
 
     family: str
@@ -57,8 +62,22 @@ class DeviationSource:
         if self.family != "limit":
             if self.n is None or self.n < 1:
                 raise ValidationError("finite-n sources require n >= 1")
+            if self.D != 1.0:
+                raise ValidationError("D applies to the limit family only")
         if self.D <= 0:
             raise ValidationError("D must be > 0")
+
+
+class SampleRequest(NamedTuple):
+    """``trials`` deviation samples of ``source`` drawn from Philox stream
+    ``stream``, summarized at ``thresholds`` (counts of samples >= t) and on
+    ``grid`` (counts of samples <= g)."""
+
+    source: DeviationSource
+    trials: int
+    stream: int = 0
+    thresholds: tuple = ()
+    grid: tuple = ()
 
 
 def _stream_index(stream: int, chunk: int) -> int:
@@ -66,9 +85,9 @@ def _stream_index(stream: int, chunk: int) -> int:
     return (stream << 32) | chunk
 
 
-def _draw_chunk(source: DeviationSource, master_seed: int, stream: int, chunk: int,
-                count: int) -> np.ndarray:
-    key = StreamKey(master_seed, _stream_index(stream, chunk))
+def _draw_chunk(request: SampleRequest, master_seed: int, chunk: int, count: int) -> np.ndarray:
+    source = request.source
+    key = StreamKey(master_seed, _stream_index(request.stream, chunk))
     if source.family == "limit":
         out = sample_Z_batch(source.S, source.D, count, key)
     else:
@@ -83,25 +102,29 @@ def _draw_chunk(source: DeviationSource, master_seed: int, stream: int, chunk: i
     return out
 
 
-def _map_chunks(fn, source: DeviationSource, trials: int, master_seed: int, stream: int,
-                workers: int) -> list:
-    """``fn(source, master_seed, stream, chunk, size)`` for every chunk of
-    ``trials``, in chunk order, on a process pool when ``workers > 1``."""
-    if trials < 1:
+def _map_requests(fn, requests: list, master_seed: int, workers: int) -> list[list]:
+    """``fn(request, master_seed, chunk, size)`` for every chunk of every
+    request, grouped by request in chunk order.  The chunks of all requests
+    form one job list, mapped on at most one process pool, which is shut down
+    (its workers joined) before this returns."""
+    if any(request.trials < 1 for request in requests):
         raise ValidationError("trials must be >= 1")
-    nchunks = (trials + CHUNK_SIZE - 1) // CHUNK_SIZE
-    sizes = [CHUNK_SIZE] * (nchunks - 1) + [trials - CHUNK_SIZE * (nchunks - 1)]
-    args = ([source] * nchunks, [master_seed] * nchunks, [stream] * nchunks, range(nchunks), sizes)
-    if workers > 1 and nchunks > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, *args))
-    return list(map(fn, *args))
+    jobs = [(request, master_seed, start // CHUNK_SIZE, min(CHUNK_SIZE, request.trials - start))
+            for request in requests for start in range(0, request.trials, CHUNK_SIZE)]
+    if workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            results = iter(list(pool.map(fn, *zip(*jobs))))
+    else:
+        results = starmap(fn, jobs)
+    return [[next(results) for _ in range(0, request.trials, CHUNK_SIZE)] for request in requests]
 
 
 def draw_samples(source: DeviationSource, trials: int, master_seed: int, *,
                  stream: int = 0, workers: int = 1) -> np.ndarray:
     """Draw ``trials`` deviation samples, reproducible and worker-independent."""
-    return np.concatenate(_map_chunks(_draw_chunk, source, trials, master_seed, stream, workers))
+    [chunks] = _map_requests(_draw_chunk, [SampleRequest(source, trials, stream)],
+                             master_seed, workers)
+    return np.concatenate(chunks)
 
 
 @dataclass(frozen=True)
@@ -138,18 +161,26 @@ class SampleSummary:
         )
 
 
-def _reduce_chunk(source: DeviationSource, master_seed: int, stream: int, chunk: int,
-                  count: int, *, thresholds: np.ndarray, grid: np.ndarray) -> SampleSummary:
-    x = _draw_chunk(source, master_seed, stream, chunk, count)
+def _reduce_chunk(request: SampleRequest, master_seed: int, chunk: int,
+                  count: int) -> SampleSummary:
+    x = _draw_chunk(request, master_seed, chunk, count)
     ordered = np.sort(x)
     mean = x.mean()
     return SampleSummary(
-        at_least=count - np.searchsorted(ordered, thresholds, side="left"),
-        at_most=np.searchsorted(ordered, grid, side="right"),
+        at_least=count - np.searchsorted(ordered, np.asarray(request.thresholds, dtype=float),
+                                         side="left"),
+        at_most=np.searchsorted(ordered, np.asarray(request.grid, dtype=float), side="right"),
         count=count,
         mean=mean,
         m2=np.square(x - mean).sum(),
     )
+
+
+def summarize_many(requests, master_seed: int, workers: int = 1) -> list[SampleSummary]:
+    """The ``SampleSummary`` of every request, in request order.  The chunks
+    of all requests share one schedule, so one pool serves them all."""
+    parts = _map_requests(_reduce_chunk, list(requests), master_seed, workers)
+    return [reduce(SampleSummary.merge, chunks) for chunks in parts]
 
 
 def summarize_samples(source: DeviationSource, trials: int, master_seed: int, *,
@@ -157,10 +188,9 @@ def summarize_samples(source: DeviationSource, trials: int, master_seed: int, *,
                       workers: int = 1) -> SampleSummary:
     """Counts and moments of the samples ``draw_samples`` would return, reduced
     chunk by chunk, so memory does not grow with ``trials``."""
-    reduce_chunk = partial(_reduce_chunk, thresholds=np.asarray(thresholds, dtype=float),
-                           grid=np.asarray(grid, dtype=float))
-    parts = _map_chunks(reduce_chunk, source, trials, master_seed, stream, workers)
-    return reduce(SampleSummary.merge, parts)
+    request = SampleRequest(source, trials, stream, thresholds, grid)
+    [summary] = summarize_many([request], master_seed, workers)
+    return summary
 
 
 def clopper_pearson(successes: int, trials: int, level: float = 0.95) -> tuple[float, float]:
@@ -325,25 +355,37 @@ def classify_verdict(estimate: TailEstimate, claimed_delta: float) -> str:
     return INCONCLUSIVE
 
 
-def falsify_bound(spec: BoundSpec, trials: int, master_seed: int, *,
-                  family: str = "multinomial", ci_level: float = 0.95,
-                  stream: int = 0, workers: int = 1) -> Verdict:
-    """Estimate the exceedance probability at the bound's own threshold (uniform
-    p) and classify the claim as Violated / Consistent / Inconclusive."""
+def falsify_cell(spec: BoundSpec, trials: int, *, family: str = "multinomial",
+                 ci_level: float = 0.95, stream: int = 0):
+    """The request that counts exceedances of the bound's own threshold under
+    uniform p, and the function classifying the claim from its summary."""
     if trials < 100:
         raise ValidationError("falsification requires trials >= 100")
     if family not in ("multinomial", "dirichlet"):
         raise ValidationError(f"unsupported distribution family {family!r}")
     evaluation = evaluate_bound(spec)
     source = DeviationSource(family=family, S=spec.S, n=spec.n)
-    estimate = estimate_tail_probability(
-        source, evaluation.epsilon, trials, master_seed,
-        ci_level=ci_level, stream=stream, workers=workers,
-    )
-    return Verdict(
-        spec=spec,
-        evaluation=evaluation,
-        estimate=estimate,
-        claimed_delta=spec.delta,
-        outcome=classify_verdict(estimate, spec.delta),
-    )
+
+    def verdict(summary: SampleSummary) -> Verdict:
+        estimate = tail_estimate_from_count(evaluation.epsilon, int(summary.at_least[0]),
+                                            trials, ci_level)
+        return Verdict(
+            spec=spec,
+            evaluation=evaluation,
+            estimate=estimate,
+            claimed_delta=spec.delta,
+            outcome=classify_verdict(estimate, spec.delta),
+        )
+
+    return SampleRequest(source, trials, stream, thresholds=(evaluation.epsilon,)), verdict
+
+
+def falsify_bound(spec: BoundSpec, trials: int, master_seed: int, *,
+                  family: str = "multinomial", ci_level: float = 0.95,
+                  stream: int = 0, workers: int = 1) -> Verdict:
+    """Estimate the exceedance probability at the bound's own threshold (uniform
+    p) and classify the claim as Violated / Consistent / Inconclusive."""
+    request, verdict = falsify_cell(spec, trials, family=family, ci_level=ci_level,
+                                    stream=stream)
+    [summary] = summarize_many([request], master_seed, workers)
+    return verdict(summary)

@@ -81,10 +81,17 @@ class TestOtherCommands:
 
     def test_bad_config_field(self, capsys, tmp_path):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("master_seed = 9\n[task]\nkind = falsify\ndelta = 1.5\n")
-        code, _, err = run_cli(capsys, "falsify", "--config", str(cfg))
-        assert code == EXIT_USAGE
-        assert "delta" in err
+        for task, needle in (
+            ("kind = falsify\ndelta = 1.5", "delta"),
+            # one trial has no sample variance: the mean's interval would be NaN
+            ("kind = asymptotic-mean\nS = 5\ntrials = 1",
+             "task[0].trials: asymptotic-mean tasks need >= 2 trials"),
+        ):
+            cfg.write_text(f"master_seed = 9\n[task]\n{task}\n")
+            code, _, err = run_cli(capsys, "falsify", "--config", str(cfg))
+            assert code == EXIT_USAGE
+            assert err.startswith("error:") and len(err.splitlines()) == 1
+            assert needle in err
 
 
 class TestReportCommand:

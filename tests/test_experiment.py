@@ -1,7 +1,9 @@
 import json
+import multiprocessing
 
 import pytest
 
+from l1conc import montecarlo
 from l1conc.errors import ConfigError
 from l1conc.experiment import (
     CSV_COLUMNS,
@@ -125,18 +127,38 @@ class TestRunExperiment:
         assert row["family"] == "Agrawal"
         assert row["epsilon"] == pytest.approx(0.0244774, abs=1e-6)
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, monkeypatch):
+        # every task kind; 8 chunks in all, so workers > 1 uses a pool
         text = (
             "master_seed = 11\n"
-            "[task]\nkind = asymptotic-mean\nS = 2,10\ntrials = 40000\n"
-            "[task]\nkind = quantiles\nfamily = limit\nS = 10\ngrid = 0:3:7\ntrials = 20000\n"
+            "[task]\nkind = falsify\nbound = weissman-union\nS = 5\nn = 100\n"
+            "delta = 0.1,0.01\ntrials = 500\n"
+            "[task]\nkind = tail\nS = 3\nn = 12\nthreshold = 0.25,0.5\ntrials = 3000\n"
+            "[task]\nkind = asymptotic-mean\nS = 2,10\ntrials = 20000\n"
+            "[task]\nkind = quantiles\nfamily = limit\nS = 10\ngrid = 0:3:7\ntrials = 2000\n"
         )
+        pools = []
+
+        class CountingPool(montecarlo.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
         outputs = []
-        for workers in (1, 3):
+        for workers, expected_pools in ((1, []), (2, [2]), (3, [3])):
+            pools.clear()
             cfg = parse_config(text)
             cfg.workers = workers
             outputs.append(emit_report(run_experiment(cfg), "json"))
-        assert outputs[0] == outputs[1]
+            assert pools == expected_pools
+            assert multiprocessing.active_children() == []  # workers joined
+        assert outputs[0] == outputs[1] == outputs[2]
+        pools.clear()
+        cfg = parse_config(MINIMAL_FALSIFY)  # a single chunk runs in this process
+        cfg.workers = 2
+        run_experiment(cfg)
+        assert pools == []
 
     def test_asymptotic_mean_matches_closed_form(self):
         cfg = parse_config("master_seed = 5\n[task]\nkind = asymptotic-mean\nS = 10\ntrials = 50000\n")

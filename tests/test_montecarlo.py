@@ -70,6 +70,12 @@ class TestDeviationSource:
             DeviationSource("multinomial", 5)  # missing n
         with pytest.raises(ValidationError):
             DeviationSource("limit", 1)
+        # D scales only the limit law; finite-n sources would ignore it
+        for family in ("multinomial", "dirichlet"):
+            with pytest.raises(ValidationError, match="D applies to the limit family"):
+                DeviationSource(family, 3, n=10, D=5.0)
+            DeviationSource(family, 3, n=10, D=1.0)
+        DeviationSource("limit", 3, D=5.0)
 
     def test_draws_deterministic_and_worker_independent(self):
         source = DeviationSource("limit", 10)

@@ -1,12 +1,15 @@
-"""Property-based tests of the config parser and the report round trip."""
+"""Property-based tests of the config parser, the report round trip, the
+batch samplers and the chunk scheduler."""
 
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from l1conc import montecarlo
 from l1conc.cli import main
 from l1conc.errors import ConfigError
 from l1conc.experiment import (
@@ -19,7 +22,19 @@ from l1conc.experiment import (
     emit_report,
     parse_config,
 )
-from l1conc.montecarlo import SOURCE_FAMILIES
+from l1conc.montecarlo import (
+    SOURCE_FAMILIES,
+    DeviationSource,
+    SampleRequest,
+    summarize_many,
+    summarize_samples,
+)
+from l1conc.sampling import (
+    SIMPLEX_SUM_TOL,
+    StreamKey,
+    sample_dirichlet_batch,
+    sample_multinomial_batch,
+)
 
 FAMILIES_OF = {
     "tail": SOURCE_FAMILIES,
@@ -27,6 +42,10 @@ FAMILIES_OF = {
     "falsify": FINITE_N,
     "asymptotic-mean": ("limit",),
 }
+
+
+# fewest trials each kind accepts; other kinds take 1
+MIN_TRIALS = {"falsify": 100, "asymptotic-mean": 2}
 
 
 def used(kind: str, family: str, key: str) -> bool:
@@ -66,7 +85,7 @@ def value_text(kind: str, key: str):
         "delta": comma_list(floats(0.0, 1.0, exclude_min=True)),
         "threshold": comma_list(floats(-10.0, 10.0)),
         "grid": grids(),
-        "trials": st.integers(100 if kind == "falsify" else 1, 10**7).map(str),
+        "trials": st.integers(MIN_TRIALS.get(kind, 1), 10**7).map(str),
         "D": floats(1e-6, 1e6),
         "ci_level": unit_interval(),
         "band_level": unit_interval(),
@@ -143,3 +162,53 @@ def test_report_reemit_byte_identical(seed, tasks, rows, fmt):
         code = main(["report", "--in", str(saved), "--format", fmt, "--out", str(out)])
         assert code in (0, 10)
         assert out.read_bytes() == emit_report(report, fmt)
+
+
+keys = st.builds(StreamKey, st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(weights=st.lists(st.floats(0.0, 1.0, allow_subnormal=False), min_size=1, max_size=8)
+       .filter(lambda w: sum(w) > 0),
+       n=st.integers(0, 10**6), size=st.integers(1, 40), key=keys)
+def test_multinomial_rows_nonnegative_and_sum_to_n(weights, n, size, key):
+    p = np.asarray(weights) / sum(weights)
+    counts = sample_multinomial_batch(p, n, size, key)
+    assert counts.shape == (size, len(weights))
+    assert np.all(counts >= 0) and np.all(counts.sum(axis=1) == n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(alpha=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=8),
+       size=st.integers(1, 40), key=keys)
+def test_dirichlet_rows_on_simplex(alpha, size, key):
+    x = sample_dirichlet_batch(alpha, size, key)
+    assert x.shape == (size, len(alpha))
+    assert np.all(x >= 0) and np.all(np.abs(x.sum(axis=1) - 1.0) <= SIMPLEX_SUM_TOL)
+
+
+SCHEDULER_CHUNK = 16  # small chunks, so cheap requests still span several
+
+sources = st.one_of(
+    st.builds(DeviationSource, st.sampled_from(["multinomial", "dirichlet"]),
+              st.integers(2, 6), n=st.integers(1, 50)),
+    st.builds(DeviationSource, st.just("limit"), st.integers(2, 20), D=st.floats(0.5, 3.0)),
+)
+levels = st.lists(st.floats(0.0, 3.0), max_size=4)
+requests = st.builds(SampleRequest, sources, st.integers(1, 5 * SCHEDULER_CHUNK),
+                     st.integers(0, 1000), levels.map(tuple), levels.map(sorted).map(tuple))
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=st.lists(requests, min_size=1, max_size=4), seed=st.integers(0, 2**32),
+       workers=st.sampled_from([1, 2]))
+def test_summarize_many_equals_one_request_at_a_time(batch, seed, workers):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "CHUNK_SIZE", SCHEDULER_CHUNK)
+        got = summarize_many(batch, seed, workers)
+        want = [summarize_samples(r.source, r.trials, seed, thresholds=r.thresholds,
+                                  grid=r.grid, stream=r.stream) for r in batch]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.at_least, w.at_least) and np.array_equal(g.at_most, w.at_most)
+        assert (g.count, g.mean, g.m2) == (w.count, w.mean, w.m2)
