@@ -19,7 +19,6 @@ from .bounds import (
 from .asymptotic import (
     anticoncentration_threshold,
     expected_Z,
-    gaussian_lipschitz_tail,
     helmert_matrix,
     limit_covariance,
 )
@@ -50,7 +49,7 @@ __all__ = [
     "agrawal_epsilon", "anticoncentration_threshold", "clopper_pearson",
     "devroye_epsilon", "devroye_valid", "emit_plot_data", "emit_report",
     "estimate_quantile_curve", "estimate_tail_probability", "evaluate_bound",
-    "exact_tail_small", "expected_Z", "falsify_bound", "gaussian_lipschitz_tail",
-    "helmert_matrix", "l1_deviation", "limit_covariance", "maximizer",
-    "parse_config", "run_experiment", "weissman_epsilon", "z_n_value",
+    "exact_tail_small", "expected_Z", "falsify_bound", "helmert_matrix",
+    "l1_deviation", "limit_covariance", "maximizer", "parse_config",
+    "run_experiment", "weissman_epsilon", "z_n_value",
 ]

@@ -5,8 +5,8 @@ vector Y with covariance I - N/(S-1) (unit diagonal, -1/(S-1) off-diagonal).
 Sampling goes through the whitened representation: S-1 i.i.d. standard
 normals W mapped back through the transpose of an explicit Helmert
 orthogonal matrix, which diagonalizes the exchangeable covariance exactly.
-Matrix-vector products with the Helmert matrix use its prefix-sum structure,
-so sampling costs O(S) per draw and needs no dense linear algebra.
+The one product sampling needs, U^T w, uses the matrix's suffix-sum
+structure, so it costs O(S) per draw and needs no dense linear algebra.
 """
 
 import math
@@ -52,34 +52,14 @@ def helmert_matrix(S: int) -> np.ndarray:
     return U
 
 
-def _offdiag_coeffs(S: int) -> np.ndarray:
-    k = np.arange(1, S, dtype=float)
-    return 1.0 / np.sqrt(k * (k + 1))
-
-
-def helmert_apply(y: np.ndarray) -> np.ndarray:
-    """U @ y along the last axis in O(S) via prefix sums."""
-    y = np.asarray(y, dtype=float)
-    S = y.shape[-1]
-    if S < 2:
-        raise ValidationError("vector length must be >= 2")
-    h = _offdiag_coeffs(S)
-    k = np.arange(1, S, dtype=float)
-    prefix = np.cumsum(y, axis=-1)
-    out = np.empty_like(y)
-    out[..., : S - 1] = h * prefix[..., : S - 1] - (k * h) * y[..., 1:]
-    out[..., S - 1] = prefix[..., S - 1] / math.sqrt(S)
-    return out
-
-
 def helmert_t_apply(w: np.ndarray) -> np.ndarray:
     """U.T @ w along the last axis in O(S) via suffix sums."""
     w = np.asarray(w, dtype=float)
     S = w.shape[-1]
     if S < 2:
         raise ValidationError("vector length must be >= 2")
-    h = _offdiag_coeffs(S)
     k = np.arange(1, S, dtype=float)
+    h = 1.0 / np.sqrt(k * (k + 1))
     a = w[..., : S - 1] * h
     suffix = np.flip(np.cumsum(np.flip(a, axis=-1), axis=-1), axis=-1)
     out = np.zeros_like(w)
@@ -153,11 +133,3 @@ def anticoncentration_threshold(S: int, delta: float) -> float:
     if not (0.0 < delta < 1.0):
         raise DomainError("delta must lie in (0, 1)")
     return math.sqrt(2.0 * (S - 1.0) / math.pi) - math.sqrt(2.0 * math.log(2.0 / delta))
-
-
-def gaussian_lipschitz_tail(t: float) -> float:
-    """Two-sided deviation bound 2·exp(-t^2/2) for 1-Lipschitz functions of a
-    standard Gaussian vector."""
-    if t < 0:
-        raise DomainError("t must be >= 0")
-    return 2.0 * math.exp(-0.5 * t * t)

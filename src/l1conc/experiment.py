@@ -10,7 +10,6 @@ import io
 import json
 import math
 import os
-import time
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
@@ -93,17 +92,12 @@ class ExperimentConfig:
 
 @dataclass
 class Report:
-    """Aggregated experiment output.
-
-    ``runtime_seconds`` is informational only and deliberately excluded from
-    serialization so identical runs emit identical bytes.
-    """
+    """Aggregated experiment output."""
 
     master_seed: int
     tasks: list[dict]
     rows: list[dict]
     version: str = __version__
-    runtime_seconds: float | None = None
 
 
 def bound_family_from_name(name: str) -> BoundFamily:
@@ -408,7 +402,6 @@ def run_experiment(config: ExperimentConfig) -> Report:
     worker count or scheduling.
     """
     workers = resolve_workers(config)
-    start = time.monotonic()
     cells = [cell for i, task in enumerate(config.tasks)
              for cell in _task_cells(task, i, config.master_seed)]
     summaries = summarize_many([request for request, _ in cells], config.master_seed, workers)
@@ -416,7 +409,6 @@ def run_experiment(config: ExperimentConfig) -> Report:
         master_seed=config.master_seed,
         tasks=[t.echo() for t in config.tasks],
         rows=[row for (_, rows), summary in zip(cells, summaries) for row in rows(summary)],
-        runtime_seconds=time.monotonic() - start,
     )
 
 

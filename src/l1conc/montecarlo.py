@@ -1,5 +1,5 @@
 """Monte Carlo engine: tail and quantile estimation with exact confidence
-intervals, a small-instance enumeration oracle, and bound falsification.
+intervals, a small-instance exact oracle, and bound falsification.
 
 Trials are drawn in fixed-size chunks, each chunk from its own Philox stream
 derived from ``(master_seed, stream, chunk_index)``.  Estimators reduce each
@@ -9,17 +9,22 @@ of many sample requests (every cell of an experiment) together, on at most one
 process pool, which it shuts down before returning.  Chunk boundaries do not
 depend on the worker count, and chunk results are merged in index order, so
 every estimate is bit-identical whether it ran on 1 worker or 64.
+
+The exact oracle ``exact_tail_small`` enumerates multinomial outcomes in
+blocks and scores each block with ``l1_deviation``, the call every Monte
+Carlo chunk goes through, so oracle and estimates share one statistic and
+one tie rule (``>= threshold``).
 """
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
-from itertools import starmap
+from itertools import combinations, islice, starmap
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 from scipy.stats import beta as beta_dist
 
 from .asymptotic import sample_Z_batch
@@ -32,6 +37,8 @@ CHUNK_SIZE = 1 << 14
 
 # cap on the number of enumerated outcomes in the exact oracle
 MAX_EXACT_OUTCOMES = 10**7
+# outcomes scored per block of the exact oracle's enumeration
+EXACT_BLOCK = 1024
 
 SOURCE_FAMILIES = ("multinomial", "dirichlet", "limit")
 
@@ -144,7 +151,9 @@ class SampleSummary:
 
     @property
     def variance(self) -> float:
-        """Unbiased (ddof=1) sample variance."""
+        """Unbiased (ddof=1) sample variance; needs at least two samples."""
+        if self.count < 2:
+            raise ValidationError("the sample variance needs >= 2 samples")
         return self.m2 / (self.count - 1)
 
     def merge(self, later: "SampleSummary") -> "SampleSummary":
@@ -244,45 +253,27 @@ def estimate_tail_probability(source: DeviationSource, threshold: float, trials:
     return tail_estimate_from_count(threshold, int(summary.at_least[0]), trials, ci_level)
 
 
-def _compositions(n: int, S: int):
-    """Yield all count vectors of length S summing to n (colex order)."""
-    c = np.zeros(S, dtype=np.int64)
-
-    def rec(rest: int, j: int):
-        if j == S - 1:
-            c[j] = rest
-            yield c
-            return
-        for v in range(rest + 1):
-            c[j] = v
-            yield from rec(rest - v, j + 1)
-            c[j] = 0
-
-    yield from rec(n, 0)
-
-
 def exact_tail_small(p, n: int, threshold: float) -> float:
-    """Exact P(||c/n - p||_1 >= threshold) by enumerating all multinomial
-    outcomes; log-factorial pmf evaluation keeps it overflow-safe to n ~ 100."""
+    """Exact P(l1_deviation(c/n, p) >= threshold) over all multinomial outcomes
+    c, scored with the statistic the Monte Carlo path uses.  Outcomes are
+    enumerated by stars and bars, ``EXACT_BLOCK`` at a time; log-factorial pmf
+    evaluation keeps it overflow-safe to n ~ 100."""
     p = as_simplex(p).entries
     S = p.size
     if n < 1:
         raise ValidationError("n must be >= 1")
-    if math.comb(n + S - 1, S - 1) > MAX_EXACT_OUTCOMES:
-        raise CapacityError(
-            f"{math.comb(n + S - 1, S - 1)} outcomes exceed the enumeration cap"
-        )
+    outcomes = math.comb(n + S - 1, S - 1)
+    if outcomes > MAX_EXACT_OUTCOMES:
+        raise CapacityError(f"{outcomes} outcomes exceed the enumeration cap")
     logfact = gammaln(np.arange(1, n + 2, dtype=float))  # logfact[i] = ln(i!)
-    with np.errstate(divide="ignore"):
-        logp = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), -np.inf)
+    bars = combinations(range(n + S - 1), S - 1)
     total = 0.0
-    for c in _compositions(n, S):
-        if np.abs(c / float(n) - p).sum() < threshold:
-            continue
-        if np.any((c > 0) & (p == 0)):
-            continue
-        lp = logfact[n] - logfact[c].sum() + np.where(c > 0, c * logp, 0.0).sum()
-        total += math.exp(lp)
+    for block in iter(lambda: list(islice(bars, EXACT_BLOCK)), []):
+        positions = np.array(block, dtype=np.int64).reshape(len(block), S - 1)
+        c = np.diff(positions, prepend=-1, append=n + S - 1, axis=1) - 1
+        c = c[l1_deviation(c / float(n), p) >= threshold]
+        # xlogy gives 0 for c = 0 and -inf for c > 0 where p = 0
+        total += float(np.exp(logfact[n] - logfact[c].sum(1) + xlogy(c, p).sum(1)).sum())
     return min(total, 1.0)
 
 

@@ -6,8 +6,6 @@ import pytest
 from l1conc.asymptotic import (
     anticoncentration_threshold,
     expected_Z,
-    gaussian_lipschitz_tail,
-    helmert_apply,
     helmert_matrix,
     helmert_t_apply,
     limit_covariance,
@@ -73,7 +71,6 @@ class TestHelmert:
             U = helmert_matrix(S)
             w = rng.standard_normal((5, S))
             assert np.abs(helmert_t_apply(w) - w @ U).max() < 1e-12
-            assert np.abs(helmert_apply(w) - w @ U.T).max() < 1e-12
 
 
 class TestLimitSampling:
@@ -172,13 +169,6 @@ class TestClosedForms:
             anticoncentration_threshold(50, 0.0)
         with pytest.raises(DomainError):
             anticoncentration_threshold(50, 1.0)
-
-    def test_gaussian_lipschitz_tail(self):
-        assert gaussian_lipschitz_tail(0.0) == 2.0
-        assert gaussian_lipschitz_tail(math.sqrt(2 * math.log(2 / 0.05))) == pytest.approx(0.05, rel=1e-12)
-        assert gaussian_lipschitz_tail(2.0) == pytest.approx(2 * math.exp(-2), rel=1e-12)
-        with pytest.raises(DomainError):
-            gaussian_lipschitz_tail(-0.1)
 
     def test_empirical_anticoncentration(self):
         # the threshold lives on the l1-deviation scale, i.e. D = 2

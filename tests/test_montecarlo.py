@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,14 @@ class TestSummarizeSamples:
         assert got.mean == pytest.approx(np.mean(x), rel=1e-12)
         assert got.variance == pytest.approx(np.var(x, ddof=1), rel=1e-12)
 
+    def test_variance_needs_two_samples(self):
+        one = summarize_samples(DeviationSource("limit", 5), 1, SEED)
+        assert one.count == 1
+        with pytest.raises(ValidationError):
+            one.variance
+        two = summarize_samples(DeviationSource("limit", 5), 2, SEED)
+        assert two.variance >= 0.0
+
     def test_memory_flat_in_trials(self):
         # 2^20 draws are 8 MB as one array; the chunk reduction never holds them
         source = DeviationSource("limit", 2)
@@ -152,10 +161,20 @@ class TestExactOracle:
         assert exact_tail_small([0.2, 0.3, 0.5], 5, 0.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_fair_coin(self):
-        assert exact_tail_small([0.5, 0.5], 2, 1.0) == pytest.approx(0.5, rel=1e-12)
+        got = exact_tail_small([0.5, 0.5], 2, 1.0)
+        assert got == pytest.approx(0.5, rel=1e-12)
+        assert type(got) is float  # a plain float, as JSON and repr expect
 
     def test_zero_probability_category(self):
-        assert exact_tail_small([1.0, 0.0], 5, 0.5) == 0.0
+        # outcomes with counts on a zero-probability category weigh 0, with
+        # no 0 * log(0) warning, wherever that category sits
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert exact_tail_small([1.0, 0.0], 5, 0.5) == 0.0
+            for p in ([0.0, 1.0], [1.0, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]):
+                assert exact_tail_small(p, 5, 0.0) == pytest.approx(1.0, rel=1e-12)
+                # l1 = 2 only when all counts sit on a zero-probability category
+                assert exact_tail_small(p, 4, 2.0) == 0.0
 
     def test_matches_monte_carlo(self):
         p, n, thr = [1 / 3] * 3, 6, 2 / 3

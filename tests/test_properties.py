@@ -1,6 +1,8 @@
 """Property-based tests of the config parser, the report round trip, the
-batch samplers and the chunk scheduler."""
+batch samplers, the chunk scheduler and the exact oracle."""
 
+import itertools
+import math
 import tempfile
 from pathlib import Path
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from l1conc import montecarlo
 from l1conc.cli import main
+from l1conc.deviation import l1_deviation
 from l1conc.errors import ConfigError
 from l1conc.experiment import (
     CSV_COLUMNS,
@@ -26,6 +29,7 @@ from l1conc.montecarlo import (
     SOURCE_FAMILIES,
     DeviationSource,
     SampleRequest,
+    exact_tail_small,
     summarize_many,
     summarize_samples,
 )
@@ -212,3 +216,18 @@ def test_summarize_many_equals_one_request_at_a_time(batch, seed, workers):
     for g, w in zip(got, want):
         assert np.array_equal(g.at_least, w.at_least) and np.array_equal(g.at_most, w.at_most)
         assert (g.count, g.mean, g.m2) == (w.count, w.mean, w.m2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights=st.lists(st.integers(0, 5), min_size=1, max_size=4).filter(any),
+       n=st.integers(1, 8), data=st.data())
+def test_exact_oracle_equals_brute_force(weights, n, data):
+    p = np.asarray(weights, dtype=float) / sum(weights)
+    outcomes = [c for c in itertools.product(range(n + 1), repeat=len(p)) if sum(c) == n]
+    stats = [l1_deviation(np.asarray(c) / float(n), p) for c in outcomes]
+    # an attained value is an exact tie; a level in [0, 2.1] is usually none
+    threshold = data.draw(st.one_of(st.sampled_from(stats), st.floats(0.0, 2.1)))
+    want = sum(math.factorial(n) // math.prod(map(math.factorial, c))
+               * math.prod(q ** k for q, k in zip(p.tolist(), c))
+               for c, stat in zip(outcomes, stats) if stat >= threshold)
+    assert exact_tail_small(p, n, float(threshold)) == pytest.approx(want, abs=1e-12)
