@@ -7,6 +7,8 @@ normals W mapped back through the transpose of an explicit Helmert
 orthogonal matrix, which diagonalizes the exchangeable covariance exactly.
 The one product sampling needs, U^T w, uses the matrix's suffix-sum
 structure, so it costs O(S) per draw and needs no dense linear algebra.
+Limit draws are made in cache-sized blocks of rows, in place in reused
+buffers, so the memory of a chunk of draws does not grow with S.
 """
 
 import math
@@ -16,6 +18,9 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .sampling import StreamKey
+
+# float64 elements per row block of the limit sampler's buffers (256 KiB)
+_BLOCK_ELEMS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -52,28 +57,31 @@ def helmert_matrix(S: int) -> np.ndarray:
     return U
 
 
+def _helmert_t_into(w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = U.T @ (w, 0) along the last axis in O(S) via suffix sums, for w
+    of shape (..., S-1) and out of shape (..., S).  Works in place in ``out``
+    and overwrites ``w``."""
+    S = out.shape[-1]
+    k = np.arange(1, S, dtype=float)
+    h = 1.0 / np.sqrt(k * (k + 1))
+    suffix = out[..., S - 2 :: -1]
+    np.multiply(w, h, out=out[..., : S - 1])
+    np.cumsum(suffix, axis=-1, out=suffix)
+    out[..., S - 1] = 0.0
+    np.multiply(w, k * h, out=w)
+    np.subtract(out[..., 1:], w, out=out[..., 1:])
+    return out
+
+
 def helmert_t_apply(w: np.ndarray) -> np.ndarray:
     """U.T @ w along the last axis in O(S) via suffix sums."""
     w = np.asarray(w, dtype=float)
     S = w.shape[-1]
     if S < 2:
         raise ValidationError("vector length must be >= 2")
-    k = np.arange(1, S, dtype=float)
-    h = 1.0 / np.sqrt(k * (k + 1))
-    a = w[..., : S - 1] * h
-    suffix = np.flip(np.cumsum(np.flip(a, axis=-1), axis=-1), axis=-1)
-    out = np.zeros_like(w)
-    out[..., : S - 1] = suffix
-    out[..., 1:] -= (k * h) * w[..., : S - 1]
+    out = _helmert_t_into(w[..., : S - 1].copy(), np.empty_like(w))
     out += w[..., S - 1 :] / math.sqrt(S)
     return out
-
-
-def _whitened_batch(S: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw W: S-1 i.i.d. standard normal coordinates, last coordinate zero."""
-    W = np.zeros((size, S))
-    W[:, : S - 1] = rng.standard_normal((size, S - 1))
-    return W
 
 
 def limit_Y_from_W(W: np.ndarray) -> np.ndarray:
@@ -82,14 +90,27 @@ def limit_Y_from_W(W: np.ndarray) -> np.ndarray:
     return math.sqrt(S / (S - 1.0)) * helmert_t_apply(W)
 
 
-def sample_limit_Y_batch(S: int, size: int, key: StreamKey) -> np.ndarray:
-    """``size`` draws of the degenerate Gaussian Y ~ N(0, I - N/(S-1))."""
+def _limit_Y_into(w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Y for the whitened draws w (..., S-1), last coordinate zero, written
+    into out (..., S); overwrites ``w``."""
+    S = out.shape[-1]
+    _helmert_t_into(w, out)
+    out *= math.sqrt(S / (S - 1.0))
+    return out
+
+
+def _check_batch(S: int, size: int) -> None:
     if S < 2:
         raise ValidationError("S must be >= 2")
     if size < 1:
         raise ValidationError("batch size must be >= 1")
-    W = _whitened_batch(S, size, key.generator())
-    return limit_Y_from_W(W)
+
+
+def sample_limit_Y_batch(S: int, size: int, key: StreamKey) -> np.ndarray:
+    """``size`` draws of the degenerate Gaussian Y ~ N(0, I - N/(S-1))."""
+    _check_batch(S, size)
+    w = key.generator().standard_normal((size, S - 1))
+    return _limit_Y_into(w, np.empty((size, S)))
 
 
 def limit_Z_from_Y(Y: np.ndarray, D: float = 1.0) -> np.ndarray:
@@ -100,9 +121,27 @@ def limit_Z_from_Y(Y: np.ndarray, D: float = 1.0) -> np.ndarray:
 
 
 def sample_Z_batch(S: int, D: float, size: int, key: StreamKey) -> np.ndarray:
+    """``size`` draws of Z, made ``_BLOCK_ELEMS // S`` rows at a time in reused
+    buffers.  Blocks continue one row-major normal stream and rows reduce on
+    their own, so the draws equal ``limit_Z_from_Y`` of one whole batch of Y
+    bit for bit, while memory stays at a few blocks whatever S is."""
+    _check_batch(S, size)
     if D <= 0:
         raise ValidationError("D must be > 0")
-    return limit_Z_from_Y(sample_limit_Y_batch(S, size, key), D)
+    rng = key.generator()
+    rows = max(1, _BLOCK_ELEMS // S)
+    w = np.empty((min(rows, size), S - 1))
+    y = np.empty((min(rows, size), S))
+    Z = np.empty(size)
+    for start in range(0, size, rows):
+        stop = min(start + rows, size)
+        wb, yb = w[: stop - start], y[: stop - start]
+        rng.standard_normal(out=wb)
+        _limit_Y_into(wb, yb)
+        np.clip(yb, 0.0, None, out=yb)
+        np.sum(yb, axis=-1, out=Z[start:stop])
+    Z *= D * math.sqrt((S - 1.0) / S**2)
+    return Z
 
 
 def positive_part_functional(w: np.ndarray) -> np.ndarray:

@@ -119,10 +119,18 @@ def _parse_scalar(kind, text, path, errors):
         return None
 
 
-def _parse_list(kind, text, path, errors):
+def _parse_finite(text, path, errors):
+    value = _parse_scalar(float, text, path, errors)
+    if value is not None and not math.isfinite(value):
+        errors.append(f"{path}: must be finite")
+        return None
+    return value
+
+
+def _parse_list(parse, text, path, errors):
     out = []
     for part in text.split(","):
-        v = _parse_scalar(kind, part.strip(), path, errors)
+        v = parse(part.strip(), path, errors)
         if v is None:
             return []
         out.append(v)
@@ -135,16 +143,19 @@ def _parse_grid(text, path, errors):
         if len(parts) != 3:
             errors.append(f"{path}: grid must be 'lo:hi:count' or a comma list")
             return []
-        lo = _parse_scalar(float, parts[0], path, errors)
-        hi = _parse_scalar(float, parts[1], path, errors)
+        lo = _parse_finite(parts[0], path, errors)
+        hi = _parse_finite(parts[1], path, errors)
         count = _parse_scalar(int, parts[2], path, errors)
         if None in (lo, hi, count):
             return []
         if count < 2 or hi <= lo:
             errors.append(f"{path}: grid needs hi > lo and count >= 2")
             return []
+        if not math.isfinite(hi - lo):
+            errors.append(f"{path}: must be finite")
+            return []
         return [float(x) for x in np.linspace(lo, hi, count)]
-    return _parse_list(float, text, path, errors)
+    return _parse_list(_parse_finite, text, path, errors)
 
 
 def _parse_bound(text, path, errors):
@@ -170,16 +181,15 @@ class TaskKey(NamedTuple):
 TASK_KEYS = {
     "family": TaskKey("family", lambda text, path, errors: text),
     "bound": TaskKey("bound", _parse_bound, ("falsify",)),
-    "S": TaskKey("S_values", partial(_parse_list, int)),
+    "S": TaskKey("S_values", partial(_parse_list, partial(_parse_scalar, int))),
     "n": TaskKey("n", partial(_parse_scalar, int), families=FINITE_N),
-    "delta": TaskKey("deltas", partial(_parse_list, float), ("falsify",)),
-    "threshold": TaskKey("thresholds", partial(_parse_list, float), ("tail",)),
+    "delta": TaskKey("deltas", partial(_parse_list, _parse_finite), ("falsify",)),
+    "threshold": TaskKey("thresholds", partial(_parse_list, _parse_finite), ("tail",)),
     "grid": TaskKey("grid", _parse_grid, ("quantiles",)),
     "trials": TaskKey("trials", partial(_parse_scalar, int)),
-    "D": TaskKey("D", partial(_parse_scalar, float), families=("limit",)),
-    "ci_level": TaskKey("ci_level", partial(_parse_scalar, float),
-                        ("falsify", "tail", "asymptotic-mean")),
-    "band_level": TaskKey("band_level", partial(_parse_scalar, float), ("quantiles",)),
+    "D": TaskKey("D", _parse_finite, families=("limit",)),
+    "ci_level": TaskKey("ci_level", _parse_finite, ("falsify", "tail", "asymptotic-mean")),
+    "band_level": TaskKey("band_level", _parse_finite, ("quantiles",)),
 }
 
 # keys each kind requires; finite-n families also require ``n``

@@ -71,6 +71,8 @@ class DeviationSource:
                 raise ValidationError("finite-n sources require n >= 1")
             if self.D != 1.0:
                 raise ValidationError("D applies to the limit family only")
+        if not (math.isfinite(self.D) and math.isfinite(self.scale)):
+            raise ValidationError("D and scale must be finite")
         if self.D <= 0:
             raise ValidationError("D must be > 0")
 
@@ -116,6 +118,9 @@ def _map_requests(fn, requests: list, master_seed: int, workers: int) -> list[li
     (its workers joined) before this returns."""
     if any(request.trials < 1 for request in requests):
         raise ValidationError("trials must be >= 1")
+    if not all(np.isfinite(np.asarray(values, dtype=float)).all()
+               for request in requests for values in (request.thresholds, request.grid)):
+        raise ValidationError("thresholds and grid points must be finite")
     jobs = [(request, master_seed, start // CHUNK_SIZE, min(CHUNK_SIZE, request.trials - start))
             for request in requests for start in range(0, request.trials, CHUNK_SIZE)]
     if workers > 1 and len(jobs) > 1:
@@ -262,6 +267,8 @@ def exact_tail_small(p, n: int, threshold: float) -> float:
     S = p.size
     if n < 1:
         raise ValidationError("n must be >= 1")
+    if not math.isfinite(threshold):
+        raise ValidationError("threshold must be finite")
     outcomes = math.comb(n + S - 1, S - 1)
     if outcomes > MAX_EXACT_OUTCOMES:
         raise CapacityError(f"{outcomes} outcomes exceed the enumeration cap")
@@ -304,7 +311,7 @@ def estimate_quantile_curve(source: DeviationSource, grid, trials: int, master_s
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise ValidationError("grid must be a nonempty 1-d array")
-    if np.any(np.diff(grid) <= 0):
+    if np.any(grid[1:] <= grid[:-1]):
         raise ValidationError("grid must be strictly ascending")
     summary = summarize_samples(source, trials, master_seed, grid=grid,
                                 stream=stream, workers=workers)

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from l1conc.asymptotic import (
+    _BLOCK_ELEMS,
     anticoncentration_threshold,
     expected_Z,
     helmert_matrix,
@@ -16,6 +18,7 @@ from l1conc.asymptotic import (
     sample_Z_batch,
 )
 from l1conc.errors import DomainError, ValidationError
+from l1conc.montecarlo import CHUNK_SIZE
 from l1conc.sampling import StreamKey
 
 KEY = StreamKey(555, 0)
@@ -130,6 +133,56 @@ class TestLimitSampling:
         z = sample_Z_batch(10, 1.0, N, KEY.child(5))
         se = z.std(ddof=1) / math.sqrt(N)
         assert abs(z.mean() - 1.196827) <= 3 * se
+
+
+def unblocked_Z(S: int, D: float, size: int, key: StreamKey) -> np.ndarray:
+    """Reference: one whole batch of zero-padded whitened draws through the
+    public Helmert composition."""
+    W = np.zeros((size, S))
+    W[:, : S - 1] = key.generator().standard_normal((size, S - 1))
+    return limit_Z_from_Y(limit_Y_from_W(W), D)
+
+
+def block_sizes(S: int) -> list[int]:
+    if S > 1000:
+        return [1, 2, 3]
+    rows = max(1, _BLOCK_ELEMS // S)
+    return sorted({s for s in (1, rows - 1, rows, rows + 1, CHUNK_SIZE + 3) if s >= 1})
+
+
+class TestBlockedSampler:
+    @pytest.mark.parametrize("S", [2, 3, 17, 199, 200, 1000, 40000])
+    def test_bit_identical_to_unblocked(self, S):
+        # blocks of one row at S = 40000; partial last blocks at rows +- 1
+        for size in block_sizes(S):
+            for D in (1.0, 2.0):
+                key = StreamKey(2024, S * 100_000 + size)
+                got = sample_Z_batch(S, D, size, key)
+                want = unblocked_Z(S, D, size, key)
+                assert got.shape == (size,)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (S, size, D)
+
+    def test_limit_Y_bit_identical_to_unblocked(self):
+        for S in (2, 17, 200):
+            W = np.zeros((300, S))
+            W[:, : S - 1] = KEY.generator().standard_normal((300, S - 1))
+            got = sample_limit_Y_batch(S, 300, KEY)
+            assert np.array_equal(got.view(np.uint64), limit_Y_from_W(W).view(np.uint64))
+
+    @pytest.mark.parametrize("S", [200, 1000])
+    def test_chunk_memory_independent_of_S(self, S):
+        tracemalloc.start()
+        try:
+            sample_Z_batch(S, 2.0, CHUNK_SIZE, KEY)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_rejects_bad_arguments(self):
+        for S, D, size in ((1, 1.0, 10), (5, 0.0, 10), (5, 1.0, 0)):
+            with pytest.raises(ValidationError):
+                sample_Z_batch(S, D, size, KEY)
 
 
 class TestRepresentationEquivalence:

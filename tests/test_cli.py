@@ -183,6 +183,28 @@ class TestUsageErrors:
         argv = ["tail", "--seed", "1", "--S", "3", "--threshold", "1", *extra]
         self.assert_usage_error(capsys, argv, f"task[0].{key}: cannot parse")
 
+    @pytest.mark.parametrize("argv,key", [
+        (("tail", "--family", "limit", "--S", "5", "--D", "nan", "--threshold", "1"), "D"),
+        (("tail", "--family", "limit", "--S", "5", "--D", "inf", "--threshold", "1"), "D"),
+        (("tail", "--family", "limit", "--S", "5", "--threshold", "0.5,nan"), "threshold"),
+        (("tail", "--family", "limit", "--S", "5", "--threshold=-inf"), "threshold"),
+        (("quantiles", "--family", "limit", "--S", "5", "--grid", "0:inf:3"), "grid"),
+        (("quantiles", "--family", "limit", "--S", "5", "--grid=-1e308:1e308:3"), "grid"),
+        (("quantiles", "--family", "limit", "--S", "5", "--grid", "0,nan"), "grid"),
+        (("falsify", "--bound", "agrawal", "--S", "5", "--n", "10", "--delta", "nan"), "delta"),
+    ])
+    def test_non_finite_value_is_config_error(self, capsys, argv, key):
+        # one error line, and no numeric warning leaks before it
+        self.assert_usage_error(capsys, [argv[0], "--seed", "1", *argv[1:]],
+                                f"task[0].{key}: must be finite")
+
+    def test_non_finite_config_level_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("master_seed = 1\n[task]\nkind = quantiles\nfamily = limit\nS = 3\n"
+                       "grid = 0:1:3\nband_level = nan\n")
+        self.assert_usage_error(capsys, ["quantiles", "--config", str(cfg)],
+                                "task[0].band_level: must be finite")
+
     def test_unused_flag_is_config_error(self, capsys):
         self.assert_usage_error(capsys, [*TAIL, "--D", "2"], "task[0].D")
         self.assert_usage_error(capsys, [*TAIL, "--delta", "0.1"], "task[0].delta")

@@ -1,0 +1,22 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_all_demos_listed():
+    assert [d.name for d in DEMOS] == ["asymptotic_mean.py", "clt_convergence.py",
+                                       "falsify_agrawal.py"]
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.name)
+def test_demo_runs(demo, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -12,6 +12,7 @@ from l1conc.montecarlo import (
     INCONCLUSIVE,
     VIOLATED,
     DeviationSource,
+    SampleRequest,
     TailEstimate,
     classify_verdict,
     clopper_pearson,
@@ -21,6 +22,7 @@ from l1conc.montecarlo import (
     estimate_tail_probability,
     exact_tail_small,
     falsify_bound,
+    summarize_many,
     summarize_samples,
     tail_estimate_from_count,
 )
@@ -77,6 +79,14 @@ class TestDeviationSource:
                 DeviationSource(family, 3, n=10, D=5.0)
             DeviationSource(family, 3, n=10, D=1.0)
         DeviationSource("limit", 3, D=5.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            DeviationSource("limit", 5, D=bad)
+        for family, n in (("limit", None), ("multinomial", 10)):
+            with pytest.raises(ValidationError, match="finite"):
+                DeviationSource(family, 5, n=n, scale=bad)
 
     def test_draws_deterministic_and_worker_independent(self):
         source = DeviationSource("limit", 10)
@@ -155,6 +165,21 @@ class TestTailEstimation:
         with pytest.raises(ValidationError):
             estimate_tail_probability(source, 0.5, 0, SEED)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_thresholds_and_grid_rejected(self, bad):
+        source = DeviationSource("limit", 5)
+        with pytest.raises(ValidationError, match="finite"):
+            estimate_tail_probability(source, bad, 100, SEED)
+        with pytest.raises(ValidationError, match="finite"):
+            estimate_quantile_curve(source, [-1.0, bad] if bad > 0 else [bad, 1.0], 100, SEED)
+        with pytest.raises(ValidationError):  # and no RuntimeWarning from inf - inf
+            estimate_quantile_curve(source, [bad, bad], 100, SEED)
+        good = SampleRequest(source, 100, thresholds=(0.5,))
+        for request in (SampleRequest(source, 100, thresholds=(0.5, bad)),
+                        SampleRequest(source, 100, grid=(bad,))):
+            with pytest.raises(ValidationError, match="finite"):
+                summarize_many([good, request], SEED)
+
 
 class TestExactOracle:
     def test_total_probability(self):
@@ -186,6 +211,11 @@ class TestExactOracle:
         # n = 100 exercises the log-factorial path without overflow
         total = exact_tail_small([0.3, 0.7], 100, 0.0)
         assert total == pytest.approx(1.0, rel=1e-10)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            exact_tail_small([0.5, 0.5], 4, bad)
 
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
