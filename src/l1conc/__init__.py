@@ -3,9 +3,9 @@ Dirichlet distributions, including the asymptotic limit law under uniform p."""
 
 __version__ = "0.1.0"
 
-from .errors import CapacityError, ConfigError, DomainError, ValidationError
-from .sampling import SimplexVector, StreamKey
-from .deviation import l1_deviation, maximizer, z_n_value
+from .errors import CapacityError, ConfigError, ValidationError
+from .sampling import StreamKey
+from .deviation import l1_deviation
 from .bounds import (
     BoundEvaluation,
     BoundFamily,
@@ -44,12 +44,10 @@ from .experiment import (
 
 __all__ = [
     "BoundEvaluation", "BoundFamily", "BoundSpec", "CapacityError", "ConfigError",
-    "DeviationSource", "DomainError", "ExperimentConfig", "QuantileCurve", "Report",
-    "SimplexVector", "StreamKey", "TailEstimate", "ValidationError", "Verdict",
-    "agrawal_epsilon", "anticoncentration_threshold", "clopper_pearson",
-    "devroye_epsilon", "devroye_valid", "emit_plot_data", "emit_report",
-    "estimate_quantile_curve", "estimate_tail_probability", "evaluate_bound",
-    "exact_tail_small", "expected_Z", "falsify_bound", "helmert_matrix",
-    "l1_deviation", "limit_covariance", "maximizer", "parse_config",
-    "run_experiment", "weissman_epsilon", "z_n_value",
+    "DeviationSource", "ExperimentConfig", "QuantileCurve", "Report", "StreamKey",
+    "TailEstimate", "ValidationError", "Verdict", "agrawal_epsilon",
+    "anticoncentration_threshold", "clopper_pearson", "devroye_epsilon", "devroye_valid",
+    "emit_plot_data", "emit_report", "estimate_quantile_curve", "estimate_tail_probability",
+    "evaluate_bound", "exact_tail_small", "expected_Z", "falsify_bound", "helmert_matrix",
+    "l1_deviation", "limit_covariance", "parse_config", "run_experiment", "weissman_epsilon",
 ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 from .sampling import StreamKey
 
 # float64 elements per row block of the limit sampler's buffers (256 KiB)
@@ -90,29 +90,6 @@ def limit_Y_from_W(W: np.ndarray) -> np.ndarray:
     return math.sqrt(S / (S - 1.0)) * helmert_t_apply(W)
 
 
-def _limit_Y_into(w: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Y for the whitened draws w (..., S-1), last coordinate zero, written
-    into out (..., S); overwrites ``w``."""
-    S = out.shape[-1]
-    _helmert_t_into(w, out)
-    out *= math.sqrt(S / (S - 1.0))
-    return out
-
-
-def _check_batch(S: int, size: int) -> None:
-    if S < 2:
-        raise ValidationError("S must be >= 2")
-    if size < 1:
-        raise ValidationError("batch size must be >= 1")
-
-
-def sample_limit_Y_batch(S: int, size: int, key: StreamKey) -> np.ndarray:
-    """``size`` draws of the degenerate Gaussian Y ~ N(0, I - N/(S-1))."""
-    _check_batch(S, size)
-    w = key.generator().standard_normal((size, S - 1))
-    return _limit_Y_into(w, np.empty((size, S)))
-
-
 def limit_Z_from_Y(Y: np.ndarray, D: float = 1.0) -> np.ndarray:
     """Z = D·sqrt((S-1)/S^2) · sum of positive parts of Y, along the last axis."""
     S = Y.shape[-1]
@@ -125,7 +102,10 @@ def sample_Z_batch(S: int, D: float, size: int, key: StreamKey) -> np.ndarray:
     buffers.  Blocks continue one row-major normal stream and rows reduce on
     their own, so the draws equal ``limit_Z_from_Y`` of one whole batch of Y
     bit for bit, while memory stays at a few blocks whatever S is."""
-    _check_batch(S, size)
+    if S < 2:
+        raise ValidationError("S must be >= 2")
+    if size < 1:
+        raise ValidationError("batch size must be >= 1")
     if D <= 0:
         raise ValidationError("D must be > 0")
     rng = key.generator()
@@ -137,7 +117,8 @@ def sample_Z_batch(S: int, D: float, size: int, key: StreamKey) -> np.ndarray:
         stop = min(start + rows, size)
         wb, yb = w[: stop - start], y[: stop - start]
         rng.standard_normal(out=wb)
-        _limit_Y_into(wb, yb)
+        _helmert_t_into(wb, yb)
+        yb *= math.sqrt(S / (S - 1.0))
         np.clip(yb, 0.0, None, out=yb)
         np.sum(yb, axis=-1, out=Z[start:stop])
     Z *= D * math.sqrt((S - 1.0) / S**2)
@@ -170,5 +151,5 @@ def anticoncentration_threshold(S: int, delta: float) -> float:
     if S < 2:
         raise ValidationError("S must be >= 2")
     if not (0.0 < delta < 1.0):
-        raise DomainError("delta must lie in (0, 1)")
+        raise ValidationError("delta must lie in (0, 1)")
     return math.sqrt(2.0 * (S - 1.0) / math.pi) - math.sqrt(2.0 * math.log(2.0 / delta))

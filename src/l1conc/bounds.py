@@ -6,7 +6,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 
 # Deviations above the l1 diameter of the simplex can never occur.
 L1_DIAMETER = 2.0
@@ -67,15 +67,15 @@ def weissman_epsilon(n: int, S: int, delta: float, form: str = "exact") -> float
     if S < 2:
         raise ValidationError("S must be >= 2")
     if delta <= 0:
-        raise DomainError("delta must be > 0")
+        raise ValidationError("delta must be > 0")
     if form == "union":
         if delta > 2:
-            raise DomainError("union form requires delta <= 2")
+            raise ValidationError("union form requires delta <= 2")
         return math.sqrt(2.0 * S * math.log(2.0 / delta) / n)
     if form == "exact":
         log_num = _log_2S_minus_2(S) - math.log(delta)
         if log_num < 0:
-            raise DomainError("exact form requires delta <= 2^S - 2")
+            raise ValidationError("exact form requires delta <= 2^S - 2")
         return math.sqrt(2.0 * log_num / n)
     raise ValidationError(f"unknown Weissman form {form!r}")
 
@@ -85,9 +85,9 @@ def devroye_epsilon(n: int, delta: float) -> float:
     if n < 1:
         raise ValidationError("n must be >= 1")
     if delta <= 0:
-        raise DomainError("delta must be > 0")
+        raise ValidationError("delta must be > 0")
     if delta > 3:
-        raise DomainError("delta must be <= 3")
+        raise ValidationError("delta must be <= 3")
     return 5.0 * math.sqrt(math.log(3.0 / delta) / n)
 
 
@@ -97,7 +97,7 @@ def devroye_valid(S: int, delta: float) -> bool:
     if S < 2:
         raise ValidationError("S must be >= 2")
     if delta < 0:
-        raise DomainError("delta must be >= 0")
+        raise ValidationError("delta must be >= 0")
     return delta <= 3.0 * math.exp(-4.0 * S / 5.0)
 
 
@@ -106,9 +106,9 @@ def agrawal_epsilon(n: int, delta: float) -> float:
     if n < 1:
         raise ValidationError("n must be >= 1")
     if delta <= 0:
-        raise DomainError("delta must be > 0")
+        raise ValidationError("delta must be > 0")
     if delta > 1:
-        raise DomainError("delta must be <= 1")
+        raise ValidationError("delta must be <= 1")
     return math.sqrt(2.0 * math.log(1.0 / delta) / n)
 
 

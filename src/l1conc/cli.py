@@ -8,8 +8,9 @@ import argparse
 import json
 import sys
 
-from .errors import CapacityError, ConfigError, DomainError, ValidationError
+from .errors import CapacityError, ConfigError, ValidationError
 from .experiment import (
+    TASK_KINDS,
     ExperimentConfig,
     build_task,
     emit_plot_data,
@@ -24,8 +25,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CAPACITY = 2
 EXIT_VIOLATED = 10
-
-RUN_COMMANDS = ("tail", "quantiles", "falsify", "asymptotic-mean")
 
 # the task keys a run command takes as flags; their values reach build_task
 # as text, so a bad flag fails exactly like the same key in a config file
@@ -66,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monte Carlo verification of l1 concentration bounds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in RUN_COMMANDS:
+    for name in TASK_KINDS:
         _add_run_flags(sub.add_parser(name, help=f"run a {name} experiment"))
     rep = sub.add_parser("report", help="re-emit a saved JSON report")
     rep.add_argument("--in", dest="input", required=True, help="saved JSON report")
@@ -140,7 +139,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (ConfigError, ValidationError, DomainError, OSError) as exc:
+    except (ConfigError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

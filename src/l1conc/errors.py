@@ -2,11 +2,8 @@
 
 
 class ValidationError(ValueError):
-    """An input violates a structural precondition (shape, sign, sum)."""
-
-
-class DomainError(ValueError):
-    """A numeric argument lies outside the domain of a closed-form formula."""
+    """An input violates a precondition: a shape, sign or sum, or the domain
+    of a closed-form formula."""
 
 
 class CapacityError(RuntimeError):

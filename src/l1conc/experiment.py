@@ -270,8 +270,8 @@ def build_task(index: int, raw: dict, errors: list) -> TaskConfig:
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate the flat key-value config format.
 
-    Syntax errors report a line number; semantic errors report every invalid
-    field path at once.
+    Syntax errors and repeated keys report a line number; semantic errors
+    report every invalid field path at once.
     """
     globals_: dict = {}
     raw_tasks: list[dict] = []
@@ -287,8 +287,11 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value' or '[task]'")
         key, _, value = line.partition("=")
+        key = key.strip()
         target = globals_ if current is None else current
-        target[key.strip()] = (lineno, value.strip())
+        if key in target:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        target[key] = (lineno, value.strip())
 
     errors: list[str] = []
     for key in globals_:
@@ -356,9 +359,9 @@ def _task_cells(task: TaskConfig, task_index: int, seed: int) -> list:
     if task.kind == "falsify":
         def rows(verdict_of, summary):
             verdict = verdict_of(summary)
-            est = verdict.estimate
+            est, spec = verdict.estimate, verdict.evaluation.spec
             return [_row(
-                task, seed, family=verdict.spec.family.value, S=S, delta=verdict.claimed_delta,
+                task, seed, family=spec.family.value, S=S, delta=spec.delta,
                 threshold=est.threshold, epsilon=verdict.evaluation.epsilon,
                 point=est.point, ci_low=est.ci_low, ci_high=est.ci_high,
                 outcome=verdict.outcome,
@@ -384,9 +387,9 @@ def _task_cells(task: TaskConfig, task_index: int, seed: int) -> list:
     if task.kind == "quantiles":
         def rows(summary):
             half = dkw_halfwidth(task.trials, task.band_level)
-            return [_row(task, seed, S=S, threshold=float(g), point=float(cdf),
+            return [_row(task, seed, S=S, threshold=g, point=cdf,
                          ci_low=max(0.0, cdf - half), ci_high=min(1.0, cdf + half))
-                    for g, cdf in zip(task.grid, summary.at_most / float(task.trials))]
+                    for g, cdf in zip(task.grid, (summary.at_most / task.trials).tolist())]
         request = SampleRequest(_source_for(task, S), task.trials, stream_base,
                                 grid=tuple(task.grid))
         return [(request, rows)]
@@ -426,21 +429,13 @@ def run_experiment(config: ExperimentConfig) -> Report:
 # serialization
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    return value
-
-
 def report_to_dict(report: Report) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "version": report.version,
         "master_seed": report.master_seed,
         "tasks": report.tasks,
-        "rows": [{k: _jsonable(v) for k, v in row.items()} for row in report.rows],
+        "rows": report.rows,
     }
 
 
@@ -481,7 +476,7 @@ def emit_report(report: Report, fmt: str = "json") -> bytes:
         out = io.StringIO()
         out.write(",".join(CSV_COLUMNS) + "\n")
         for row in report.rows:
-            out.write(",".join(_csv_cell(_jsonable(row.get(c))) for c in CSV_COLUMNS) + "\n")
+            out.write(",".join(_csv_cell(row.get(c)) for c in CSV_COLUMNS) + "\n")
         return out.getvalue().encode()
     raise ConfigError(f"unknown report format {fmt!r}")
 
@@ -514,7 +509,7 @@ def emit_plot_data(report: Report, task_id: str) -> bytes:
         if any(v is None for v in values):
             raise ConfigError(f"task {task_id!r} rows lack curve data")
         try:
-            lines.append(" ".join(repr(float(_jsonable(v))) for v in values))
+            lines.append(" ".join(repr(float(v)) for v in values))
         except (TypeError, ValueError):
             raise ConfigError(f"task {task_id!r} has a non-numeric curve cell")
     return ("\n".join(lines) + "\n").encode()

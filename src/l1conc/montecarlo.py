@@ -71,6 +71,8 @@ class DeviationSource:
                 raise ValidationError("finite-n sources require n >= 1")
             if self.D != 1.0:
                 raise ValidationError("D applies to the limit family only")
+        elif self.n is not None:
+            raise ValidationError("n applies to finite-n families only")
         if not (math.isfinite(self.D) and math.isfinite(self.scale)):
             raise ValidationError("D and scale must be finite")
         if self.D <= 0:
@@ -197,16 +199,6 @@ def summarize_many(requests, master_seed: int, workers: int = 1) -> list[SampleS
     return [reduce(SampleSummary.merge, chunks) for chunks in parts]
 
 
-def summarize_samples(source: DeviationSource, trials: int, master_seed: int, *,
-                      thresholds=(), grid=(), stream: int = 0,
-                      workers: int = 1) -> SampleSummary:
-    """Counts and moments of the samples ``draw_samples`` would return, reduced
-    chunk by chunk, so memory does not grow with ``trials``."""
-    request = SampleRequest(source, trials, stream, thresholds, grid)
-    [summary] = summarize_many([request], master_seed, workers)
-    return summary
-
-
 def clopper_pearson(successes: int, trials: int, level: float = 0.95) -> tuple[float, float]:
     """Exact two-sided binomial confidence interval via beta quantiles."""
     if trials < 1:
@@ -253,8 +245,8 @@ def estimate_tail_probability(source: DeviationSource, threshold: float, trials:
                               stream: int = 0, workers: int = 1) -> TailEstimate:
     """Monte Carlo estimate of P(statistic >= threshold) with a Clopper-Pearson
     interval, deterministic given the master seed."""
-    summary = summarize_samples(source, trials, master_seed, thresholds=[threshold],
-                                stream=stream, workers=workers)
+    request = SampleRequest(source, trials, stream, thresholds=(threshold,))
+    [summary] = summarize_many([request], master_seed, workers)
     return tail_estimate_from_count(threshold, int(summary.at_least[0]), trials, ci_level)
 
 
@@ -263,7 +255,7 @@ def exact_tail_small(p, n: int, threshold: float) -> float:
     c, scored with the statistic the Monte Carlo path uses.  Outcomes are
     enumerated by stars and bars, ``EXACT_BLOCK`` at a time; log-factorial pmf
     evaluation keeps it overflow-safe to n ~ 100."""
-    p = as_simplex(p).entries
+    p = as_simplex(p)
     S = p.size
     if n < 1:
         raise ValidationError("n must be >= 1")
@@ -313,8 +305,8 @@ def estimate_quantile_curve(source: DeviationSource, grid, trials: int, master_s
         raise ValidationError("grid must be a nonempty 1-d array")
     if np.any(grid[1:] <= grid[:-1]):
         raise ValidationError("grid must be strictly ascending")
-    summary = summarize_samples(source, trials, master_seed, grid=grid,
-                                stream=stream, workers=workers)
+    [summary] = summarize_many([SampleRequest(source, trials, stream, grid=grid)],
+                               master_seed, workers)
     return QuantileCurve(
         grid=grid,
         cdf_estimates=summary.at_most / float(trials),
@@ -338,10 +330,8 @@ class Verdict:
     controlled by the interval level.
     """
 
-    spec: BoundSpec
     evaluation: BoundEvaluation
     estimate: TailEstimate
-    claimed_delta: float
     outcome: str
 
 
@@ -367,13 +357,8 @@ def falsify_cell(spec: BoundSpec, trials: int, *, family: str = "multinomial",
     def verdict(summary: SampleSummary) -> Verdict:
         estimate = tail_estimate_from_count(evaluation.epsilon, int(summary.at_least[0]),
                                             trials, ci_level)
-        return Verdict(
-            spec=spec,
-            evaluation=evaluation,
-            estimate=estimate,
-            claimed_delta=spec.delta,
-            outcome=classify_verdict(estimate, spec.delta),
-        )
+        return Verdict(evaluation=evaluation, estimate=estimate,
+                       outcome=classify_verdict(estimate, spec.delta))
 
     return SampleRequest(source, trials, stream, thresholds=(evaluation.epsilon,)), verdict
 

@@ -18,39 +18,19 @@ SIMPLEX_SUM_TOL = 1e-12
 _UINT64_MASK = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
-class SimplexVector:
-    """A probability vector: nonnegative entries summing to 1."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        object.__setattr__(self, "entries", e)
-        if e.ndim != 1 or e.size < 1:
-            raise ValidationError("simplex vector must be a 1-d array with at least one entry")
-        if np.any(e < 0):
-            raise ValidationError("simplex vector has a negative entry")
-        if abs(float(e.sum()) - 1.0) > SIMPLEX_SUM_TOL:
-            raise ValidationError(
-                f"simplex vector entries sum to {e.sum()!r}, not 1 within {SIMPLEX_SUM_TOL}"
-            )
-
-    def __len__(self) -> int:
-        return self.entries.size
-
-    @staticmethod
-    def uniform(S: int) -> "SimplexVector":
-        if S < 1:
-            raise ValidationError("dimension must be >= 1")
-        return SimplexVector(np.full(S, 1.0 / S))
-
-
-def as_simplex(p) -> SimplexVector:
-    """Coerce an array-like into a validated SimplexVector."""
-    if isinstance(p, SimplexVector):
-        return p
-    return SimplexVector(np.asarray(p, dtype=float))
+def as_simplex(p) -> np.ndarray:
+    """``p`` as a float array, checked to be a probability vector: 1-d,
+    nonnegative, summing to 1 within ``SIMPLEX_SUM_TOL``."""
+    e = np.asarray(p, dtype=float)
+    if e.ndim != 1 or e.size < 1:
+        raise ValidationError("simplex vector must be a 1-d array with at least one entry")
+    if np.any(e < 0):
+        raise ValidationError("simplex vector has a negative entry")
+    if abs(float(e.sum()) - 1.0) > SIMPLEX_SUM_TOL:
+        raise ValidationError(
+            f"simplex vector entries sum to {e.sum()!r}, not 1 within {SIMPLEX_SUM_TOL}"
+        )
+    return e
 
 
 @dataclass(frozen=True)
@@ -70,24 +50,18 @@ class StreamKey:
         if not (0 <= int(self.stream_index) <= _UINT64_MASK):
             raise ValidationError("stream_index must fit in 64 unsigned bits")
 
-    def child(self, stream_index: int) -> "StreamKey":
-        return StreamKey(self.master_seed, stream_index)
-
     def generator(self) -> np.random.Generator:
         key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def _multinomial_chain(rng: np.random.Generator, p: np.ndarray, n_arr: np.ndarray) -> np.ndarray:
-    """Sample multinomial counts via sequential conditional binomials.
-
-    ``n_arr`` has one total count per row of the output; the chain runs
-    vectorized across rows.  Stable for large n and any dimension.
+def _multinomial_chain(rng: np.random.Generator, p: np.ndarray, n: int, size: int) -> np.ndarray:
+    """Sample ``size`` rows of multinomial counts via sequential conditional
+    binomials, vectorized across rows.  Stable for large n and any dimension.
     """
-    size = n_arr.size
     S = p.size
     counts = np.zeros((size, S), dtype=np.int64)
-    remaining = n_arr.astype(np.int64).copy()
+    remaining = np.full(size, n, dtype=np.int64)
     tail = 1.0
     for i in range(S - 1):
         if tail <= 0.0:
@@ -109,7 +83,7 @@ def sample_multinomial_batch(p, n: int, size: int, key: StreamKey) -> np.ndarray
     if size < 1:
         raise ValidationError("batch size must be >= 1")
     rng = key.generator()
-    return _multinomial_chain(rng, p.entries, np.full(size, n, dtype=np.int64))
+    return _multinomial_chain(rng, p, n, size)
 
 
 def _gamma_to_simplex(g: np.ndarray, alpha: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from l1conc.bounds import (
     evaluate_bound,
     weissman_epsilon,
 )
-from l1conc.errors import DomainError, ValidationError
+from l1conc.errors import ValidationError
 
 
 class TestWeissman:
@@ -36,11 +36,11 @@ class TestWeissman:
             assert weissman_epsilon(100, S, 0.05, "exact") == pytest.approx(direct, rel=1e-12)
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             weissman_epsilon(100, 2, 0.0, "union")
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             weissman_epsilon(100, 2, 2.5, "union")
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             weissman_epsilon(100, 2, 2.5, "exact")  # 2^2 - 2 = 2 < 2.5
         with pytest.raises(ValidationError):
             weissman_epsilon(100, 1, 0.05)
@@ -62,9 +62,9 @@ class TestDevroye:
         assert devroye_valid(50, 3 * math.exp(-40.0))
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             devroye_epsilon(100, 3.5)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             devroye_epsilon(100, 0.0)
 
     def test_exceeds_sqrt_4s_over_5n(self):
@@ -92,9 +92,9 @@ class TestAgrawal:
         assert len(values) == 1
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             agrawal_epsilon(100, 1.5)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             agrawal_epsilon(100, 0.0)
 
 

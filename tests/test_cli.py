@@ -205,6 +205,21 @@ class TestUsageErrors:
         self.assert_usage_error(capsys, ["quantiles", "--config", str(cfg)],
                                 "task[0].band_level: must be finite")
 
+    @pytest.mark.parametrize("text,line,key", [
+        ("master_seed = 1\n[task]\nkind = tail\nS = 3\nn = 5\nthreshold = 1\n"
+         "trials = 100\ntrials = 200\n", 8, "trials"),
+        ("master_seed = 1\nmaster_seed = 2\n[task]\nkind = asymptotic-mean\nS = 3\n",
+         2, "master_seed"),
+        ("master_seed = 1\n[task]\nkind = asymptotic-mean\nS = 3\nkind = tail\n",
+         5, "kind"),
+    ], ids=["task", "top-level", "kind"])
+    def test_duplicate_key_is_config_error(self, capsys, tmp_path, text, line, key):
+        # a repeated key must not silently replace the earlier value
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        self.assert_usage_error(capsys, ["tail", "--config", str(cfg)],
+                                f"line {line}: duplicate key '{key}'")
+
     def test_unused_flag_is_config_error(self, capsys):
         self.assert_usage_error(capsys, [*TAIL, "--D", "2"], "task[0].D")
         self.assert_usage_error(capsys, [*TAIL, "--delta", "0.1"], "task[0].delta")

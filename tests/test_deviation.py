@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from l1conc.deviation import l1_deviation, maximizer, z_n_value
+from l1conc.deviation import l1_deviation
 from l1conc.errors import ValidationError
 
 
@@ -10,6 +10,16 @@ def brute_force_box_max(diff: np.ndarray, D: float) -> float:
     S = diff.size
     vertices = ((np.arange(2**S)[:, None] >> np.arange(S)) & 1) * D
     return float((vertices @ diff).max())
+
+
+def z_n(phat, p, D: float) -> float:
+    """The box maximum max_{v in [0,D]^S} (phat - p)^T v in closed form, (D/2)·l1."""
+    return 0.5 * D * l1_deviation(phat, p)
+
+
+def box_vertex(phat, p, D: float) -> np.ndarray:
+    """The maximizing vertex of the box: D where phat exceeds p, 0 elsewhere."""
+    return np.where(np.subtract(phat, p) > 0, D, 0.0)
 
 
 class TestL1Deviation:
@@ -37,35 +47,30 @@ class TestL1Deviation:
 
 
 class TestZnValue:
-    def test_examples(self):
-        assert z_n_value([1.0, 0.0], [0.5, 0.5], 2.0) == 1.0
-        assert z_n_value([0.3, 0.7], [0.3, 0.7], 5.0) == 0.0
-        assert z_n_value([0.6, 0.4], [0.5, 0.5], 1.0) == pytest.approx(0.1, abs=1e-15)
+    """The box form of the statistic: (D/2)·l1 is the box maximum."""
 
-    def test_bad_D(self):
-        with pytest.raises(ValidationError):
-            z_n_value([0.5, 0.5], [0.5, 0.5], 0.0)
+    def test_examples(self):
+        assert z_n([1.0, 0.0], [0.5, 0.5], 2.0) == 1.0
+        assert z_n([0.3, 0.7], [0.3, 0.7], 5.0) == 0.0
+        assert z_n([0.6, 0.4], [0.5, 0.5], 1.0) == pytest.approx(0.1, abs=1e-15)
 
     def test_consistent_with_l1_and_maximizer(self):
-        phat, p, D = [0.6, 0.4], [0.5, 0.5], 2.0
-        z = z_n_value(phat, p, D)
-        assert z == pytest.approx(l1_deviation(phat, p) * D / 2, rel=1e-12)
+        phat, p, D = np.array([0.6, 0.4]), np.array([0.5, 0.5]), 2.0
+        z = z_n(phat, p, D)
+        assert z == pytest.approx(brute_force_box_max(phat - p, D), abs=1e-15)
         assert 0.0 <= z <= D
-        assert set(np.unique(maximizer(phat, p, D))) <= {0.0, D}
+        assert np.dot(phat - p, box_vertex(phat, p, D)) == pytest.approx(z, abs=1e-15)
 
     def test_scale_covariance(self):
         rng = np.random.default_rng(12)
         phat, p = rng.dirichlet(np.ones(6)), rng.dirichlet(np.ones(6))
         for c in (0.5, 1.0, 3.0, 10.0):
-            assert z_n_value(phat, p, 2 * c) == pytest.approx(c * z_n_value(phat, p, 2.0), rel=1e-12)
+            assert brute_force_box_max(phat - p, 2 * c) == pytest.approx(
+                c * l1_deviation(phat, p), rel=1e-12)
 
 
 class TestMaximizer:
-    def test_examples(self):
-        v = maximizer([0.4, 0.1, 0.5], [0.2, 0.3, 0.5], 1.0)
-        assert list(v) == [1.0, 0.0, 0.0]
-        assert np.dot(np.array([0.2, -0.2, 0.0]), v) == pytest.approx(0.2)
-        assert list(maximizer([0.5, 0.5], [0.5, 0.5], 1.0)) == [0.0, 0.0]
+    """The vertex D·1[phat > p] attains the box maximum."""
 
     def test_dot_equals_z_n(self):
         rng = np.random.default_rng(5)
@@ -73,8 +78,8 @@ class TestMaximizer:
             S = int(rng.integers(2, 9))
             phat, p = rng.dirichlet(np.ones(S)), rng.dirichlet(np.ones(S))
             D = float(rng.uniform(0.1, 4.0))
-            v = maximizer(phat, p, D)
-            assert np.dot(phat - p, v) == pytest.approx(z_n_value(phat, p, D), abs=1e-12)
+            v = box_vertex(phat, p, D)
+            assert np.dot(phat - p, v) == pytest.approx(z_n(phat, p, D), abs=1e-12)
 
     def test_vertex_optimality(self):
         rng = np.random.default_rng(17)
@@ -83,11 +88,11 @@ class TestMaximizer:
             phat, p = rng.dirichlet(np.ones(S)), rng.dirichlet(np.ones(S))
             D = float(rng.uniform(0.1, 4.0))
             best = brute_force_box_max(phat - p, D)
-            attained = float(np.dot(phat - p, maximizer(phat, p, D)))
+            assert z_n(phat, p, D) == pytest.approx(best, abs=1e-12)
+            attained = float(np.dot(phat - p, box_vertex(phat, p, D)))
             assert attained == pytest.approx(best, abs=1e-12)
 
     def test_brute_force_s5(self):
         rng = np.random.default_rng(23)
         phat, p = rng.dirichlet(np.ones(5)), rng.dirichlet(np.ones(5))
-        v = maximizer(phat, p, 1.0)
-        assert np.dot(phat - p, v) == pytest.approx(brute_force_box_max(phat - p, 1.0), abs=1e-12)
+        assert z_n(phat, p, 1.0) == pytest.approx(brute_force_box_max(phat - p, 1.0), abs=1e-12)

@@ -56,6 +56,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("master_seed = 1\nthis is not a key value pair\n")
 
+    def test_duplicate_key_rejected_within_a_block_only(self):
+        with pytest.raises(ConfigError, match="line 10: duplicate key 'trials'"):
+            parse_config(MINIMAL_FALSIFY + "trials = 200\n")
+        # the same key in two blocks belongs to two tasks
+        cfg = parse_config(MINIMAL_FALSIFY + MINIMAL_FALSIFY.split("\n", 2)[2])
+        assert [t.trials for t in cfg.tasks] == [1000, 1000]
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="bogus"):
             parse_config(MINIMAL_FALSIFY + "bogus = 3\n")

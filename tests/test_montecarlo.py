@@ -23,7 +23,6 @@ from l1conc.montecarlo import (
     exact_tail_small,
     falsify_bound,
     summarize_many,
-    summarize_samples,
     tail_estimate_from_count,
 )
 
@@ -79,6 +78,9 @@ class TestDeviationSource:
                 DeviationSource(family, 3, n=10, D=5.0)
             DeviationSource(family, 3, n=10, D=1.0)
         DeviationSource("limit", 3, D=5.0)
+        # n sets the finite-n sample size; the limit law would ignore it
+        with pytest.raises(ValidationError, match="n applies to finite-n families"):
+            DeviationSource("limit", 5, n=10)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
@@ -114,8 +116,8 @@ class TestSummarizeSamples:
     def test_matches_draw_samples(self, source, thresholds, grid, workers):
         trials = 40_000  # two full chunks and a partial one
         x = draw_samples(source, trials, SEED, stream=3)
-        got = summarize_samples(source, trials, SEED, thresholds=thresholds, grid=grid,
-                                stream=3, workers=workers)
+        [got] = summarize_many([SampleRequest(source, trials, 3, thresholds, grid)], SEED,
+                               workers)
         assert got.count == trials
         assert got.at_least.tolist() == [int(np.count_nonzero(x >= t)) for t in thresholds]
         assert got.at_most.tolist() == [int(np.count_nonzero(x <= g)) for g in grid]
@@ -123,11 +125,11 @@ class TestSummarizeSamples:
         assert got.variance == pytest.approx(np.var(x, ddof=1), rel=1e-12)
 
     def test_variance_needs_two_samples(self):
-        one = summarize_samples(DeviationSource("limit", 5), 1, SEED)
+        [one] = summarize_many([SampleRequest(DeviationSource("limit", 5), 1)], SEED)
         assert one.count == 1
         with pytest.raises(ValidationError):
             one.variance
-        two = summarize_samples(DeviationSource("limit", 5), 2, SEED)
+        [two] = summarize_many([SampleRequest(DeviationSource("limit", 5), 2)], SEED)
         assert two.variance >= 0.0
 
     def test_memory_flat_in_trials(self):

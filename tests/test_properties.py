@@ -31,7 +31,6 @@ from l1conc.montecarlo import (
     SampleRequest,
     exact_tail_small,
     summarize_many,
-    summarize_samples,
 )
 from l1conc.sampling import (
     SIMPLEX_SUM_TOL,
@@ -210,8 +209,7 @@ def test_summarize_many_equals_one_request_at_a_time(batch, seed, workers):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "CHUNK_SIZE", SCHEDULER_CHUNK)
         got = summarize_many(batch, seed, workers)
-        want = [summarize_samples(r.source, r.trials, seed, thresholds=r.thresholds,
-                                  grid=r.grid, stream=r.stream) for r in batch]
+        want = [summarize_many([r], seed)[0] for r in batch]
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert np.array_equal(g.at_least, w.at_least) and np.array_equal(g.at_most, w.at_most)
