@@ -7,7 +7,7 @@ class ValidationError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """An exact computation was requested on an instance too large to enumerate."""
+    """An exact computation was requested that needs too much DP work."""
 
 
 class ConfigError(ValueError):

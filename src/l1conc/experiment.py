@@ -6,6 +6,7 @@ and identical configs with the same master seed produce byte-identical
 reports regardless of worker count.
 """
 
+import csv
 import io
 import json
 import math
@@ -42,13 +43,11 @@ CSV_COLUMNS = (
     "epsilon", "point", "ci_low", "ci_high", "outcome", "trials", "seed",
 )
 
+# task echoes write a family's own value ("WeissmanUnion"), so each parses back
 _BOUND_ALIASES = {
     "weissman-union": BoundFamily.WEISSMAN_UNION,
-    "weissmanunion": BoundFamily.WEISSMAN_UNION,
     "weissman-exact": BoundFamily.WEISSMAN_EXACT,
-    "weissmanexact": BoundFamily.WEISSMAN_EXACT,
-    "devroye": BoundFamily.DEVROYE,
-    "agrawal": BoundFamily.AGRAWAL,
+    **{family.value.lower(): family for family in BoundFamily},
 }
 
 WORKERS_ENV_VAR = "L1CONC_WORKERS"
@@ -459,14 +458,6 @@ def report_from_dict(obj: dict) -> Report:
     )
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def emit_report(report: Report, fmt: str = "json") -> bytes:
     """Serialize a report to canonical JSON or the fixed-column CSV schema."""
     if fmt == "json":
@@ -474,9 +465,10 @@ def emit_report(report: Report, fmt: str = "json") -> bytes:
         return (text + "\n").encode()
     if fmt == "csv":
         out = io.StringIO()
-        out.write(",".join(CSV_COLUMNS) + "\n")
-        for row in report.rows:
-            out.write(",".join(_csv_cell(row.get(c)) for c in CSV_COLUMNS) + "\n")
+        # floats go out by repr, None as an empty cell; a comma is quoted
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows([row.get(c) for c in CSV_COLUMNS] for row in report.rows)
         return out.getvalue().encode()
     raise ConfigError(f"unknown report format {fmt!r}")
 

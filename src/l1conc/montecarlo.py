@@ -10,22 +10,21 @@ process pool, which it shuts down before returning.  Chunk boundaries do not
 depend on the worker count, and chunk results are merged in index order, so
 every estimate is bit-identical whether it ran on 1 worker or 64.
 
-The exact oracle ``exact_tail_small`` enumerates multinomial outcomes in
-blocks and scores each block with ``l1_deviation``, the call every Monte
-Carlo chunk goes through, so oracle and estimates share one statistic and
-one tie rule (``>= threshold``).
+Multinomial counts c are scored on the integer lattice: under uniform p the
+l1 deviation is L / (n·S) with L = sum |S·c_i - n|, summed in int64 and
+divided once, so exact ties count at ``>= threshold``.  The exact oracle
+``exact_tail_small`` sums that same event by a lattice DP.
 """
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, islice, starmap
+from itertools import starmap
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, xlogy
-from scipy.stats import beta as beta_dist
+from scipy.stats import beta as beta_dist, poisson
 
 from .asymptotic import sample_Z_batch
 from .bounds import BoundEvaluation, BoundSpec, evaluate_bound
@@ -35,10 +34,8 @@ from .sampling import StreamKey, as_simplex, sample_dirichlet_batch, sample_mult
 
 CHUNK_SIZE = 1 << 14
 
-# cap on the number of enumerated outcomes in the exact oracle
-MAX_EXACT_OUTCOMES = 10**7
-# outcomes scored per block of the exact oracle's enumeration
-EXACT_BLOCK = 1024
+# cap on the exact oracle's cell updates, S·(n+1)²·(T+1)/2: about 2 s
+MAX_EXACT_WORK = 10**9
 
 SOURCE_FAMILIES = ("multinomial", "dirichlet", "limit")
 
@@ -102,12 +99,12 @@ def _draw_chunk(request: SampleRequest, master_seed: int, chunk: int, count: int
     if source.family == "limit":
         out = sample_Z_batch(source.S, source.D, count, key)
     else:
-        p = np.full(source.S, 1.0 / source.S)
+        S, n = source.S, source.n
+        p = np.full(S, 1.0 / S)
         if source.family == "multinomial":
-            phat = sample_multinomial_batch(p, source.n, count, key) / float(source.n)
+            out = np.abs(S * sample_multinomial_batch(p, n, count, key) - n).sum(-1) / (n * S)
         else:
-            phat = sample_dirichlet_batch(source.n * p, count, key)
-        out = l1_deviation(phat, p)
+            out = l1_deviation(sample_dirichlet_batch(n * p, count, key), p)
     if source.scale != 1.0:
         out = source.scale * out
     return out
@@ -251,29 +248,40 @@ def estimate_tail_probability(source: DeviationSource, threshold: float, trials:
 
 
 def exact_tail_small(p, n: int, threshold: float) -> float:
-    """Exact P(l1_deviation(c/n, p) >= threshold) over all multinomial outcomes
-    c, scored with the statistic the Monte Carlo path uses.  Outcomes are
-    enumerated by stars and bars, ``EXACT_BLOCK`` at a time; log-factorial pmf
-    evaluation keeps it overflow-safe to n ~ 100."""
+    """Exact P(L / (n·S) >= threshold) for Multinomial(n, p) counts under a
+    uniform ``p``, scored as the Monte Carlo chunks score them.  A DP over
+    categories carries the mass of (counts used, L capped at T, the least L
+    that counts) under Poisson(n/S) count weights; dividing the mass at n
+    counts by Poisson(n; n) conditions on the total (Keich and Nagarajan,
+    JCGS 2006).  ``MAX_EXACT_WORK`` caps its S·(n+1)²·(T+1)/2 cell updates."""
     p = as_simplex(p)
     S = p.size
+    if np.any(p != p[0]):
+        raise ValidationError("the exact oracle needs a uniform p")
     if n < 1:
         raise ValidationError("n must be >= 1")
     if not math.isfinite(threshold):
         raise ValidationError("threshold must be finite")
-    outcomes = math.comb(n + S - 1, S - 1)
-    if outcomes > MAX_EXACT_OUTCOMES:
-        raise CapacityError(f"{outcomes} outcomes exceed the enumeration cap")
-    logfact = gammaln(np.arange(1, n + 2, dtype=float))  # logfact[i] = ln(i!)
-    bars = combinations(range(n + S - 1), S - 1)
-    total = 0.0
-    for block in iter(lambda: list(islice(bars, EXACT_BLOCK)), []):
-        positions = np.array(block, dtype=np.int64).reshape(len(block), S - 1)
-        c = np.diff(positions, prepend=-1, append=n + S - 1, axis=1) - 1
-        c = c[l1_deviation(c / float(n), p) >= threshold]
-        # xlogy gives 0 for c = 0 and -inf for c > 0 where p = 0
-        total += float(np.exp(logfact[n] - logfact[c].sum(1) + xlogy(c, p).sum(1)).sum())
-    return min(total, 1.0)
+    if threshold > 2 * (S - 1) / S:  # above l1 with all n counts in one category
+        return 0.0
+    T = max(0, math.ceil(max(threshold, 0.0) * n * S) - 2)  # below: t·nS is rounded
+    while T / (n * S) < threshold:
+        T += 1
+    work = S * (n + 1) ** 2 * (T + 1) // 2
+    if work > MAX_EXACT_WORK:
+        raise CapacityError(f"{work} cell updates exceed the exact oracle's cap")
+    w = poisson.pmf(np.arange(n + 1), n / S)
+    d = np.minimum(np.abs(S * np.arange(n + 1) - n), T)
+    f = np.zeros((n + 1, T + 1))
+    f[0, 0] = 1.0
+    for _ in range(S):
+        tail = np.cumsum(f[:, ::-1], axis=1)[:, ::-1]  # tail[m, l]: mass at L >= l
+        g = np.zeros_like(f)
+        for k in range(n + 1):
+            g[k:, d[k]:T] += w[k] * f[:n + 1 - k, :T - d[k]]
+            g[k:, T] += w[k] * tail[:n + 1 - k, T - d[k]]
+        f = g
+    return min(float(f[n, T] / poisson.pmf(n, n)), 1.0)
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,20 @@ class TestOtherCommands:
         assert code == EXIT_OK
         assert len(json.loads(stdout)["rows"]) == 2
 
+    def test_tail_counts_lattice_ties(self, capsys):
+        # 0.5 and 0.9 are l1 lattice values L/(nS) at S=5, n=20; the exact
+        # tails are rational sums over all outcomes (0.217793, 0.000523413)
+        code, stdout, _ = run_cli(
+            capsys, "tail", "--seed", "1", "--family", "multinomial", "--S", "5",
+            "--n", "20", "--threshold", "0.5,0.9", "--trials", "100000",
+        )
+        assert code == EXIT_OK
+        rows = json.loads(stdout)["rows"]
+        truths = (4154067229541 / 19073486328125, 9983313569 / 19073486328125)
+        assert [row["threshold"] for row in rows] == [0.5, 0.9]
+        for row, truth in zip(rows, truths):
+            assert row["ci_low"] <= truth <= row["ci_high"]
+
     def test_quantiles_with_plot_out(self, capsys, tmp_path):
         plot = tmp_path / "curve.dat"
         code, _, _ = run_cli(

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import multiprocessing
 
@@ -188,6 +190,15 @@ class TestEmitReport:
         assert cells["outcome"] in ("Violated", "Consistent", "Inconclusive")
         assert cells["task_id"] == "task0"
         assert cells["seed"] == "7"
+
+    def test_csv_quotes_cells_holding_commas(self):
+        row = {"task_id": "a,b", "kind": "tail", "point": [1, 2]}
+        text = emit_report(Report(master_seed=1, tasks=[], rows=[row]), "csv").decode()
+        header, cells = csv.reader(io.StringIO(text))
+        assert len(cells) == len(CSV_COLUMNS) == 15
+        got = dict(zip(header, cells))
+        assert (got["task_id"], got["kind"], got["point"], got["seed"]) == (
+            "a,b", "tail", "[1, 2]", "")
 
     def test_json_round_trip_byte_identical(self):
         report = run_experiment(parse_config(MINIMAL_FALSIFY))

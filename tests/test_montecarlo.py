@@ -1,9 +1,10 @@
 import math
+import time
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from l1conc.bounds import BoundFamily, BoundSpec
 from l1conc.errors import CapacityError, ValidationError
@@ -185,23 +186,33 @@ class TestTailEstimation:
 
 class TestExactOracle:
     def test_total_probability(self):
-        assert exact_tail_small([0.2, 0.3, 0.5], 5, 0.0) == pytest.approx(1.0, rel=1e-12)
+        assert exact_tail_small(np.full(3, 1 / 3), 5, 0.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_fair_coin(self):
         got = exact_tail_small([0.5, 0.5], 2, 1.0)
         assert got == pytest.approx(0.5, rel=1e-12)
         assert type(got) is float  # a plain float, as JSON and repr expect
 
-    def test_zero_probability_category(self):
-        # outcomes with counts on a zero-probability category weigh 0, with
-        # no 0 * log(0) warning, wherever that category sits
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert exact_tail_small([1.0, 0.0], 5, 0.5) == 0.0
-            for p in ([0.0, 1.0], [1.0, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]):
-                assert exact_tail_small(p, 5, 0.0) == pytest.approx(1.0, rel=1e-12)
-                # l1 = 2 only when all counts sit on a zero-probability category
-                assert exact_tail_small(p, 4, 2.0) == 0.0
+    @pytest.mark.parametrize("p", [[0.2, 0.3, 0.5], [1.0, 0.0], [0.5, 0.0, 0.5]])
+    def test_non_uniform_p_rejected(self, p):
+        with pytest.raises(ValidationError, match="uniform"):
+            exact_tail_small(p, 5, 0.5)
+
+    def test_lattice_ties_count(self):
+        # exact rational sums over all 10626 outcomes at S=5, n=20: the
+        # thresholds are the lattice values L/(nS) at L = 50 and L = 90
+        p = np.full(5, 0.2)
+        assert exact_tail_small(p, 20, 0.5) == pytest.approx(
+            4154067229541 / 19073486328125, abs=1e-12)  # 0.217793
+        assert exact_tail_small(p, 20, 0.9) == pytest.approx(
+            9983313569 / 19073486328125, abs=1e-12)  # 0.000523413
+
+    def test_multinomial_samples_on_the_lattice(self):
+        # every sample is the correctly rounded L / (n S), so a threshold at
+        # a lattice value counts exactly the outcomes the oracle counts
+        S, n = 5, 20
+        x = draw_samples(DeviationSource("multinomial", S, n=n), 20_000, SEED)
+        assert np.array_equal(x, np.rint(x * (n * S)) / (n * S))
 
     def test_matches_monte_carlo(self):
         p, n, thr = [1 / 3] * 3, 6, 2 / 3
@@ -210,9 +221,21 @@ class TestExactOracle:
         assert est.ci_low <= truth <= est.ci_high
 
     def test_large_n_binary(self):
-        # n = 100 exercises the log-factorial path without overflow
-        total = exact_tail_small([0.3, 0.7], 100, 0.0)
-        assert total == pytest.approx(1.0, rel=1e-10)
+        # Poisson(500) weights reach e^-500; their products underflow harmlessly
+        assert exact_tail_small([0.5, 0.5], 1000, 0.0) == pytest.approx(1.0, rel=1e-10)
+        # l1 = |2c - n| / n, so l1 >= 0.1 iff c <= 450 or c >= 550
+        assert exact_tail_small([0.5, 0.5], 1000, 0.1) == pytest.approx(
+            2 * binom.cdf(450, 1000, 0.5), rel=1e-10)
+
+    @pytest.mark.parametrize("S,n,thr", [(10, 200, 0.2), (50, 100, 0.5)])
+    def test_cells_beyond_enumeration_within_dkw(self, S, n, thr):
+        start = time.process_time()
+        truth = exact_tail_small(np.full(S, 1 / S), n, thr)
+        assert time.process_time() - start < 2.0
+        trials = 10**5
+        est = estimate_tail_probability(DeviationSource("multinomial", S, n=n), thr, trials,
+                                        SEED, stream=S * 1000 + n)
+        assert abs(est.point - truth) <= dkw_halfwidth(trials, 0.01)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_threshold_rejected(self, bad):
@@ -220,8 +243,9 @@ class TestExactOracle:
             exact_tail_small([0.5, 0.5], 4, bad)
 
     def test_capacity_error(self):
+        # S·(n+1)²·(T+1)/2 = 4.1e9 cell updates at T = 8000
         with pytest.raises(CapacityError):
-            exact_tail_small(np.full(30, 1 / 30), 100, 0.5)
+            exact_tail_small(np.full(100, 1 / 100), 100, 0.8)
 
 
 class TestQuantileCurve:

@@ -4,6 +4,7 @@ batch samplers, the chunk scheduler and the exact oracle."""
 import itertools
 import math
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 
 from l1conc import montecarlo
 from l1conc.cli import main
-from l1conc.deviation import l1_deviation
 from l1conc.errors import ConfigError
 from l1conc.experiment import (
     CSV_COLUMNS,
@@ -217,15 +217,17 @@ def test_summarize_many_equals_one_request_at_a_time(batch, seed, workers):
 
 
 @settings(max_examples=200, deadline=None)
-@given(weights=st.lists(st.integers(0, 5), min_size=1, max_size=4).filter(any),
-       n=st.integers(1, 8), data=st.data())
-def test_exact_oracle_equals_brute_force(weights, n, data):
-    p = np.asarray(weights, dtype=float) / sum(weights)
-    outcomes = [c for c in itertools.product(range(n + 1), repeat=len(p)) if sum(c) == n]
-    stats = [l1_deviation(np.asarray(c) / float(n), p) for c in outcomes]
-    # an attained value is an exact tie; a level in [0, 2.1] is usually none
-    threshold = data.draw(st.one_of(st.sampled_from(stats), st.floats(0.0, 2.1)))
-    want = sum(math.factorial(n) // math.prod(map(math.factorial, c))
-               * math.prod(q ** k for q, k in zip(p.tolist(), c))
-               for c, stat in zip(outcomes, stats) if stat >= threshold)
-    assert exact_tail_small(p, n, float(threshold)) == pytest.approx(want, abs=1e-12)
+@given(S=st.integers(1, 4), n=st.integers(1, 8), data=st.data())
+def test_exact_oracle_equals_brute_force(S, n, data):
+    outcomes = [c for c in itertools.product(range(n + 1), repeat=S) if sum(c) == n]
+    lattice = [sum(abs(S * k - n) for k in c) for c in outcomes]  # l1 = L / (n S)
+    # attained values are exact ties, and a decimal such as "0.9" must count
+    # its lattice value; other floats in [0, 2.1] are usually no tie
+    threshold = data.draw(st.one_of(
+        st.sampled_from(lattice).map(lambda L: L / (n * S)),
+        st.integers(0, 21).map(lambda k: float(f"{k // 10}.{k % 10}")),
+        st.floats(0.0, 2.1)))
+    want = Fraction(sum(math.factorial(n) // math.prod(map(math.factorial, c))
+                        for c, L in zip(outcomes, lattice) if L / (n * S) >= threshold), S ** n)
+    assert exact_tail_small(np.full(S, 1 / S), n, threshold) == pytest.approx(
+        float(want), abs=1e-12)
