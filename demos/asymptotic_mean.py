@@ -1,8 +1,8 @@
 """Monte Carlo check of the closed-form limit mean sqrt((S-1)/(2 pi)).
 
-Samples the asymptotic deviation variable through the whitened Helmert
-representation and compares the sample mean against the closed form for a
-sweep of dimensions.  Writes gnuplot-ready columns to asymptotic_mean.dat.
+Samples the asymptotic deviation variable from centred standard normals,
+D/sqrt(S) · sum_i (G_i - mean(G))^+, and compares the sample mean against
+the closed form for a sweep of dimensions.  Writes gnuplot-ready columns to asymptotic_mean.dat.
 
 Run:  python3 demos/asymptotic_mean.py
 """

@@ -2,13 +2,14 @@
 
 The limit variable Z is a positive-part functional of a degenerate Gaussian
 vector Y with covariance I - N/(S-1) (unit diagonal, -1/(S-1) off-diagonal).
-Sampling goes through the whitened representation: S-1 i.i.d. standard
-normals W mapped back through the transpose of an explicit Helmert
-orthogonal matrix, which diagonalizes the exchangeable covariance exactly.
-The one product sampling needs, U^T w, uses the matrix's suffix-sum
-structure, so it costs O(S) per draw and needs no dense linear algebra.
-Limit draws are made in cache-sized blocks of rows, in place in reused
-buffers, so the memory of a chunk of draws does not grow with S.
+Sampling uses centred normals: for S i.i.d. standard normals G,
+Y = sqrt(S/(S-1))·(G - mean(G)) has exactly that covariance, so
+Z = D/sqrt(S) · sum_i (G_i - mean(G))^+.  Limit draws are made in cache-sized
+blocks of rows, in place in one reused buffer, so the memory of a chunk of
+draws does not grow with S.  The explicit Helmert orthogonal matrix, which
+diagonalizes the covariance exactly, is the proof object: mapping whitened
+coordinates W back through it gives the same Y (centring G is the Helmert
+route applied to U·G), and Z is a 1-Lipschitz function of W.
 """
 
 import math
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import ValidationError
 from .sampling import StreamKey
 
-# float64 elements per row block of the limit sampler's buffers (256 KiB)
+# float64 elements per row block of the limit sampler's buffer (256 KiB)
 _BLOCK_ELEMS = 1 << 15
 
 
@@ -57,31 +58,18 @@ def helmert_matrix(S: int) -> np.ndarray:
     return U
 
 
-def _helmert_t_into(w: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = U.T @ (w, 0) along the last axis in O(S) via suffix sums, for w
-    of shape (..., S-1) and out of shape (..., S).  Works in place in ``out``
-    and overwrites ``w``."""
-    S = out.shape[-1]
-    k = np.arange(1, S, dtype=float)
-    h = 1.0 / np.sqrt(k * (k + 1))
-    suffix = out[..., S - 2 :: -1]
-    np.multiply(w, h, out=out[..., : S - 1])
-    np.cumsum(suffix, axis=-1, out=suffix)
-    out[..., S - 1] = 0.0
-    np.multiply(w, k * h, out=w)
-    np.subtract(out[..., 1:], w, out=out[..., 1:])
-    return out
-
-
 def helmert_t_apply(w: np.ndarray) -> np.ndarray:
     """U.T @ w along the last axis in O(S) via suffix sums."""
     w = np.asarray(w, dtype=float)
     S = w.shape[-1]
     if S < 2:
         raise ValidationError("vector length must be >= 2")
-    out = _helmert_t_into(w[..., : S - 1].copy(), np.empty_like(w))
-    out += w[..., S - 1 :] / math.sqrt(S)
-    return out
+    k = np.arange(1, S, dtype=float)
+    hw = w[..., : S - 1] / np.sqrt(k * (k + 1))
+    out = np.zeros_like(w)
+    out[..., : S - 1] = np.cumsum(hw[..., ::-1], axis=-1)[..., ::-1]
+    out[..., 1:] -= k * hw
+    return out + w[..., S - 1 :] / math.sqrt(S)
 
 
 def limit_Y_from_W(W: np.ndarray) -> np.ndarray:
@@ -98,30 +86,29 @@ def limit_Z_from_Y(Y: np.ndarray, D: float = 1.0) -> np.ndarray:
 
 
 def sample_Z_batch(S: int, D: float, size: int, key: StreamKey) -> np.ndarray:
-    """``size`` draws of Z, made ``_BLOCK_ELEMS // S`` rows at a time in reused
-    buffers.  Blocks continue one row-major normal stream and rows reduce on
-    their own, so the draws equal ``limit_Z_from_Y`` of one whole batch of Y
-    bit for bit, while memory stays at a few blocks whatever S is."""
+    """``size`` draws of Z = D/sqrt(S) · sum_i (G_i - mean(G))^+, S standard
+    normals G a row, made ``_BLOCK_ELEMS // S`` rows at a time in one reused
+    buffer.  Blocks continue one row-major normal stream and rows reduce on
+    their own, so the draws equal those of one whole batch of G bit for bit,
+    while memory stays at one block whatever S is."""
     if S < 2:
         raise ValidationError("S must be >= 2")
     if size < 1:
         raise ValidationError("batch size must be >= 1")
-    if D <= 0:
-        raise ValidationError("D must be > 0")
+    if not (math.isfinite(D) and D > 0):
+        raise ValidationError("D must be finite and > 0")
     rng = key.generator()
     rows = max(1, _BLOCK_ELEMS // S)
-    w = np.empty((min(rows, size), S - 1))
-    y = np.empty((min(rows, size), S))
+    g = np.empty((min(rows, size), S))
     Z = np.empty(size)
     for start in range(0, size, rows):
         stop = min(start + rows, size)
-        wb, yb = w[: stop - start], y[: stop - start]
-        rng.standard_normal(out=wb)
-        _helmert_t_into(wb, yb)
-        yb *= math.sqrt(S / (S - 1.0))
-        np.clip(yb, 0.0, None, out=yb)
-        np.sum(yb, axis=-1, out=Z[start:stop])
-    Z *= D * math.sqrt((S - 1.0) / S**2)
+        gb = g[: stop - start]
+        rng.standard_normal(out=gb)
+        gb -= gb.mean(axis=-1, keepdims=True)
+        np.clip(gb, 0.0, None, out=gb)
+        np.sum(gb, axis=-1, out=Z[start:stop])
+    Z *= D / math.sqrt(S)
     return Z
 
 

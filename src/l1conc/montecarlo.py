@@ -17,6 +17,7 @@ divided once, so exact ties count at ``>= threshold``.  The exact oracle
 """
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
@@ -61,19 +62,19 @@ class DeviationSource:
     def __post_init__(self):
         if self.family not in SOURCE_FAMILIES:
             raise ValidationError(f"unknown source family {self.family!r}")
-        if self.S < 2:
-            raise ValidationError("S must be >= 2")
+        if not isinstance(self.S, numbers.Integral) or self.S < 2:
+            raise ValidationError("S must be an integer >= 2")
         if self.family != "limit":
-            if self.n is None or self.n < 1:
-                raise ValidationError("finite-n sources require n >= 1")
+            if not isinstance(self.n, numbers.Integral) or self.n < 1:
+                raise ValidationError("finite-n sources require an integer n >= 1")
             if self.D != 1.0:
                 raise ValidationError("D applies to the limit family only")
         elif self.n is not None:
             raise ValidationError("n applies to finite-n families only")
         if not (math.isfinite(self.D) and math.isfinite(self.scale)):
             raise ValidationError("D and scale must be finite")
-        if self.D <= 0:
-            raise ValidationError("D must be > 0")
+        if self.D <= 0 or self.scale <= 0:
+            raise ValidationError("D and scale must be > 0")
 
 
 class SampleRequest(NamedTuple):
@@ -258,8 +259,8 @@ def exact_tail_small(p, n: int, threshold: float) -> float:
     S = p.size
     if np.any(p != p[0]):
         raise ValidationError("the exact oracle needs a uniform p")
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValidationError("n must be an integer >= 1")
     if not math.isfinite(threshold):
         raise ValidationError("threshold must be finite")
     if threshold > 2 * (S - 1) / S:  # above l1 with all n counts in one category

@@ -5,6 +5,7 @@ All randomness flows through counter-based Philox streams keyed by a
 stream_index)`` alone, independently of scheduling or worker count.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +46,10 @@ class StreamKey:
     stream_index: int = 0
 
     def __post_init__(self):
-        if not (0 <= int(self.master_seed) <= _UINT64_MASK):
-            raise ValidationError("master_seed must fit in 64 unsigned bits")
-        if not (0 <= int(self.stream_index) <= _UINT64_MASK):
-            raise ValidationError("stream_index must fit in 64 unsigned bits")
+        for name in ("master_seed", "stream_index"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and 0 <= value <= _UINT64_MASK):
+                raise ValidationError(f"{name} must be an integer that fits in 64 unsigned bits")
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
@@ -78,8 +79,8 @@ def _multinomial_chain(rng: np.random.Generator, p: np.ndarray, n: int, size: in
 def sample_multinomial_batch(p, n: int, size: int, key: StreamKey) -> np.ndarray:
     """Draw ``size`` independent Multinomial(n, p) rows from one stream."""
     p = as_simplex(p)
-    if n < 0:
-        raise ValidationError("trial count n must be >= 0")
+    if not isinstance(n, numbers.Integral) or n < 0:
+        raise ValidationError("trial count n must be an integer >= 0")
     if size < 1:
         raise ValidationError("batch size must be >= 1")
     rng = key.generator()

@@ -143,9 +143,10 @@ class TestLimitSampling:
 
 
 def unblocked_Z(S: int, D: float, size: int, key: StreamKey) -> np.ndarray:
-    """Reference: one whole batch of zero-padded whitened draws through the
-    public Helmert composition."""
-    return limit_Z_from_Y(limit_Y(S, size, key), D)
+    """Reference: D/sqrt(S) · sum of positive parts of centred normals, over
+    one whole (size, S) batch of the key's stream."""
+    G = key.generator().standard_normal((size, S))
+    return D / math.sqrt(S) * np.clip(G - G.mean(-1, keepdims=True), 0.0, None).sum(-1)
 
 
 def block_sizes(S: int) -> list[int]:
@@ -178,7 +179,8 @@ class TestBlockedSampler:
         assert peak < 4 * 2**20
 
     def test_rejects_bad_arguments(self):
-        for S, D, size in ((1, 1.0, 10), (5, 0.0, 10), (5, 1.0, 0)):
+        for S, D, size in ((1, 1.0, 10), (5, 0.0, 10), (5, -1.0, 10), (5, math.nan, 3),
+                           (5, math.inf, 3), (5, 1.0, 0)):
             with pytest.raises(ValidationError):
                 sample_Z_batch(S, D, size, KEY)
 
@@ -192,6 +194,20 @@ class TestRepresentationEquivalence:
             via_Y = limit_Z_from_Y(limit_Y_from_W(W), 1.0)
             via_g = positive_part_functional(W)
             assert np.abs(via_Y - via_g).max() < 1e-12
+
+    @pytest.mark.parametrize("S", [2, 3, 17, 200])
+    def test_centred_normals_are_the_helmert_route(self, S):
+        # U·G with its last (mean) coordinate zeroed is a whitened vector W and
+        # U^T W = G - mean(G), so the sampler's Y is the proof object's Y
+        key = StreamKey(SEED, 200 + S)
+        G = key.generator().standard_normal((50, S))
+        W = G @ helmert_matrix(S).T
+        W[:, -1] = 0.0
+        Y = limit_Y_from_W(W)
+        centred = math.sqrt(S / (S - 1)) * (G - G.mean(-1, keepdims=True))
+        assert np.abs(centred - Y).max() < 1e-12
+        assert np.allclose(sample_Z_batch(S, 2.0, 50, key), limit_Z_from_Y(Y, 2.0),
+                           rtol=1e-12, atol=0.0)
 
     def test_functional_is_lipschitz(self):
         rng = np.random.default_rng(78)

@@ -26,6 +26,7 @@ from l1conc.montecarlo import (
     summarize_many,
     tail_estimate_from_count,
 )
+from l1conc.sampling import StreamKey, sample_multinomial_batch
 
 SEED = 90125
 
@@ -82,6 +83,23 @@ class TestDeviationSource:
         # n sets the finite-n sample size; the limit law would ignore it
         with pytest.raises(ValidationError, match="n applies to finite-n families"):
             DeviationSource("limit", 5, n=10)
+        # a negative scale would flip every sample and count the wrong tail
+        for scale in (-1.0, 0.0):
+            with pytest.raises(ValidationError, match="scale must be > 0"):
+                DeviationSource("multinomial", 3, n=10, scale=scale)
+
+    def test_non_integral_counts_rejected(self):
+        # n = 2.5 used to draw counts at n = 2 and score them at n = 2.5
+        for S, n in ((3, 2.5), (3, 2.0), (3.0, 2)):
+            with pytest.raises(ValidationError, match="integer"):
+                DeviationSource("multinomial", S, n=n)
+        with pytest.raises(ValidationError, match="integer"):
+            DeviationSource("limit", 3.0)
+        with pytest.raises(ValidationError, match="integer"):
+            sample_multinomial_batch([0.5, 0.5], 2.5, 2, StreamKey(SEED))
+        with pytest.raises(ValidationError, match="integer"):
+            exact_tail_small([0.5, 0.5], 4.0, 0.5)
+        assert exact_tail_small([0.5, 0.5], np.int64(4), 0.5) == exact_tail_small([0.5, 0.5], 4, 0.5)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):

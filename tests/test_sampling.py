@@ -157,3 +157,11 @@ class TestStreamKey:
             StreamKey(-1, 0)
         with pytest.raises(ValidationError):
             StreamKey(0, 2**64)
+
+    def test_non_integral_rejected(self):
+        # int(1.5) would key the same stream as StreamKey(1)
+        for seed, index in ((1.5, 0), (1.0, 0), (0, 2.5), ("1", 0)):
+            with pytest.raises(ValidationError, match="integer"):
+                StreamKey(seed, index)
+        a = StreamKey(np.uint64(SEED), np.int64(3)).generator().standard_normal(4)
+        assert np.array_equal(a, StreamKey(SEED, 3).generator().standard_normal(4))
