@@ -16,7 +16,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from . import __version__
 from .asymptotic import expected_Z
@@ -393,7 +393,7 @@ def _task_cells(task: TaskConfig, task_index: int, seed: int) -> list:
                                 grid=tuple(task.grid))
         return [(request, rows)]
     if task.kind == "asymptotic-mean":
-        z_crit = float(norm.ppf(0.5 + task.ci_level / 2.0))
+        z_crit = float(ndtri(0.5 + task.ci_level / 2.0))
 
         def rows(S, summary):
             mean = float(summary.mean)

@@ -25,7 +25,7 @@ from itertools import starmap
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import beta as beta_dist, poisson
+from scipy.special import betaincinv, gammaln, xlogy
 
 from .asymptotic import sample_Z_batch
 from .bounds import BoundEvaluation, BoundSpec, evaluate_bound
@@ -197,17 +197,23 @@ def summarize_many(requests, master_seed: int, workers: int = 1) -> list[SampleS
     return [reduce(SampleSummary.merge, chunks) for chunks in parts]
 
 
+def _check_level(level: float, name: str) -> None:
+    if not (0.0 < level < 1.0):
+        raise ValidationError(f"{name} must lie in (0, 1)")
+
+
 def clopper_pearson(successes: int, trials: int, level: float = 0.95) -> tuple[float, float]:
     """Exact two-sided binomial confidence interval via beta quantiles."""
+    if not (isinstance(successes, numbers.Integral) and isinstance(trials, numbers.Integral)):
+        raise ValidationError("successes and trials must be integers")
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    if not (0.0 < level < 1.0):
-        raise ValidationError("level must lie in (0, 1)")
+    _check_level(level, "level")
     if not (0 <= successes <= trials):
         raise ValidationError("successes must lie in [0, trials]")
     alpha = 1.0 - level
-    lo = 0.0 if successes == 0 else float(beta_dist.ppf(alpha / 2, successes, trials - successes + 1))
-    hi = 1.0 if successes == trials else float(beta_dist.ppf(1 - alpha / 2, successes + 1, trials - successes))
+    lo = 0.0 if successes == 0 else float(betaincinv(successes, trials - successes + 1, alpha / 2))
+    hi = 1.0 if successes == trials else float(betaincinv(successes + 1, trials - successes, 1 - alpha / 2))
     return lo, hi
 
 
@@ -243,9 +249,15 @@ def estimate_tail_probability(source: DeviationSource, threshold: float, trials:
                               stream: int = 0, workers: int = 1) -> TailEstimate:
     """Monte Carlo estimate of P(statistic >= threshold) with a Clopper-Pearson
     interval, deterministic given the master seed."""
+    _check_level(ci_level, "ci_level")
     request = SampleRequest(source, trials, stream, thresholds=(threshold,))
     [summary] = summarize_many([request], master_seed, workers)
     return tail_estimate_from_count(threshold, int(summary.at_least[0]), trials, ci_level)
+
+
+def _poisson_pmf(k, mu: float):
+    # Poisson(mu) pmf as the exp of its log, the same terms SciPy's poisson.pmf sums
+    return np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)
 
 
 def exact_tail_small(p, n: int, threshold: float) -> float:
@@ -271,7 +283,7 @@ def exact_tail_small(p, n: int, threshold: float) -> float:
     work = S * (n + 1) ** 2 * (T + 1) // 2
     if work > MAX_EXACT_WORK:
         raise CapacityError(f"{work} cell updates exceed the exact oracle's cap")
-    w = poisson.pmf(np.arange(n + 1), n / S)
+    w = _poisson_pmf(np.arange(n + 1), n / S)
     d = np.minimum(np.abs(S * np.arange(n + 1) - n), T)
     f = np.zeros((n + 1, T + 1))
     f[0, 0] = 1.0
@@ -282,7 +294,7 @@ def exact_tail_small(p, n: int, threshold: float) -> float:
             g[k:, d[k]:T] += w[k] * f[:n + 1 - k, :T - d[k]]
             g[k:, T] += w[k] * tail[:n + 1 - k, T - d[k]]
         f = g
-    return min(float(f[n, T] / poisson.pmf(n, n)), 1.0)
+    return min(float(f[n, T] / _poisson_pmf(n, n)), 1.0)
 
 
 @dataclass(frozen=True)
@@ -300,8 +312,7 @@ def dkw_halfwidth(trials: int, band_level: float) -> float:
     """Uniform empirical-CDF half-width sqrt(ln(2/a)/(2·trials))."""
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    if not (0.0 < band_level < 1.0):
-        raise ValidationError("band level must lie in (0, 1)")
+    _check_level(band_level, "band level")
     return math.sqrt(math.log(2.0 / band_level) / (2.0 * trials))
 
 
@@ -309,6 +320,7 @@ def estimate_quantile_curve(source: DeviationSource, grid, trials: int, master_s
                             band_level: float = 0.05, stream: int = 0,
                             workers: int = 1) -> QuantileCurve:
     """Empirical CDF of the deviation statistic on an ascending grid."""
+    half = dkw_halfwidth(trials, band_level)  # checks band_level before any drawing
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise ValidationError("grid must be a nonempty 1-d array")
@@ -319,7 +331,7 @@ def estimate_quantile_curve(source: DeviationSource, grid, trials: int, master_s
     return QuantileCurve(
         grid=grid,
         cdf_estimates=summary.at_most / float(trials),
-        dkw_halfwidth=dkw_halfwidth(trials, band_level),
+        dkw_halfwidth=half,
         trials=trials,
         band_level=band_level,
     )
@@ -358,6 +370,7 @@ def falsify_cell(spec: BoundSpec, trials: int, *, family: str = "multinomial",
     uniform p, and the function classifying the claim from its summary."""
     if trials < 100:
         raise ValidationError("falsification requires trials >= 100")
+    _check_level(ci_level, "ci_level")
     if family not in ("multinomial", "dirichlet"):
         raise ValidationError(f"unsupported distribution family {family!r}")
     evaluation = evaluate_bound(spec)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -251,3 +255,27 @@ class TestUsageErrors:
     def test_workers_env_below_one_rejected(self, capsys, monkeypatch):
         monkeypatch.setenv("L1CONC_WORKERS", "0")
         self.assert_usage_error(capsys, list(TAIL), "L1CONC_WORKERS")
+
+
+# Importing scipy.stats costs about a second per process and per spawned
+# worker; the package needs only scipy.special.  A fresh interpreter is
+# needed because this test process has scipy.stats loaded.
+NO_SCIPY_STATS = """
+import sys
+import l1conc, l1conc.cli
+config = l1conc.parse_config(
+    "master_seed = 1\\n[task]\\nkind = asymptotic-mean\\nS = 5\\ntrials = 100\\n"
+    "[task]\\nkind = falsify\\nbound = agrawal\\nS = 5\\nn = 100\\ndelta = 0.1\\n"
+    "trials = 100\\n")
+l1conc.run_experiment(config)
+l1conc.exact_tail_small([0.5, 0.5], 10, 0.2)
+print(sorted(name for name in sys.modules if name.startswith("scipy.stats")))
+"""
+
+
+def test_scipy_stats_never_imported():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_STATS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -3,7 +3,9 @@ import io
 import json
 import multiprocessing
 
+import numpy as np
 import pytest
+from scipy.stats import norm
 
 from l1conc import montecarlo
 from l1conc.errors import ConfigError
@@ -11,6 +13,7 @@ from l1conc.experiment import (
     CSV_COLUMNS,
     ExperimentConfig,
     Report,
+    _task_cells,
     emit_plot_data,
     emit_report,
     parse_config,
@@ -174,6 +177,18 @@ class TestRunExperiment:
         row = run_experiment(cfg).rows[0]
         assert row["epsilon"] == pytest.approx(1.196827, abs=1e-6)
         assert abs(row["point"] - row["epsilon"]) < 0.02
+
+    @pytest.mark.parametrize("level", [0.5, 0.95, 0.99, 0.999999])
+    def test_asymptotic_mean_critical_value_is_normal_quantile(self, level):
+        cfg = parse_config("master_seed = 5\n[task]\nkind = asymptotic-mean\nS = 10\n"
+                           f"trials = 100\nci_level = {level}\n")
+        task = cfg.tasks[0]
+        [(request, rows)] = _task_cells(task, 0, cfg.master_seed)
+        # mean 0 and standard error exactly 1 put ci_high at the critical value
+        t = request.trials
+        summary = montecarlo.SampleSummary(np.zeros(0), np.zeros(0), t, 0.0, float(t * (t - 1)))
+        [row] = rows(summary)
+        assert row["ci_high"] == norm.ppf(0.5 + task.ci_level / 2.0)
 
 
 class TestEmitReport:

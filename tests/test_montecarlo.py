@@ -4,8 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import binom
+from scipy.stats import beta, binom, poisson
 
+from l1conc import montecarlo
 from l1conc.bounds import BoundFamily, BoundSpec
 from l1conc.errors import CapacityError, ValidationError
 from l1conc.montecarlo import (
@@ -52,6 +53,22 @@ class TestClopperPearson:
             clopper_pearson(5, 0)
         with pytest.raises(ValidationError):
             clopper_pearson(5, 4)
+
+    def test_non_integer_counts_rejected(self):
+        for successes, trials in [(1.5, 10), (1, 10.0), (np.float64(3.0), 10)]:
+            with pytest.raises(ValidationError, match="integers"):
+                clopper_pearson(successes, trials)
+        assert clopper_pearson(np.int64(3), np.int64(10)) == clopper_pearson(3, 10)
+
+    @pytest.mark.parametrize("level", [0.95, 1 - 1e-6])
+    @pytest.mark.parametrize("trials", [1, 2, 100, 10**4, 10**6])
+    def test_equals_beta_quantiles(self, trials, level):
+        # bit for bit the scipy.stats form of the interval
+        alpha = 1 - level
+        for k in sorted({0, 1, trials // 3, trials - 1, trials}):
+            lo = 0.0 if k == 0 else float(beta.ppf(alpha / 2, k, trials - k + 1))
+            hi = 1.0 if k == trials else float(beta.ppf(1 - alpha / 2, k + 1, trials - k))
+            assert clopper_pearson(k, trials, level) == (lo, hi)
 
     def test_coverage_against_exact_oracle(self):
         # 95% intervals around MC tail estimates cover the enumerated truth
@@ -202,7 +219,31 @@ class TestTailEstimation:
                 summarize_many([good, request], SEED)
 
 
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.5, math.nan])
+def test_levels_rejected_before_drawing(monkeypatch, level):
+    def draw(*args, **kwargs):
+        pytest.fail("samples drawn before the level was checked")
+
+    monkeypatch.setattr(montecarlo, "summarize_many", draw)
+    source = DeviationSource("multinomial", 50, n=10**4)
+    spec = BoundSpec(BoundFamily.AGRAWAL, 10**4, 50, 0.05)
+    with pytest.raises(ValidationError, match="level"):
+        estimate_tail_probability(source, 0.1, 200_000, SEED, ci_level=level)
+    with pytest.raises(ValidationError, match="level"):
+        estimate_quantile_curve(source, [0.1, 0.2], 200_000, SEED, band_level=level)
+    with pytest.raises(ValidationError, match="level"):
+        montecarlo.falsify_cell(spec, 200_000, ci_level=level)
+    with pytest.raises(ValidationError, match="level"):
+        falsify_bound(spec, 200_000, SEED, ci_level=level)
+
+
 class TestExactOracle:
+    @pytest.mark.parametrize("S,n", [(3, 150), (3, 250), (5, 20), (10, 8)])
+    def test_poisson_weights_equal_scipy(self, S, n):
+        k = np.arange(n + 1)
+        assert np.array_equal(montecarlo._poisson_pmf(k, n / S), poisson.pmf(k, n / S))
+        assert montecarlo._poisson_pmf(n, n) == poisson.pmf(n, n)
+
     def test_total_probability(self):
         assert exact_tail_small(np.full(3, 1 / 3), 5, 0.0) == pytest.approx(1.0, rel=1e-12)
 
