@@ -94,6 +94,11 @@ def _write(data: bytes, path: str | None):
             fh.write(data)
 
 
+def _exit_code(report) -> int:
+    violated = any(row.get("outcome") == VIOLATED for row in report.rows)
+    return EXIT_VIOLATED if violated else EXIT_OK
+
+
 def _run(args) -> int:
     flags = {key: (0, value) for key in TASK_FLAGS if (value := getattr(args, key)) is not None}
     if args.config and flags:
@@ -111,8 +116,7 @@ def _run(args) -> int:
     _write(emit_report(report, args.format), args.out)
     if args.plot_out:
         _write(emit_plot_data(report, config.tasks[0].task_id), args.plot_out)
-    violated = any(row.get("outcome") == VIOLATED for row in report.rows)
-    return EXIT_VIOLATED if violated else EXIT_OK
+    return _exit_code(report)
 
 
 def _reemit(args) -> int:
@@ -126,8 +130,7 @@ def _reemit(args) -> int:
         _write(emit_plot_data(report, args.plot_task), args.out)
     else:
         _write(emit_report(report, args.format), args.out)
-    violated = any(row.get("outcome") == VIOLATED for row in report.rows)
-    return EXIT_VIOLATED if violated else EXIT_OK
+    return _exit_code(report)
 
 
 def main(argv=None) -> int:

@@ -7,7 +7,7 @@ class ValidationError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """An exact computation was requested that needs too much DP work."""
+    """An exact computation was requested whose size exceeds its cap."""
 
 
 class ConfigError(ValueError):

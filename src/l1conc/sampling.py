@@ -87,29 +87,19 @@ def sample_multinomial_batch(p, n: int, size: int, key: StreamKey) -> np.ndarray
     return _multinomial_chain(rng, p, n, size)
 
 
-def _gamma_to_simplex(g: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Normalize gamma variates to the simplex, guarding total underflow."""
-    s = g.sum(axis=-1, keepdims=True)
-    bad = (s <= 0.0)[..., 0]
-    if np.any(bad):
-        # all-zero gamma row (possible for very small alpha): fall back to the
-        # Dirichlet mean, the canonical clamp-renormalize choice
-        mean = alpha / alpha.sum()
-        g = g.copy()
-        g[bad] = mean
-        s = g.sum(axis=-1, keepdims=True)
-    return g / s
-
-
 def sample_dirichlet_batch(alpha, size: int, key: StreamKey) -> np.ndarray:
-    """Draw ``size`` Dirichlet(alpha) rows from one stream."""
+    """Draw ``size`` Dirichlet(alpha) rows from one stream.  ``alpha`` must
+    sum to at least 1: a row's gammas then all underflow to 0 with
+    probability below about 1e-300, so no row has a zero sum."""
     alpha = np.asarray(alpha, dtype=float)
     if alpha.ndim != 1 or alpha.size < 1:
         raise ValidationError("alpha must be a 1-d array with at least one entry")
     if np.any(alpha <= 0):
         raise ValidationError("alpha entries must be > 0")
+    if not alpha.sum() >= 1 - SIMPLEX_SUM_TOL:  # n·p at n = 1 may sum to 1 - 1 ulp
+        raise ValidationError("alpha must sum to >= 1")
     if size < 1:
         raise ValidationError("batch size must be >= 1")
     rng = key.generator()
     g = rng.standard_gamma(alpha, size=(size, alpha.size))
-    return _gamma_to_simplex(g, alpha)
+    return g / g.sum(-1, keepdims=True)

@@ -1,10 +1,11 @@
+import itertools
 import math
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import beta, binom, poisson
+from scipy.stats import beta, binom, multinomial, poisson
 
 from l1conc import montecarlo
 from l1conc.bounds import BoundFamily, BoundSpec
@@ -286,7 +287,7 @@ class TestExactOracle:
         assert exact_tail_small([0.5, 0.5], 1000, 0.1) == pytest.approx(
             2 * binom.cdf(450, 1000, 0.5), rel=1e-10)
 
-    @pytest.mark.parametrize("S,n,thr", [(10, 200, 0.2), (50, 100, 0.5)])
+    @pytest.mark.parametrize("S,n,thr", [(10, 200, 0.2), (50, 100, 0.5), (100, 100, 0.8)])
     def test_cells_beyond_enumeration_within_dkw(self, S, n, thr):
         start = time.process_time()
         truth = exact_tail_small(np.full(S, 1 / S), n, thr)
@@ -301,10 +302,46 @@ class TestExactOracle:
         with pytest.raises(ValidationError, match="finite"):
             exact_tail_small([0.5, 0.5], 4, bad)
 
-    def test_capacity_error(self):
-        # S·(n+1)²·(T+1)/2 = 4.1e9 cell updates at T = 8000
+    def test_capacity_error(self, monkeypatch):
+        # S·(n+1)² = 2.0e10, refused before any convolution runs
+        def convolve(*args):
+            raise AssertionError("convolved past the cap")
+
+        monkeypatch.setattr(np, "convolve", convolve)
         with pytest.raises(CapacityError):
-            exact_tail_small(np.full(100, 1 / 100), 100, 0.8)
+            exact_tail_small(np.full(200, 1 / 200), 10**4, 0.1)
+
+    def test_headline_agrawal_cell_admitted(self):
+        # S·(n+1)² = 5.0e9; the exceedance of Agrawal's delta = 0.1 threshold
+        from l1conc.bounds import agrawal_epsilon
+
+        got = exact_tail_small(np.full(50, 0.02), 10**4, agrawal_epsilon(10**4, 0.1))
+        assert got == pytest.approx(0.99999999999, abs=1e-9)
+
+    @pytest.mark.parametrize("S,n", [(3, 150), (3, 250), (5, 20), (10, 8)])
+    def test_equals_enumeration(self, S, n):
+        # every composition of n into S parts, weighted by scipy's pmf
+        bars = np.array(list(itertools.combinations(range(n + S - 1), S - 1)))
+        counts = np.diff(np.column_stack([np.full(len(bars), -1), bars,
+                                          np.full(len(bars), n + S - 1)])) - 1
+        pmf = multinomial.pmf(counts, n, np.full(S, 1 / S))
+        lattice = np.abs(S * counts - n).sum(axis=1) / (n * S)
+        mean = math.sqrt(2 * (S - 1) / (math.pi * n))
+        on_lattice = float(lattice[np.argmin(np.abs(lattice - mean))])
+        for thr in (0.8 * mean, on_lattice, 1.2 * mean):
+            want = pmf[lattice >= thr].sum()
+            assert exact_tail_small(np.full(S, 1 / S), n, thr) == pytest.approx(want, abs=1e-12)
+
+    def test_large_S_no_overflow(self):
+        # C(2000, m) overflows a float; L / (nS) = 2 - 2K/S with K occupied
+        # categories, so this tail is P(K <= 19), one minus a birthday product
+        S, n, thr = 2000, 20, 1.9805
+        truth = exact_tail_small(np.full(S, 1 / S), n, thr)
+        assert math.isfinite(truth)
+        assert truth == pytest.approx(1 - math.prod(1 - i / S for i in range(n)), abs=1e-12)
+        trials = 20_000
+        est = estimate_tail_probability(DeviationSource("multinomial", S, n=n), thr, trials, SEED)
+        assert abs(est.point - truth) <= dkw_halfwidth(trials, 0.01)
 
 
 class TestQuantileCurve:

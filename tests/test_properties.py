@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from l1conc import montecarlo
 from l1conc.cli import main
-from l1conc.errors import ConfigError
+from l1conc.errors import ConfigError, ValidationError
 from l1conc.experiment import (
     CSV_COLUMNS,
     FINITE_N,
@@ -185,6 +185,10 @@ def test_multinomial_rows_nonnegative_and_sum_to_n(weights, n, size, key):
 @given(alpha=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=8),
        size=st.integers(1, 40), key=keys)
 def test_dirichlet_rows_on_simplex(alpha, size, key):
+    if sum(alpha) < 1 - SIMPLEX_SUM_TOL:  # every gamma of a row could underflow to 0
+        with pytest.raises(ValidationError, match="sum"):
+            sample_dirichlet_batch(alpha, size, key)
+        return
     x = sample_dirichlet_batch(alpha, size, key)
     assert x.shape == (size, len(alpha))
     assert np.all(x >= 0) and np.all(np.abs(x.sum(axis=1) - 1.0) <= SIMPLEX_SUM_TOL)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import binom, chisquare
@@ -130,6 +132,15 @@ class TestDirichlet:
             sample_dirichlet_batch([[1.0, 2.0]], 1, KEY)
         with pytest.raises(ValidationError):
             sample_dirichlet_batch([1.0, 2.0], 0, KEY)
+
+    @pytest.mark.parametrize("alpha", [[1e-5, 1e-5], [0.3, 0.3, 0.3], [math.nan, 2.0]])
+    def test_alpha_summing_below_one_rejected(self, alpha):
+        # at alpha = (1e-5, 1e-5) most rows would have every gamma underflow to 0
+        with pytest.raises(ValidationError, match="sum"):
+            sample_dirichlet_batch(alpha, 4, KEY)
+        # n·p at S = 6, n = 1 sums to 1 - 1 ulp, as a Dirichlet source passes it
+        x = sample_dirichlet_batch(np.full(6, 1 / 6), 4, KEY)
+        assert np.all(x >= 0) and np.allclose(x.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestStandardNormal:
