@@ -19,7 +19,6 @@ by splitting the categories into those above and those at or below the mean.
 
 import math
 import numbers
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
@@ -37,8 +36,8 @@ from .sampling import StreamKey, as_simplex, sample_dirichlet_batch, sample_mult
 
 CHUNK_SIZE = 1 << 14
 
-# cap on S·(n+1)², the size of the exact oracle's convolutions: admits
-# (S, n) = (50, 10^4), about 1.2 s on one core, and rejects (200, 10^4)
+# cap on the exact oracle's convolution multiply-adds (M + 2·log2 S)·(n+1)²:
+# admits (S, n) = (50, 10^4), about 1.2 s on one core; rejects (200, 10^4)
 MAX_EXACT_WORK = 10**10
 
 SOURCE_FAMILIES = ("multinomial", "dirichlet", "limit")
@@ -263,16 +262,32 @@ def _poisson_pmf(k, mu: float):
     return np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)
 
 
+def _convolved(scaled, kernel, n: int, log_factor: float = 0.0):
+    # a (row summing to 1, log scale) pair convolved with kernel up to n, times e^log_factor
+    row = np.convolve(scaled[0], kernel)[:n + 1]
+    total = row.sum()
+    return row / total, scaled[1] + math.log(total) + log_factor
+
+
+def _convolution_power(kernel, j: int, n: int):
+    # the j-fold convolution of kernel, j >= 1, as a (row, log scale) pair, by squaring
+    if j == 1:
+        return _convolved((np.eye(1, n + 1)[0], 0.0), kernel, n)
+    half = _convolution_power(kernel, j // 2, n)
+    power = _convolved(half, half[0], n, half[1])
+    return _convolved(power, kernel, n) if j & 1 else power
+
+
 def exact_tail_small(p, n: int, threshold: float) -> float:
     """Exact P(L / (n·S) >= threshold) for Multinomial(n, p) counts under a
     uniform ``p``, scored as the Monte Carlo chunks score them.  With counts
     taken as i.i.d. Poisson(n/S) conditioned on their total n (Keich and
     Nagarajan, JCGS 2006), L = 2(S·A − n·m) when m categories lie above the
     mean n/S and hold A counts between them.  The mass of (m, A) is
-    C(S, m)·a_m(A)·b_{S−m}(n − A) / Poisson(n; n), where a_m and b_j are
-    m- and j-fold convolutions of the Poisson weights above and at or below
-    the mean.  ``MAX_EXACT_WORK`` caps S·(n+1)², the size of those
-    convolutions."""
+    proportional to C(S, m)·a_m(A)·b_{S−m}(n − A), for a_m and b_j the m-
+    and j-fold convolutions of the Poisson weights above and at or below the
+    mean, each row kept summing to 1 beside its log scale so that nothing
+    underflows at large S.  The tail is its share of the total mass."""
     p = as_simplex(p)
     S = p.size
     if np.any(p != p[0]):
@@ -281,26 +296,23 @@ def exact_tail_small(p, n: int, threshold: float) -> float:
         raise ValidationError("n must be an integer >= 1")
     if not math.isfinite(threshold):
         raise ValidationError("threshold must be finite")
-    work = S * (n + 1) ** 2
+    n = int(n)
+    M = n // (n // S + 1)  # at most M categories lie above the mean
+    work = (M + 2 * S.bit_length()) * (n + 1) ** 2
     if work > MAX_EXACT_WORK:
-        raise CapacityError(f"S·(n+1)² = {work} exceeds the exact oracle's cap")
+        raise CapacityError(f"{work} multiply-adds exceed the exact oracle's cap")
     k = np.arange(n + 1)
     w = _poisson_pmf(k, n / S)
     above, below = np.where(S * k > n, w, 0.0), w[S * k <= n]
-    M = min(S, n)  # each category above the mean holds a count
-    a = [np.where(k == 0, 1.0, 0.0)]  # the 0-fold convolution
-    for _ in range(M):
-        a.append(np.convolve(a[-1], above)[:n + 1])
-    b = deque(a[:1], maxlen=M + 1)  # b_{S−M}, ..., b_S
-    for _ in range(S):
-        b.append(np.convolve(b[-1], below)[:n + 1])
-    m = np.arange(M + 1)[:, None]
-    # C(S, m) overflows a float from S ≈ 1030, and a_m, b_j may underflow
-    with np.errstate(divide="ignore"):
-        log_mass = (gammaln(S + 1) - gammaln(m + 1) - gammaln(S - m + 1)
-                    + np.log(a) + np.log(np.array(b))[::-1, ::-1] - np.log(_poisson_pmf(n, n)))
-    L = 2 * (S * k - n * m)
-    return min(float(np.exp(log_mass[L / (n * S) >= threshold]).sum()), 1.0)
+    a, b = [(np.eye(1, n + 1)[0], 0.0)], [_convolution_power(below, S - M, n)]
+    for m in range(M):  # a_m carries C(S, m) in its scale; b runs from b_{S−M} to b_S
+        a.append(_convolved(a[-1], above, n, math.log((S - m) / (m + 1))))
+        b.append(_convolved(b[-1], below, n))
+    (a, log_a), (b, log_b) = zip(*a), zip(*b[::-1])
+    # row m's scale, C(S, m)·q^m·(1 − q)^(S−m) for q the mass above, is at most 1
+    mass = np.exp(np.add(log_a, log_b))[:, None] * np.array(a) * np.array(b)[:, ::-1]
+    L = 2 * (S * k - n * np.arange(M + 1)[:, None])
+    return min(float(mass[L / (n * S) >= threshold].sum() / mass.sum()), 1.0)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@ import itertools
 import math
 import time
 import tracemalloc
+from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -303,7 +305,7 @@ class TestExactOracle:
             exact_tail_small([0.5, 0.5], 4, bad)
 
     def test_capacity_error(self, monkeypatch):
-        # S·(n+1)² = 2.0e10, refused before any convolution runs
+        # (M + 2·log2 S)·(n+1)² = 2.1e10, refused before any convolution runs
         def convolve(*args):
             raise AssertionError("convolved past the cap")
 
@@ -312,7 +314,7 @@ class TestExactOracle:
             exact_tail_small(np.full(200, 1 / 200), 10**4, 0.1)
 
     def test_headline_agrawal_cell_admitted(self):
-        # S·(n+1)² = 5.0e9; the exceedance of Agrawal's delta = 0.1 threshold
+        # (M + 2·log2 S)·(n+1)² = 6.1e9; the exceedance of Agrawal's delta = 0.1 threshold
         from l1conc.bounds import agrawal_epsilon
 
         got = exact_tail_small(np.full(50, 0.02), 10**4, agrawal_epsilon(10**4, 0.1))
@@ -342,6 +344,25 @@ class TestExactOracle:
         trials = 20_000
         est = estimate_tail_probability(DeviationSource("multinomial", S, n=n), thr, trials, SEED)
         assert abs(est.point - truth) <= dkw_halfwidth(trials, 0.01)
+
+    @pytest.mark.parametrize("S,n", [(20_000, 200), (10**6, 10)])
+    def test_large_S_no_underflow(self, S, n):
+        # Poisson(n/S) weights above the mean are about n/S, so their m-fold
+        # convolutions reach (n/S)^n: 1e-400 at (20000, 200).  Between the
+        # lattice values 2 - 2n/S (all counts <= 1) and 2 - 2(n-1)/S the tail
+        # is the chance that some category holds two counts
+        p = np.full(S, 1 / S)
+        birthday = 1 - math.prod(Fraction(S - i, S) for i in range(n))
+        assert exact_tail_small(p, n, 2 - 2 * (n - 0.5) / S) == pytest.approx(float(birthday), rel=1e-10)
+        assert exact_tail_small(p, n, 0.0) == 1.0
+        assert exact_tail_small(p, n, 1.0) == 1.0  # every outcome has L / (nS) >= 2 - 2n/S
+
+    def test_convolution_power_equals_repeated_convolution(self):
+        kernel, n = np.array([0.5, 0.25, 0.125]), 12
+        for j in (1, 2, 13, 64):
+            row, log_sum = montecarlo._convolution_power(kernel, j, n)
+            want = reduce(np.convolve, [np.eye(1, n + 1)[0]] + [kernel] * j)[:n + 1]
+            assert np.allclose(row * math.exp(log_sum), want, rtol=1e-13, atol=0)
 
 
 class TestQuantileCurve:

@@ -138,6 +138,8 @@ class TestDirichlet:
         # at alpha = (1e-5, 1e-5) most rows would have every gamma underflow to 0
         with pytest.raises(ValidationError, match="sum"):
             sample_dirichlet_batch(alpha, 4, KEY)
+
+    def test_alpha_summing_one_ulp_below_one_accepted(self):
         # n·p at S = 6, n = 1 sums to 1 - 1 ulp, as a Dirichlet source passes it
         x = sample_dirichlet_batch(np.full(6, 1 / 6), 4, KEY)
         assert np.all(x >= 0) and np.allclose(x.sum(axis=1), 1.0, atol=1e-12)
