@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 = ran, all bound checks Consistent; 10 = at least one Violated
-verdict; 1 = usage or config error; 2 = capacity error.
+verdict; 1 = usage or config error; 2 = capacity error (an exact oracle over
+its cap, or an allocation that does not fit in memory).
 """
 
 import argparse
@@ -139,7 +140,7 @@ def main(argv=None) -> int:
         if args.command == "report":
             return _reemit(args)
         return _run(args)
-    except CapacityError as exc:
+    except (CapacityError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except (ConfigError, ValidationError, OSError) as exc:

@@ -13,10 +13,10 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import partial
+from statistics import NormalDist
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import __version__
 from .asymptotic import expected_Z
@@ -51,9 +51,6 @@ _BOUND_ALIASES = {
 }
 
 WORKERS_ENV_VAR = "L1CONC_WORKERS"
-
-# a task's rows draw from streams ``task_index << ROW_BITS | row``
-ROW_BITS = 12
 
 
 @dataclass
@@ -247,9 +244,6 @@ def build_task(index: int, raw: dict, errors: list) -> TaskConfig:
     for d in task.deltas:
         if not (0.0 < d <= 1.0):
             errors.append(f"{path}.delta: value {d} outside (0, 1]")
-    for key, values in (("S", task.S_values), ("delta", task.deltas)):
-        if len(values) > 1 << ROW_BITS:
-            errors.append(f"{path}.{key}: a sweep has at most {1 << ROW_BITS} values")
     if task.grid and any(b <= a for a, b in zip(task.grid, task.grid[1:])):
         errors.append(f"{path}.grid: must be strictly ascending")
     if task.trials < 1:
@@ -352,8 +346,8 @@ def _source_for(task: TaskConfig, S: int) -> DeviationSource:
 
 def _task_cells(task: TaskConfig, task_index: int, seed: int) -> list:
     """``(request, rows)`` for every cell of a task: the samples the cell
-    needs, and the function that turns their summary into report rows."""
-    stream_base = task_index << ROW_BITS
+    needs, drawn from stream ``task_index`` at the cell's row, and the
+    function that turns their summary into report rows."""
     S = task.S_values[0]
     if task.kind == "falsify":
         def rows(verdict_of, summary):
@@ -369,7 +363,7 @@ def _task_cells(task: TaskConfig, task_index: int, seed: int) -> list:
         for r, delta in enumerate(task.deltas):
             request, verdict_of = falsify_cell(
                 BoundSpec(family=task.bound, n=task.n, S=S, delta=delta), task.trials,
-                family=task.family, ci_level=task.ci_level, stream=stream_base | r)
+                family=task.family, ci_level=task.ci_level, stream=task_index, row=r)
             cells.append((request, partial(rows, verdict_of)))
         return cells
     if task.kind == "tail":
@@ -380,7 +374,7 @@ def _task_cells(task: TaskConfig, task_index: int, seed: int) -> list:
                 out.append(_row(task, seed, S=S, threshold=threshold,
                                 point=est.point, ci_low=est.ci_low, ci_high=est.ci_high))
             return out
-        request = SampleRequest(_source_for(task, S), task.trials, stream_base,
+        request = SampleRequest(_source_for(task, S), task.trials, task_index,
                                 thresholds=tuple(task.thresholds))
         return [(request, rows)]
     if task.kind == "quantiles":
@@ -389,18 +383,18 @@ def _task_cells(task: TaskConfig, task_index: int, seed: int) -> list:
             return [_row(task, seed, S=S, threshold=g, point=cdf,
                          ci_low=max(0.0, cdf - half), ci_high=min(1.0, cdf + half))
                     for g, cdf in zip(task.grid, (summary.at_most / task.trials).tolist())]
-        request = SampleRequest(_source_for(task, S), task.trials, stream_base,
+        request = SampleRequest(_source_for(task, S), task.trials, task_index,
                                 grid=tuple(task.grid))
         return [(request, rows)]
     if task.kind == "asymptotic-mean":
-        z_crit = float(ndtri(0.5 + task.ci_level / 2.0))
+        z_crit = NormalDist().inv_cdf(0.5 + task.ci_level / 2.0)
 
         def rows(S, summary):
             mean = float(summary.mean)
             se = math.sqrt(summary.variance) / math.sqrt(task.trials)
             return [_row(task, seed, S=S, epsilon=task.D * expected_Z(S),
                          point=mean, ci_low=mean - z_crit * se, ci_high=mean + z_crit * se)]
-        return [(SampleRequest(_source_for(task, S), task.trials, stream_base | r),
+        return [(SampleRequest(_source_for(task, S), task.trials, task_index, row=r),
                  partial(rows, S)) for r, S in enumerate(task.S_values)]
     raise ConfigError(f"unknown task kind {task.kind!r}")  # pragma: no cover
 

@@ -1,10 +1,12 @@
 """Monte Carlo engine: tail and quantile estimation with exact confidence
 intervals, a small-instance exact oracle, and bound falsification.
 
-Trials are drawn in fixed-size chunks, each chunk from its own Philox stream
-derived from ``(master_seed, stream, chunk_index)``.  Estimators reduce each
-chunk to exceedance counts, at-most counts and moments where it is drawn, so
-memory does not grow with ``trials``.  ``summarize_many`` schedules the chunks
+Trials are drawn in fixed-size chunks.  Chunk ``chunk`` of a request draws
+from the Philox counter segment ``StreamKey(master_seed, stream, row,
+chunk)``, disjoint from every other chunk, row and stream of the master seed
+however many of each there are.  Estimators reduce each chunk to exceedance
+counts, at-most counts and moments where it is drawn, so memory does not
+grow with ``trials``.  ``summarize_many`` schedules the chunks
 of many sample requests (every cell of an experiment) together, on at most one
 process pool, which it shuts down before returning.  Chunk boundaries do not
 depend on the worker count, and chunk results are merged in index order, so
@@ -69,6 +71,8 @@ class DeviationSource:
         if self.family != "limit":
             if not isinstance(self.n, numbers.Integral) or self.n < 1:
                 raise ValidationError("finite-n sources require an integer n >= 1")
+            if 2 * self.S * self.n >= 2**63:  # every |S·c_i - n| and their sum fit in int64
+                raise ValidationError("finite-n sources require 2·S·n < 2^63")
             if self.D != 1.0:
                 raise ValidationError("D applies to the limit family only")
         elif self.n is not None:
@@ -80,25 +84,21 @@ class DeviationSource:
 
 
 class SampleRequest(NamedTuple):
-    """``trials`` deviation samples of ``source`` drawn from Philox stream
-    ``stream``, summarized at ``thresholds`` (counts of samples >= t) and on
-    ``grid`` (counts of samples <= g)."""
+    """``trials`` deviation samples of ``source`` drawn from the Philox
+    segments of ``(stream, row)``, summarized at ``thresholds`` (counts of
+    samples >= t) and on ``grid`` (counts of samples <= g)."""
 
     source: DeviationSource
     trials: int
     stream: int = 0
     thresholds: tuple = ()
     grid: tuple = ()
-
-
-def _stream_index(stream: int, chunk: int) -> int:
-    # pack (stream, chunk) into the 64-bit stream half of the Philox key
-    return (stream << 32) | chunk
+    row: int = 0
 
 
 def _draw_chunk(request: SampleRequest, master_seed: int, chunk: int, count: int) -> np.ndarray:
     source = request.source
-    key = StreamKey(master_seed, _stream_index(request.stream, chunk))
+    key = StreamKey(master_seed, request.stream, request.row, chunk)
     if source.family == "limit":
         out = sample_Z_batch(source.S, source.D, count, key)
     else:
@@ -383,7 +383,7 @@ def classify_verdict(estimate: TailEstimate, claimed_delta: float) -> str:
 
 
 def falsify_cell(spec: BoundSpec, trials: int, *, family: str = "multinomial",
-                 ci_level: float = 0.95, stream: int = 0):
+                 ci_level: float = 0.95, stream: int = 0, row: int = 0):
     """The request that counts exceedances of the bound's own threshold under
     uniform p, and the function classifying the claim from its summary."""
     if trials < 100:
@@ -400,7 +400,7 @@ def falsify_cell(spec: BoundSpec, trials: int, *, family: str = "multinomial",
         return Verdict(evaluation=evaluation, estimate=estimate,
                        outcome=classify_verdict(estimate, spec.delta))
 
-    return SampleRequest(source, trials, stream, thresholds=(evaluation.epsilon,)), verdict
+    return SampleRequest(source, trials, stream, (evaluation.epsilon,), row=row), verdict
 
 
 def falsify_bound(spec: BoundSpec, trials: int, master_seed: int, *,

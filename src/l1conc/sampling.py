@@ -1,8 +1,8 @@
 """Seedable batch samplers for multinomial counts and Dirichlet vectors.
 
-All randomness flows through counter-based Philox streams keyed by a
-:class:`StreamKey`, so any draw is reproducible from ``(master_seed,
-stream_index)`` alone, independently of scheduling or worker count.
+All randomness comes from disjoint counter segments of one Philox stream per
+master seed, each named by a :class:`StreamKey`, so any draw is reproducible
+from its key alone, independently of scheduling or worker count.
 """
 
 import numbers
@@ -15,8 +15,6 @@ from .errors import ValidationError
 # Absolute tolerance on the simplex sum; leaves double-precision headroom
 # for dimensions up to ~1e6.
 SIMPLEX_SUM_TOL = 1e-12
-
-_UINT64_MASK = (1 << 64) - 1
 
 
 def as_simplex(p) -> np.ndarray:
@@ -36,24 +34,29 @@ def as_simplex(p) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StreamKey:
-    """Deterministic handle for one Philox random stream.
+    """Deterministic handle for one segment of a master seed's Philox stream.
 
-    Distinct ``stream_index`` values under the same master seed yield
-    statistically independent streams (the pair forms the 128-bit Philox key).
+    The key is ``(master_seed, 0)``; ``(stream, row, chunk)`` fill the three
+    high 64-bit words of the 256-bit counter, and numpy advances it from the
+    low word, so distinct handles own disjoint stretches of 2^64 blocks
+    (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
     """
 
     master_seed: int
-    stream_index: int = 0
+    stream: int = 0
+    row: int = 0
+    chunk: int = 0
 
     def __post_init__(self):
-        for name in ("master_seed", "stream_index"):
+        for name in ("master_seed", "stream", "row", "chunk"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and 0 <= value <= _UINT64_MASK):
+            if not (isinstance(value, numbers.Integral) and 0 <= value < 2**64):
                 raise ValidationError(f"{name} must be an integer that fits in 64 unsigned bits")
 
     def generator(self) -> np.random.Generator:
-        key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        counter = np.array([0, self.stream, self.row, self.chunk], dtype=np.uint64)
+        key = np.array([self.master_seed, 0], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
 def _multinomial_chain(rng: np.random.Generator, p: np.ndarray, n: int, size: int) -> np.ndarray:

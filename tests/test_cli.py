@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from l1conc.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATED, main
+from l1conc.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USAGE, EXIT_VIOLATED, main
 from l1conc.experiment import CSV_COLUMNS
 
 
@@ -255,6 +255,18 @@ class TestUsageErrors:
     def test_workers_env_below_one_rejected(self, capsys, monkeypatch):
         monkeypatch.setenv("L1CONC_WORKERS", "0")
         self.assert_usage_error(capsys, list(TAIL), "L1CONC_WORKERS")
+
+    def test_n_beyond_int64_lattice_rejected(self, capsys):
+        self.assert_usage_error(capsys, ["tail", "--seed", "1", "--S", "3", "--n", str(10**21),
+                                         "--threshold", "0.5", "--trials", "10"], "2·S·n")
+
+
+def test_oversized_grid_is_capacity_error(capsys):
+    # 8·10^18 bytes exceed any address space, so the allocation fails at once
+    code, out, err = run_cli(capsys, "quantiles", "--seed", "1", "--family", "limit", "--S", "5",
+                             "--grid", f"0:1:{10**18}", "--trials", "10")
+    assert (code, out) == (EXIT_CAPACITY, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 # Importing scipy.stats costs about a second per process and per spawned

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import multiprocessing
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -79,16 +80,19 @@ class TestParseConfig:
         msg = str(exc.value)
         assert "task[0].S" in msg and "task[0].delta" in msg
 
-    def test_sweep_longer_than_stream_rows_rejected(self):
-        # a task owns 4096 streams; row 4096 would reuse the next task's row 0
-        deltas = ",".join(["0.05"] * 4097)
-        with pytest.raises(ConfigError, match=r"task\[0\]\.delta"):
-            parse_config(MINIMAL_FALSIFY.replace("delta = 0.05", f"delta = {deltas}"))
+    def test_sweep_longer_than_4096_values_runs(self):
+        # rows have their own counter word: task 0's row 4096 no longer
+        # draws the stream of task 1's row 0, so sweeps need no length cap
         S = ",".join(["5"] * 4097)
-        with pytest.raises(ConfigError, match=r"task\[0\]\.S"):
-            parse_config(f"master_seed = 1\n[task]\nkind = asymptotic-mean\nS = {S}\n")
-        assert len(parse_config(f"master_seed = 1\n[task]\nkind = asymptotic-mean\n"
-                                f"S = {S[2:]}\n").tasks[0].S_values) == 4096
+        rows = run_experiment(parse_config(
+            f"master_seed = 1\n[task]\nkind = asymptotic-mean\nS = {S}\ntrials = 2\n"
+            "[task]\nkind = asymptotic-mean\nS = 5\ntrials = 2\n")).rows
+        assert [row["task_id"] for row in rows[4095:]] == ["task0", "task0", "task1"]
+        assert rows[4096]["point"] != rows[4097]["point"]
+        deltas = ",".join(["0.05"] * 4097)
+        config = parse_config(f"master_seed = 1\n[task]\nkind = falsify\nbound = agrawal\n"
+                              f"S = 2\nn = 10\ndelta = {deltas}\ntrials = 100\n")
+        assert len(run_experiment(config).rows) == 4097
 
     @pytest.mark.parametrize("task,key", [
         ("kind = tail\nS = 3\nn = 50\nthreshold = 0.2\nD = 2", "D"),
@@ -188,7 +192,10 @@ class TestRunExperiment:
         t = request.trials
         summary = montecarlo.SampleSummary(np.zeros(0), np.zeros(0), t, 0.0, float(t * (t - 1)))
         [row] = rows(summary)
-        assert row["ci_high"] == norm.ppf(0.5 + task.ci_level / 2.0)
+        # the standard library's quantile, within an ulp or two of SciPy's
+        z = NormalDist().inv_cdf(0.5 + task.ci_level / 2.0)
+        assert row["ci_high"] == z == pytest.approx(norm.ppf(0.5 + task.ci_level / 2.0),
+                                                    rel=1e-15)
 
 
 class TestEmitReport:

@@ -103,6 +103,13 @@ class TestDeviationSource:
         # n sets the finite-n sample size; the limit law would ignore it
         with pytest.raises(ValidationError, match="n applies to finite-n families"):
             DeviationSource("limit", 5, n=10)
+        # L = sum |S·c_i - n| is summed in int64, so 2·S·n must stay below 2^63
+        for family in ("multinomial", "dirichlet"):
+            with pytest.raises(ValidationError, match="2·S·n < 2"):
+                DeviationSource(family, 3, n=10**21)
+            with pytest.raises(ValidationError, match="2·S·n < 2"):
+                DeviationSource(family, 4, n=2**60)
+            DeviationSource(family, 4, n=2**60 - 1)
         # a negative scale would flip every sample and count the wrong tail
         for scale in (-1.0, 0.0):
             with pytest.raises(ValidationError, match="scale must be > 0"):

@@ -167,7 +167,8 @@ def test_report_reemit_byte_identical(seed, tasks, rows, fmt):
         assert out.read_bytes() == emit_report(report, fmt)
 
 
-keys = st.builds(StreamKey, st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
+words = st.integers(0, 2**64 - 1)
+keys = st.builds(StreamKey, words, words, words, words)
 
 
 @settings(max_examples=100, deadline=None)
@@ -203,7 +204,8 @@ sources = st.one_of(
 )
 levels = st.lists(st.floats(0.0, 3.0), max_size=4)
 requests = st.builds(SampleRequest, sources, st.integers(1, 5 * SCHEDULER_CHUNK),
-                     st.integers(0, 1000), levels.map(tuple), levels.map(sorted).map(tuple))
+                     st.integers(0, 1000), levels.map(tuple), levels.map(sorted).map(tuple),
+                     row=st.integers(0, 1000))
 
 
 @settings(max_examples=40, deadline=None)

@@ -170,6 +170,28 @@ class TestStreamKey:
             StreamKey(-1, 0)
         with pytest.raises(ValidationError):
             StreamKey(0, 2**64)
+        with pytest.raises(ValidationError, match="row"):
+            StreamKey(0, 0, -1)
+        with pytest.raises(ValidationError, match="chunk"):
+            StreamKey(0, 0, 0, 2**64)
+
+    def test_handles_are_counter_segments_of_one_keyed_stream(self):
+        state = StreamKey(SEED, 7, 3, 2).generator().bit_generator.state["state"]
+        assert state["key"].tolist() == [SEED, 0]
+        assert state["counter"].tolist() == [0, 7, 3, 2]
+        # the same draws as the master seed's stream advanced to that segment
+        whole = np.random.Philox(key=SEED)
+        whole.advance(7 * 2**64 + 3 * 2**128 + 2 * 2**192)
+        assert np.array_equal(np.random.Generator(whole).standard_normal(5),
+                              StreamKey(SEED, 7, 3, 2).generator().standard_normal(5))
+
+    def test_adjacent_handles_share_no_raw_value(self):
+        def raw(stream, row, chunk):
+            gen = StreamKey(SEED, stream, row, chunk).generator()
+            return gen.bit_generator.random_raw(10**5)
+        base = raw(5, 5, 5)
+        for neighbour in ((5, 5, 6), (5, 6, 5), (6, 5, 5)):
+            assert np.intersect1d(base, raw(*neighbour)).size == 0
 
     def test_non_integral_rejected(self):
         # int(1.5) would key the same stream as StreamKey(1)
