@@ -347,25 +347,28 @@ def _source_for(task: TaskConfig, S: int) -> DeviationSource:
 def _task_cells(task: TaskConfig, task_index: int, seed: int) -> list:
     """``(request, rows)`` for every cell of a task: the samples the cell
     needs, drawn from stream ``task_index`` at the cell's row, and the
-    function that turns their summary into report rows."""
+    function that turns their summary into report rows.  A tail, quantiles or
+    falsify task is one cell at row 0: its thresholds, grid points or deltas
+    are all counted on that one sample.  Only an asymptotic-mean S sweep
+    needs a sample per S, from row r for the r-th S."""
     S = task.S_values[0]
     if task.kind == "falsify":
-        def rows(verdict_of, summary):
-            verdict = verdict_of(summary)
-            est, spec = verdict.estimate, verdict.evaluation.spec
-            return [_row(
-                task, seed, family=spec.family.value, S=S, delta=spec.delta,
-                threshold=est.threshold, epsilon=verdict.evaluation.epsilon,
-                point=est.point, ci_low=est.ci_low, ci_high=est.ci_high,
-                outcome=verdict.outcome,
-            )]
-        cells = []
-        for r, delta in enumerate(task.deltas):
-            request, verdict_of = falsify_cell(
-                BoundSpec(family=task.bound, n=task.n, S=S, delta=delta), task.trials,
-                family=task.family, ci_level=task.ci_level, stream=task_index, row=r)
-            cells.append((request, partial(rows, verdict_of)))
-        return cells
+        specs = [BoundSpec(family=task.bound, n=task.n, S=S, delta=delta)
+                 for delta in task.deltas]
+        request, verdicts_of = falsify_cell(specs, task.trials, family=task.family,
+                                            ci_level=task.ci_level, stream=task_index)
+
+        def rows(summary):
+            out = []
+            for verdict in verdicts_of(summary):
+                est, evaluation = verdict.estimate, verdict.evaluation
+                out.append(_row(task, seed, family=evaluation.spec.family.value, S=S,
+                                delta=evaluation.spec.delta, threshold=est.threshold,
+                                epsilon=evaluation.epsilon, point=est.point,
+                                ci_low=est.ci_low, ci_high=est.ci_high,
+                                outcome=verdict.outcome))
+            return out
+        return [(request, rows)]
     if task.kind == "tail":
         def rows(summary):
             out = []

@@ -6,11 +6,15 @@ from the Philox counter segment ``StreamKey(master_seed, stream, row,
 chunk)``, disjoint from every other chunk, row and stream of the master seed
 however many of each there are.  Estimators reduce each chunk to exceedance
 counts, at-most counts and moments where it is drawn, so memory does not
-grow with ``trials``.  ``summarize_many`` schedules the chunks
-of many sample requests (every cell of an experiment) together, on at most one
-process pool, which it shuts down before returning.  Chunk boundaries do not
-depend on the worker count, and chunk results are merged in index order, so
-every estimate is bit-identical whether it ran on 1 worker or 64.
+grow with ``trials``.  A request is one sample: every threshold and grid
+point it names is counted on the same draws, so a tail task's thresholds and
+a falsify task's deltas (``falsify_cell``) share one sample, and only rows
+that need a different law (another S) need another request.
+``summarize_many`` schedules the chunks of many sample requests (every cell
+of an experiment) together, on at most one process pool, which it shuts down
+before returning.  Chunk boundaries do not depend on the worker count, and
+chunk results are merged in index order, so every estimate is bit-identical
+whether it ran on 1 worker or 64.
 
 Multinomial counts c are scored on the integer lattice: under uniform p the
 l1 deviation is L / (n·S) with L = sum |S·c_i - n|, summed in int64 and
@@ -118,8 +122,9 @@ def _map_requests(fn, requests: list, master_seed: int, workers: int) -> list[li
     request, grouped by request in chunk order.  The chunks of all requests
     form one job list, mapped on at most one process pool, which is shut down
     (its workers joined) before this returns."""
-    if any(request.trials < 1 for request in requests):
-        raise ValidationError("trials must be >= 1")
+    if not all(isinstance(request.trials, numbers.Integral) and request.trials >= 1
+               for request in requests):
+        raise ValidationError("trials must be an integer >= 1")
     if not all(np.isfinite(np.asarray(values, dtype=float)).all()
                for request in requests for values in (request.thresholds, request.grid)):
         raise ValidationError("thresholds and grid points must be finite")
@@ -382,25 +387,34 @@ def classify_verdict(estimate: TailEstimate, claimed_delta: float) -> str:
     return INCONCLUSIVE
 
 
-def falsify_cell(spec: BoundSpec, trials: int, *, family: str = "multinomial",
-                 ci_level: float = 0.95, stream: int = 0, row: int = 0):
-    """The request that counts exceedances of the bound's own threshold under
-    uniform p, and the function classifying the claim from its summary."""
+def falsify_cell(specs: list[BoundSpec], trials: int, *, family: str = "multinomial",
+                 ci_level: float = 0.95, stream: int = 0):
+    """The request that counts, on one sample under uniform p, exceedances of
+    each spec's own threshold, and the function classifying every claim from
+    its summary, one ``Verdict`` per spec in spec order.  The specs share
+    their bound family, S and n, so they differ only in delta and epsilon;
+    each verdict keeps its own Clopper-Pearson level, and their exceedance
+    counts are non-increasing in epsilon."""
     if trials < 100:
         raise ValidationError("falsification requires trials >= 100")
     _check_level(ci_level, "ci_level")
     if family not in ("multinomial", "dirichlet"):
         raise ValidationError(f"unsupported distribution family {family!r}")
-    evaluation = evaluate_bound(spec)
-    source = DeviationSource(family=family, S=spec.S, n=spec.n)
+    if len({(spec.family, spec.S, spec.n) for spec in specs}) != 1:
+        raise ValidationError("a falsify cell needs one or more specs sharing bound, S and n")
+    evaluations = [evaluate_bound(spec) for spec in specs]
+    source = DeviationSource(family=family, S=specs[0].S, n=specs[0].n)
 
-    def verdict(summary: SampleSummary) -> Verdict:
-        estimate = tail_estimate_from_count(evaluation.epsilon, int(summary.at_least[0]),
-                                            trials, ci_level)
-        return Verdict(evaluation=evaluation, estimate=estimate,
-                       outcome=classify_verdict(estimate, spec.delta))
+    def verdicts(summary: SampleSummary) -> list[Verdict]:
+        out = []
+        for evaluation, k in zip(evaluations, summary.at_least):
+            estimate = tail_estimate_from_count(evaluation.epsilon, int(k), trials, ci_level)
+            out.append(Verdict(evaluation=evaluation, estimate=estimate,
+                               outcome=classify_verdict(estimate, evaluation.spec.delta)))
+        return out
 
-    return SampleRequest(source, trials, stream, (evaluation.epsilon,), row=row), verdict
+    thresholds = tuple(evaluation.epsilon for evaluation in evaluations)
+    return SampleRequest(source, trials, stream, thresholds), verdicts
 
 
 def falsify_bound(spec: BoundSpec, trials: int, master_seed: int, *,
@@ -408,7 +422,8 @@ def falsify_bound(spec: BoundSpec, trials: int, master_seed: int, *,
                   stream: int = 0, workers: int = 1) -> Verdict:
     """Estimate the exceedance probability at the bound's own threshold (uniform
     p) and classify the claim as Violated / Consistent / Inconclusive."""
-    request, verdict = falsify_cell(spec, trials, family=family, ci_level=ci_level,
-                                    stream=stream)
+    request, verdicts = falsify_cell([spec], trials, family=family, ci_level=ci_level,
+                                     stream=stream)
     [summary] = summarize_many([request], master_seed, workers)
-    return verdict(summary)
+    [verdict] = verdicts(summary)
+    return verdict

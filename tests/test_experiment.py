@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from l1conc import montecarlo
+from l1conc import experiment, montecarlo
+from l1conc.bounds import BoundSpec
 from l1conc.errors import ConfigError
 from l1conc.experiment import (
     CSV_COLUMNS,
@@ -21,6 +22,7 @@ from l1conc.experiment import (
     report_from_dict,
     run_experiment,
 )
+from l1conc.montecarlo import falsify_bound
 
 MINIMAL_FALSIFY = """
 master_seed = 7
@@ -144,7 +146,7 @@ class TestRunExperiment:
         assert row["epsilon"] == pytest.approx(0.0244774, abs=1e-6)
 
     def test_worker_count_invariance(self, monkeypatch):
-        # every task kind; 8 chunks in all, so workers > 1 uses a pool
+        # every task kind; 7 chunks in all, so workers > 1 uses a pool
         text = (
             "master_seed = 11\n"
             "[task]\nkind = falsify\nbound = weissman-union\nS = 5\nn = 100\n"
@@ -196,6 +198,48 @@ class TestRunExperiment:
         z = NormalDist().inv_cdf(0.5 + task.ci_level / 2.0)
         assert row["ci_high"] == z == pytest.approx(norm.ppf(0.5 + task.ci_level / 2.0),
                                                     rel=1e-15)
+
+
+class TestFalsifySweep:
+    # a 3-delta falsify task behind a tail task, so it draws from stream 1
+    TEXT = ("master_seed = 13\n"
+            "[task]\nkind = tail\nS = 3\nn = 12\nthreshold = 0.25\ntrials = 200\n"
+            "[task]\nkind = falsify\nbound = agrawal\nS = 3\nn = 100\n"
+            "delta = 0.9,0.5,0.1\ntrials = 3000\n")
+
+    def test_one_request_per_task(self, monkeypatch):
+        seen = []
+
+        def counting(requests, master_seed, workers=1):
+            seen.append(list(requests))
+            return montecarlo.summarize_many(seen[-1], master_seed, workers)
+
+        monkeypatch.setattr(experiment, "summarize_many", counting)
+        run_experiment(parse_config(self.TEXT))
+        [requests] = seen
+        [falsify] = [request for request in requests if request.stream == 1]
+        assert len(falsify.thresholds) == 3 and falsify.row == 0
+
+    def test_counts_non_increasing_in_epsilon(self):
+        rows = [row for row in run_experiment(parse_config(self.TEXT)).rows
+                if row["kind"] == "falsify"]
+        assert [row["delta"] for row in rows] == [0.9, 0.5, 0.1]
+        ranked = sorted(rows, key=lambda row: row["epsilon"])
+        counts = [round(row["point"] * row["trials"]) for row in ranked]
+        assert counts == sorted(counts, reverse=True)
+        assert counts[0] > counts[-1] > 0  # the epsilons really separate the counts
+
+    def test_rows_equal_single_spec_falsification(self):
+        cfg = parse_config(self.TEXT)
+        task = cfg.tasks[1]
+        rows = [row for row in run_experiment(cfg).rows if row["kind"] == "falsify"]
+        for row, delta in zip(rows, task.deltas, strict=True):
+            spec = BoundSpec(task.bound, task.n, task.S_values[0], delta)
+            verdict = falsify_bound(spec, task.trials, cfg.master_seed, stream=1)
+            est = verdict.estimate
+            assert (row["epsilon"], row["point"], row["ci_low"], row["ci_high"],
+                    row["outcome"]) == (verdict.evaluation.epsilon, est.point, est.ci_low,
+                                        est.ci_high, verdict.outcome)
 
 
 class TestEmitReport:
