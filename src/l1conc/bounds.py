@@ -4,6 +4,7 @@ families from the literature: Weissman (union and exact-cover forms), Devroye
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -30,10 +31,10 @@ class BoundSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", BoundFamily(self.family))
-        if self.n < 1:
-            raise ValidationError("n must be >= 1")
-        if self.S < 2:
-            raise ValidationError("S must be >= 2")
+        if not (isinstance(self.n, numbers.Integral) and self.n >= 1):
+            raise ValidationError("n must be an integer >= 1")
+        if not (isinstance(self.S, numbers.Integral) and self.S >= 2):
+            raise ValidationError("S must be an integer >= 2")
         if not (0.0 < self.delta <= 1.0):
             raise ValidationError("delta must lie in (0, 1]")
 

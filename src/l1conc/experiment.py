@@ -11,7 +11,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from statistics import NormalDist
 from typing import Callable, NamedTuple
@@ -349,8 +349,10 @@ def _task_cells(task: TaskConfig, task_index: int, seed: int) -> list:
     needs, drawn from stream ``task_index`` at the cell's row, and the
     function that turns their summary into report rows.  A tail, quantiles or
     falsify task is one cell at row 0: its thresholds, grid points or deltas
-    are all counted on that one sample.  Only an asymptotic-mean S sweep
-    needs a sample per S, from row r for the r-th S."""
+    are all counted on that one sample.  An asymptotic-mean S sweep has a
+    cell per S, at row r for the r-th S.  A cell whose source and trials
+    count repeat an earlier cell's reads that cell's sample instead (see
+    ``run_experiment``)."""
     S = task.S_values[0]
     if task.kind == "falsify":
         specs = [BoundSpec(family=task.bound, n=task.n, S=S, delta=delta)
@@ -405,19 +407,38 @@ def _task_cells(task: TaskConfig, task_index: int, seed: int) -> list:
 def run_experiment(config: ExperimentConfig) -> Report:
     """Execute every task and aggregate results into a Report.
 
-    The samples of every cell of every task are summarized in one
-    ``summarize_many`` call, so a run starts at most one process pool.  The
-    report content depends only on the config and master seed, never on the
-    worker count or scheduling.
+    Cells with the same source and trials count are one law, so they read
+    one sample: the request of the first such cell in config order, with
+    the thresholds and grid points of every such cell appended, and each
+    cell reads its own slice of the counts.  The samples of every law are
+    summarized in one ``summarize_many`` call, so a run starts at most one
+    process pool.  The report content depends only on the config and master
+    seed, never on the worker count or scheduling.
     """
     workers = resolve_workers(config)
     cells = [cell for i, task in enumerate(config.tasks)
              for cell in _task_cells(task, i, config.master_seed)]
-    summaries = summarize_many([request for request, _ in cells], config.master_seed, workers)
+    laws, views = {}, []  # law -> its shared request; (law, slices, rows) per cell
+    for request, rows in cells:
+        law = (request.source, request.trials)
+        shared = laws.setdefault(law, request._replace(thresholds=(), grid=()))
+        t, g = len(shared.thresholds), len(shared.grid)
+        views.append((law, slice(t, t + len(request.thresholds)),
+                      slice(g, g + len(request.grid)), rows))
+        laws[law] = shared._replace(thresholds=shared.thresholds + request.thresholds,
+                                    grid=shared.grid + request.grid)
+    summaries = dict(zip(laws, summarize_many(laws.values(), config.master_seed, workers)))
+
+    def view(law, at_least, at_most):
+        summary = summaries[law]
+        return replace(summary, at_least=summary.at_least[at_least],
+                       at_most=summary.at_most[at_most])
+
     return Report(
         master_seed=config.master_seed,
         tasks=[t.echo() for t in config.tasks],
-        rows=[row for (_, rows), summary in zip(cells, summaries) for row in rows(summary)],
+        rows=[row for law, at_least, at_most, rows in views
+              for row in rows(view(law, at_least, at_most))],
     )
 
 

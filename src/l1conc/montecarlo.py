@@ -9,8 +9,10 @@ counts, at-most counts and moments where it is drawn, so memory does not
 grow with ``trials``.  A request is one sample: every threshold and grid
 point it names is counted on the same draws, so a tail task's thresholds and
 a falsify task's deltas (``falsify_cell``) share one sample, and only rows
-that need a different law (another S) need another request.
-``summarize_many`` schedules the chunks of many sample requests (every cell
+that need a different law need another request: the experiment runner
+sends one request per law, so tasks of one source and trials count share
+it too.
+``summarize_many`` schedules the chunks of many sample requests (every law
 of an experiment) together, on at most one process pool, which it shuts down
 before returning.  Chunk boundaries do not depend on the worker count, and
 chunk results are merged in index order, so every estimate is bit-identical
@@ -125,6 +127,8 @@ def _map_requests(fn, requests: list, master_seed: int, workers: int) -> list[li
     if not all(isinstance(request.trials, numbers.Integral) and request.trials >= 1
                for request in requests):
         raise ValidationError("trials must be an integer >= 1")
+    if not (isinstance(workers, numbers.Integral) and workers >= 1):
+        raise ValidationError("workers must be an integer >= 1")
     if not all(np.isfinite(np.asarray(values, dtype=float)).all()
                for request in requests for values in (request.thresholds, request.grid)):
         raise ValidationError("thresholds and grid points must be finite")

@@ -127,6 +127,17 @@ class TestBoundSpecEvaluation:
         with pytest.raises(ValidationError):
             BoundSpec(BoundFamily.AGRAWAL, 10, 2, 1.5)
 
+    @pytest.mark.parametrize("n,S", [(100, float("inf")), (100, 5.0), (2.5, 100),
+                                     (100.0, 5), ("100", 5), (100, "5")])
+    def test_non_integer_n_and_S_rejected(self, n, S):
+        with pytest.raises(ValidationError, match="integer"):
+            BoundSpec(BoundFamily.AGRAWAL, n, S, 0.1)
+
+    def test_numpy_integers_accepted(self):
+        spec = BoundSpec(BoundFamily.WEISSMAN_UNION, np.int64(100), np.int32(5), 0.1)
+        assert evaluate_bound(spec).epsilon == evaluate_bound(
+            BoundSpec(BoundFamily.WEISSMAN_UNION, 100, 5, 0.1)).epsilon
+
     def test_family_coercion_from_string(self):
         spec = BoundSpec("Agrawal", 100, 5, 0.1)
         assert spec.family is BoundFamily.AGRAWAL

@@ -83,14 +83,14 @@ class TestParseConfig:
         assert "task[0].S" in msg and "task[0].delta" in msg
 
     def test_sweep_longer_than_4096_values_runs(self):
-        # rows have their own counter word: task 0's row 4096 no longer
-        # draws the stream of task 1's row 0, so sweeps need no length cap
+        # sweeps have no length cap, and their rows come in order; every cell
+        # here is one law, so all read the sample of task 0's first S
         S = ",".join(["5"] * 4097)
         rows = run_experiment(parse_config(
             f"master_seed = 1\n[task]\nkind = asymptotic-mean\nS = {S}\ntrials = 2\n"
             "[task]\nkind = asymptotic-mean\nS = 5\ntrials = 2\n")).rows
         assert [row["task_id"] for row in rows[4095:]] == ["task0", "task0", "task1"]
-        assert rows[4096]["point"] != rows[4097]["point"]
+        assert rows[4096]["point"] == rows[4097]["point"] == rows[0]["point"]
         deltas = ",".join(["0.05"] * 4097)
         config = parse_config(f"master_seed = 1\n[task]\nkind = falsify\nbound = agrawal\n"
                               f"S = 2\nn = 10\ndelta = {deltas}\ntrials = 100\n")
@@ -200,6 +200,20 @@ class TestRunExperiment:
                                                     rel=1e-15)
 
 
+def _requests_seen(monkeypatch, text):
+    # the requests of the run's one summarize_many call, and its report
+    seen = []
+
+    def counting(requests, master_seed, workers=1):
+        seen.append(list(requests))
+        return montecarlo.summarize_many(seen[-1], master_seed, workers)
+
+    monkeypatch.setattr(experiment, "summarize_many", counting)
+    report = run_experiment(parse_config(text))
+    [requests] = seen
+    return requests, report
+
+
 class TestFalsifySweep:
     # a 3-delta falsify task behind a tail task, so it draws from stream 1
     TEXT = ("master_seed = 13\n"
@@ -208,15 +222,7 @@ class TestFalsifySweep:
             "delta = 0.9,0.5,0.1\ntrials = 3000\n")
 
     def test_one_request_per_task(self, monkeypatch):
-        seen = []
-
-        def counting(requests, master_seed, workers=1):
-            seen.append(list(requests))
-            return montecarlo.summarize_many(seen[-1], master_seed, workers)
-
-        monkeypatch.setattr(experiment, "summarize_many", counting)
-        run_experiment(parse_config(self.TEXT))
-        [requests] = seen
+        requests, _ = _requests_seen(monkeypatch, self.TEXT)
         [falsify] = [request for request in requests if request.stream == 1]
         assert len(falsify.thresholds) == 3 and falsify.row == 0
 
@@ -240,6 +246,76 @@ class TestFalsifySweep:
             assert (row["epsilon"], row["point"], row["ci_low"], row["ci_high"],
                     row["outcome"]) == (verdict.evaluation.epsilon, est.point, est.ci_low,
                                         est.ci_high, verdict.outcome)
+
+
+class TestSharedLaw:
+    # four tasks of one law (multinomial, S = 5, n = 100, 20000 trials, two
+    # chunks): two falsify bounds, a tail and a quantiles task
+    FIRST = ("[task]\nkind = falsify\nbound = weissman-exact\nS = 5\nn = 100\n"
+             "delta = 0.9,0.5\ntrials = 20000\n")
+    TEXT = ("master_seed = 19\n" + FIRST
+            + "[task]\nkind = falsify\nbound = agrawal\nS = 5\nn = 100\n"
+            "delta = 0.9,0.5,0.1\ntrials = 20000\n"
+            "[task]\nkind = tail\nS = 5\nn = 100\nthreshold = 0.15,0.3\ntrials = 20000\n"
+            "[task]\nkind = quantiles\nS = 5\nn = 100\ngrid = 0.1,0.2\ntrials = 20000\n")
+
+    def test_tasks_of_one_law_send_one_request(self, monkeypatch):
+        [request], report = _requests_seen(monkeypatch, self.TEXT)
+        assert (request.stream, request.row) == (0, 0)
+        epsilons = [row["epsilon"] for row in report.rows if row["kind"] == "falsify"]
+        assert request.thresholds == (*epsilons, 0.15, 0.3)
+        assert request.grid == (0.1, 0.2)
+
+    def test_first_task_rows_unchanged(self):
+        alone = run_experiment(parse_config("master_seed = 19\n" + self.FIRST)).rows
+        assert run_experiment(parse_config(self.TEXT)).rows[:2] == alone
+
+    def test_later_tasks_read_the_first_task_stream(self):
+        cfg = parse_config(self.TEXT)
+        rows = run_experiment(cfg).rows
+        task = cfg.tasks[1]
+        agrawal = [row for row in rows if row["task_id"] == "task1"]
+        for row, delta in zip(agrawal, task.deltas, strict=True):
+            spec = BoundSpec(task.bound, task.n, task.S_values[0], delta)
+            verdict = falsify_bound(spec, task.trials, cfg.master_seed, stream=0)
+            est = verdict.estimate
+            assert (row["epsilon"], row["point"], row["ci_low"], row["ci_high"],
+                    row["outcome"]) == (verdict.evaluation.epsilon, est.point, est.ci_low,
+                                        est.ci_high, verdict.outcome)
+        assert 0 < agrawal[-1]["point"] < agrawal[0]["point"] < 1
+        source = montecarlo.DeviationSource("multinomial", 5, n=100)
+        tail = [row for row in rows if row["task_id"] == "task2"]
+        for row, threshold in zip(tail, (0.15, 0.3), strict=True):
+            est = montecarlo.estimate_tail_probability(source, threshold, 20000,
+                                                       cfg.master_seed, stream=0)
+            assert (row["point"], row["ci_low"], row["ci_high"]) == (
+                est.point, est.ci_low, est.ci_high)
+        curve = montecarlo.estimate_quantile_curve(source, [0.1, 0.2], 20000, cfg.master_seed,
+                                                   stream=0)
+        assert [row["point"] for row in rows if row["task_id"] == "task3"] == \
+            curve.cdf_estimates.tolist()
+
+    def test_other_laws_stay_separate(self, monkeypatch):
+        text = ("master_seed = 19\n" + self.FIRST
+                + self.FIRST.replace("trials = 20000", "trials = 3000")
+                + self.FIRST.replace("[task]\n", "[task]\nfamily = dirichlet\n")
+                + "[task]\nkind = tail\nfamily = limit\nS = 5\nthreshold = 1\ntrials = 500\n"
+                "[task]\nkind = tail\nfamily = limit\nS = 5\nD = 2\nthreshold = 1\n"
+                "trials = 500\n"
+                "[task]\nkind = asymptotic-mean\nS = 5,5,10\ntrials = 500\n")
+        requests, _ = _requests_seen(monkeypatch, text)
+        # the mean sweep's S = 5 cells share task 3's law; its S = 10 is new
+        assert [(r.stream, r.row) for r in requests] == [(0, 0), (1, 0), (2, 0), (3, 0),
+                                                         (4, 0), (5, 2)]
+        assert [len(r.thresholds) for r in requests] == [2, 2, 2, 1, 1, 0]
+
+    def test_worker_count_invariance(self):
+        outputs = []
+        for workers in (1, 2):
+            cfg = parse_config(self.TEXT)
+            cfg.workers = workers
+            outputs.append(emit_report(run_experiment(cfg), "json"))
+        assert outputs[0] == outputs[1]
 
 
 class TestEmitReport:

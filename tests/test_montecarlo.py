@@ -218,6 +218,15 @@ class TestTailEstimation:
         with pytest.raises(ValidationError, match="integer"):
             estimate_tail_probability(source, 0.5, 100.0, SEED)
 
+    @pytest.mark.parametrize("workers", [2.5, "2", 0, -3])
+    def test_bad_worker_counts_rejected(self, workers, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValidationError, match="workers must be an integer >= 1"):
+            draw_samples(DeviationSource("multinomial", 3, n=10), 40_000, 1, workers=workers)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_thresholds_and_grid_rejected(self, bad):
         source = DeviationSource("limit", 5)

@@ -193,6 +193,13 @@ class TestStreamKey:
         for neighbour in ((5, 5, 6), (5, 6, 5), (6, 5, 5)):
             assert np.intersect1d(base, raw(*neighbour)).size == 0
 
+    def test_row_4096_has_its_own_counter_word(self):
+        # a 12-bit row field once gave row 4096 of stream 0 the stream of row 0
+        # of stream 1
+        def raw(stream, row):
+            return StreamKey(SEED, stream, row).generator().bit_generator.random_raw(10**5)
+        assert np.intersect1d(raw(0, 4096), raw(1, 0)).size == 0
+
     def test_non_integral_rejected(self):
         # int(1.5) would key the same stream as StreamKey(1)
         for seed, index in ((1.5, 0), (1.0, 0), (0, 2.5), ("1", 0)):
