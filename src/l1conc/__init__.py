@@ -11,10 +11,8 @@ from .bounds import (
     BoundFamily,
     BoundSpec,
     agrawal_epsilon,
-    devroye_epsilon,
     devroye_valid,
     evaluate_bound,
-    weissman_epsilon,
 )
 from .asymptotic import (
     anticoncentration_threshold,
@@ -46,8 +44,8 @@ __all__ = [
     "BoundEvaluation", "BoundFamily", "BoundSpec", "CapacityError", "ConfigError",
     "DeviationSource", "ExperimentConfig", "QuantileCurve", "Report", "StreamKey",
     "TailEstimate", "ValidationError", "Verdict", "agrawal_epsilon",
-    "anticoncentration_threshold", "clopper_pearson", "devroye_epsilon", "devroye_valid",
+    "anticoncentration_threshold", "clopper_pearson", "devroye_valid",
     "emit_plot_data", "emit_report", "estimate_quantile_curve", "estimate_tail_probability",
     "evaluate_bound", "exact_tail_small", "expected_Z", "falsify_bound", "helmert_matrix",
-    "l1_deviation", "limit_covariance", "parse_config", "run_experiment", "weissman_epsilon",
+    "l1_deviation", "limit_covariance", "parse_config", "run_experiment",
 ]

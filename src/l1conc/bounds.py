@@ -60,38 +60,6 @@ def _log_2S_minus_2(S: int) -> float:
     return S * math.log(2.0) + math.log1p(-(2.0 ** (1 - S)))
 
 
-def weissman_epsilon(n: int, S: int, delta: float, form: str = "exact") -> float:
-    """Weissman threshold: sqrt(2 S ln(2/d) / n) (union) or
-    sqrt(2 ln((2^S - 2)/d) / n) (exact cover)."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    if S < 2:
-        raise ValidationError("S must be >= 2")
-    if delta <= 0:
-        raise ValidationError("delta must be > 0")
-    if form == "union":
-        if delta > 2:
-            raise ValidationError("union form requires delta <= 2")
-        return math.sqrt(2.0 * S * math.log(2.0 / delta) / n)
-    if form == "exact":
-        log_num = _log_2S_minus_2(S) - math.log(delta)
-        if log_num < 0:
-            raise ValidationError("exact form requires delta <= 2^S - 2")
-        return math.sqrt(2.0 * log_num / n)
-    raise ValidationError(f"unknown Weissman form {form!r}")
-
-
-def devroye_epsilon(n: int, delta: float) -> float:
-    """Devroye threshold 5·sqrt(ln(3/d)/n)."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    if delta <= 0:
-        raise ValidationError("delta must be > 0")
-    if delta > 3:
-        raise ValidationError("delta must be <= 3")
-    return 5.0 * math.sqrt(math.log(3.0 / delta) / n)
-
-
 def devroye_valid(S: int, delta: float) -> bool:
     """Whether delta lies in the regime 0 <= delta <= 3·exp(-4S/5) where the
     Devroye bound is stated."""
@@ -113,19 +81,20 @@ def agrawal_epsilon(n: int, delta: float) -> float:
     return math.sqrt(2.0 * math.log(1.0 / delta) / n)
 
 
+# the threshold of each family at (n, S, delta); BoundSpec has checked the domain
+_EPSILON = {
+    BoundFamily.WEISSMAN_UNION: lambda n, S, delta: math.sqrt(2.0 * S * math.log(2.0 / delta) / n),
+    BoundFamily.WEISSMAN_EXACT: lambda n, S, delta: math.sqrt(
+        2.0 * (_log_2S_minus_2(S) - math.log(delta)) / n),
+    BoundFamily.DEVROYE: lambda n, S, delta: 5.0 * math.sqrt(math.log(3.0 / delta) / n),
+    BoundFamily.AGRAWAL: lambda n, S, delta: agrawal_epsilon(n, delta),
+}
+
+
 def evaluate_bound(spec: BoundSpec) -> BoundEvaluation:
-    """Evaluate a BoundSpec into its threshold with regime and vacuity flags."""
-    fam = spec.family
-    valid = True
-    if fam is BoundFamily.WEISSMAN_UNION:
-        eps = weissman_epsilon(spec.n, spec.S, spec.delta, form="union")
-    elif fam is BoundFamily.WEISSMAN_EXACT:
-        eps = weissman_epsilon(spec.n, spec.S, spec.delta, form="exact")
-    elif fam is BoundFamily.DEVROYE:
-        eps = devroye_epsilon(spec.n, spec.delta)
-        valid = devroye_valid(spec.S, spec.delta)
-    elif fam is BoundFamily.AGRAWAL:
-        eps = agrawal_epsilon(spec.n, spec.delta)
-    else:  # pragma: no cover
-        raise ValidationError(f"unknown bound family {fam!r}")
+    """Evaluate a BoundSpec into its threshold with regime and vacuity flags:
+    Weissman's union form sqrt(2 S ln(2/d) / n) and exact-cover form
+    sqrt(2 ln((2^S - 2)/d) / n), Devroye's 5·sqrt(ln(3/d)/n), and Agrawal's."""
+    eps = _EPSILON[spec.family](spec.n, spec.S, spec.delta)
+    valid = spec.family is not BoundFamily.DEVROYE or devroye_valid(spec.S, spec.delta)
     return BoundEvaluation(spec=spec, epsilon=eps, valid=valid, vacuous=eps > L1_DIAMETER)

@@ -50,7 +50,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_run_flags(sub):
-    sub.add_argument("--config", help="config file; excludes the task flags")
+    sub.add_argument("--config", help="config file; excludes the task flags, and every "
+                     "task of the file runs whatever the subcommand")
     sub.add_argument("--seed", type=int, help="master seed (mandatory, never auto-generated)")
     for name, text in TASK_FLAGS.items():
         sub.add_argument(f"--{name}", help=text)

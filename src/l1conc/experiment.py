@@ -20,14 +20,14 @@ import numpy as np
 
 from . import __version__
 from .asymptotic import expected_Z
-from .bounds import BoundFamily, BoundSpec
+from .bounds import BoundFamily, BoundSpec, evaluate_bound
 from .errors import ConfigError
 from .montecarlo import (
     SOURCE_FAMILIES,
     DeviationSource,
     SampleRequest,
+    classify_verdict,
     dkw_halfwidth,
-    falsify_cell,
     summarize_many,
     tail_estimate_from_count,
 )
@@ -299,13 +299,7 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append("master_seed: must be >= 0")
     workers = None
     if "workers" in globals_:
-        text_w = globals_["workers"][1]
-        if text_w == "auto":
-            workers = len(os.sched_getaffinity(0))
-        else:
-            workers = _parse_scalar(int, text_w, "workers", errors)
-            if workers is not None and workers < 1:
-                errors.append("workers: must be >= 1 or 'auto'")
+        workers = _parse_workers(globals_["workers"][1], "workers", errors)
 
     tasks = [build_task(i, raw, errors) for i, raw in enumerate(raw_tasks)]
     if errors:
@@ -313,20 +307,29 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(master_seed=master_seed, tasks=tasks, workers=workers)
 
 
+def _parse_workers(text, path, errors):
+    # an integer >= 1, or 'auto' for the CPUs this process may run on
+    if text == "auto":
+        return len(os.sched_getaffinity(0))
+    workers = _parse_scalar(int, text, path, errors)
+    if workers is not None and workers < 1:
+        errors.append(f"{path}: must be >= 1 or 'auto'")
+        return None
+    return workers
+
+
 def resolve_workers(config: ExperimentConfig) -> int:
     """Config (or ``--workers``) value wins; otherwise the environment
-    override; otherwise 1.  A count below 1 from any source is an error."""
-    source, workers = "workers (config or --workers)", config.workers
+    override, parsed as the config key is; otherwise 1.  A count below 1
+    from any source is an error."""
+    workers, errors = config.workers, []
     if workers is None:
-        source, text = WORKERS_ENV_VAR, os.environ.get(WORKERS_ENV_VAR)
-        if not text:
-            return 1
-        try:
-            workers = int(text)
-        except ValueError:
-            raise ConfigError(f"{WORKERS_ENV_VAR}: cannot parse {text!r}")
-    if workers < 1:
-        raise ConfigError(f"{source}: must be >= 1, got {workers}")
+        text = os.environ.get(WORKERS_ENV_VAR)
+        workers = _parse_workers(text, WORKERS_ENV_VAR, errors) if text else 1
+    elif workers < 1:
+        errors.append(f"workers (config or --workers): must be >= 1, got {workers}")
+    if errors:
+        raise ConfigError("; ".join(errors))
     return workers
 
 
@@ -344,64 +347,53 @@ def _source_for(task: TaskConfig, S: int) -> DeviationSource:
     return DeviationSource(family=task.family, S=S, n=task.n, D=task.D)
 
 
+def _cell_rows(task: TaskConfig, seed: int, S: int, thresholds, evaluations,
+               summary) -> list[dict]:
+    """The report rows of one cell of ``task`` at dimension ``S``, read from
+    the summary of its sample: a mean row, one CDF row per grid point, or one
+    tail row per threshold.  A falsify cell is a tail cell at its bounds'
+    epsilons, each row then classified against its delta."""
+    if task.kind == "asymptotic-mean":
+        z_crit = NormalDist().inv_cdf(0.5 + task.ci_level / 2.0)
+        mean = float(summary.mean)
+        se = math.sqrt(summary.variance) / math.sqrt(task.trials)
+        return [_row(task, seed, S=S, epsilon=task.D * expected_Z(S),
+                     point=mean, ci_low=mean - z_crit * se, ci_high=mean + z_crit * se)]
+    if task.kind == "quantiles":
+        half = dkw_halfwidth(task.trials, task.band_level)
+        return [_row(task, seed, S=S, threshold=g, point=cdf,
+                     ci_low=max(0.0, cdf - half), ci_high=min(1.0, cdf + half))
+                for g, cdf in zip(task.grid, (summary.at_most / task.trials).tolist())]
+    estimates = [tail_estimate_from_count(threshold, int(k), task.trials, task.ci_level)
+                 for threshold, k in zip(thresholds, summary.at_least)]
+    rows = [_row(task, seed, S=S, threshold=est.threshold, point=est.point,
+                 ci_low=est.ci_low, ci_high=est.ci_high) for est in estimates]
+    for row, est, evaluation in zip(rows, estimates, evaluations):  # falsify rows only
+        spec = evaluation.spec
+        row.update(family=spec.family.value, delta=spec.delta, epsilon=evaluation.epsilon,
+                   outcome=classify_verdict(est, spec.delta))
+    return rows
+
+
 def _task_cells(task: TaskConfig, task_index: int, seed: int) -> list:
     """``(request, rows)`` for every cell of a task: the samples the cell
     needs, drawn from stream ``task_index`` at the cell's row, and the
-    function that turns their summary into report rows.  A tail, quantiles or
-    falsify task is one cell at row 0: its thresholds, grid points or deltas
-    are all counted on that one sample.  An asymptotic-mean S sweep has a
-    cell per S, at row r for the r-th S.  A cell whose source and trials
-    count repeat an earlier cell's reads that cell's sample instead (see
-    ``run_experiment``)."""
-    S = task.S_values[0]
-    if task.kind == "falsify":
-        specs = [BoundSpec(family=task.bound, n=task.n, S=S, delta=delta)
-                 for delta in task.deltas]
-        request, verdicts_of = falsify_cell(specs, task.trials, family=task.family,
-                                            ci_level=task.ci_level, stream=task_index)
-
-        def rows(summary):
-            out = []
-            for verdict in verdicts_of(summary):
-                est, evaluation = verdict.estimate, verdict.evaluation
-                out.append(_row(task, seed, family=evaluation.spec.family.value, S=S,
-                                delta=evaluation.spec.delta, threshold=est.threshold,
-                                epsilon=evaluation.epsilon, point=est.point,
-                                ci_low=est.ci_low, ci_high=est.ci_high,
-                                outcome=verdict.outcome))
-            return out
-        return [(request, rows)]
-    if task.kind == "tail":
-        def rows(summary):
-            out = []
-            for threshold, k in zip(task.thresholds, summary.at_least):
-                est = tail_estimate_from_count(threshold, int(k), task.trials, task.ci_level)
-                out.append(_row(task, seed, S=S, threshold=threshold,
-                                point=est.point, ci_low=est.ci_low, ci_high=est.ci_high))
-            return out
-        request = SampleRequest(_source_for(task, S), task.trials, task_index,
-                                thresholds=tuple(task.thresholds))
-        return [(request, rows)]
-    if task.kind == "quantiles":
-        def rows(summary):
-            half = dkw_halfwidth(task.trials, task.band_level)
-            return [_row(task, seed, S=S, threshold=g, point=cdf,
-                         ci_low=max(0.0, cdf - half), ci_high=min(1.0, cdf + half))
-                    for g, cdf in zip(task.grid, (summary.at_most / task.trials).tolist())]
-        request = SampleRequest(_source_for(task, S), task.trials, task_index,
-                                grid=tuple(task.grid))
-        return [(request, rows)]
-    if task.kind == "asymptotic-mean":
-        z_crit = NormalDist().inv_cdf(0.5 + task.ci_level / 2.0)
-
-        def rows(S, summary):
-            mean = float(summary.mean)
-            se = math.sqrt(summary.variance) / math.sqrt(task.trials)
-            return [_row(task, seed, S=S, epsilon=task.D * expected_Z(S),
-                         point=mean, ci_low=mean - z_crit * se, ci_high=mean + z_crit * se)]
-        return [(SampleRequest(_source_for(task, S), task.trials, task_index, row=r),
-                 partial(rows, S)) for r, S in enumerate(task.S_values)]
-    raise ConfigError(f"unknown task kind {task.kind!r}")  # pragma: no cover
+    function that turns their summary into report rows.  A task has a cell
+    per S, at row r for the r-th S; only asymptotic-mean tasks sweep S, so
+    every other task is one cell at row 0, and its thresholds (a falsify
+    task's epsilons), grid points or deltas are all counted on that one
+    sample.  A cell whose source and trials count repeat an earlier cell's
+    reads that cell's sample instead (see ``run_experiment``)."""
+    cells = []
+    for r, S in enumerate(task.S_values):
+        # the parser leaves deltas empty, so evaluations too, unless falsify
+        evaluations = [evaluate_bound(BoundSpec(task.bound, task.n, S, delta))
+                       for delta in task.deltas]
+        thresholds = tuple(e.epsilon for e in evaluations) or tuple(task.thresholds)
+        request = SampleRequest(_source_for(task, S), task.trials, task_index, thresholds,
+                                tuple(task.grid), r)
+        cells.append((request, partial(_cell_rows, task, seed, S, thresholds, evaluations)))
+    return cells
 
 
 def run_experiment(config: ExperimentConfig) -> Report:

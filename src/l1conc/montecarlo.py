@@ -8,10 +8,10 @@ however many of each there are.  Estimators reduce each chunk to exceedance
 counts, at-most counts and moments where it is drawn, so memory does not
 grow with ``trials``.  A request is one sample: every threshold and grid
 point it names is counted on the same draws, so a tail task's thresholds and
-a falsify task's deltas (``falsify_cell``) share one sample, and only rows
-that need a different law need another request: the experiment runner
-sends one request per law, so tasks of one source and trials count share
-it too.
+a falsify task's deltas (a falsify cell is a tail cell at its bounds'
+epsilons) share one sample, and only rows that need a different law need
+another request: the experiment runner sends one request per law, so tasks
+of one source and trials count share it too.
 ``summarize_many`` schedules the chunks of many sample requests (every law
 of an experiment) together, on at most one process pool, which it shuts down
 before returning.  Chunk boundaries do not depend on the worker count, and
@@ -391,43 +391,18 @@ def classify_verdict(estimate: TailEstimate, claimed_delta: float) -> str:
     return INCONCLUSIVE
 
 
-def falsify_cell(specs: list[BoundSpec], trials: int, *, family: str = "multinomial",
-                 ci_level: float = 0.95, stream: int = 0):
-    """The request that counts, on one sample under uniform p, exceedances of
-    each spec's own threshold, and the function classifying every claim from
-    its summary, one ``Verdict`` per spec in spec order.  The specs share
-    their bound family, S and n, so they differ only in delta and epsilon;
-    each verdict keeps its own Clopper-Pearson level, and their exceedance
-    counts are non-increasing in epsilon."""
-    if trials < 100:
-        raise ValidationError("falsification requires trials >= 100")
-    _check_level(ci_level, "ci_level")
-    if family not in ("multinomial", "dirichlet"):
-        raise ValidationError(f"unsupported distribution family {family!r}")
-    if len({(spec.family, spec.S, spec.n) for spec in specs}) != 1:
-        raise ValidationError("a falsify cell needs one or more specs sharing bound, S and n")
-    evaluations = [evaluate_bound(spec) for spec in specs]
-    source = DeviationSource(family=family, S=specs[0].S, n=specs[0].n)
-
-    def verdicts(summary: SampleSummary) -> list[Verdict]:
-        out = []
-        for evaluation, k in zip(evaluations, summary.at_least):
-            estimate = tail_estimate_from_count(evaluation.epsilon, int(k), trials, ci_level)
-            out.append(Verdict(evaluation=evaluation, estimate=estimate,
-                               outcome=classify_verdict(estimate, evaluation.spec.delta)))
-        return out
-
-    thresholds = tuple(evaluation.epsilon for evaluation in evaluations)
-    return SampleRequest(source, trials, stream, thresholds), verdicts
-
-
 def falsify_bound(spec: BoundSpec, trials: int, master_seed: int, *,
                   family: str = "multinomial", ci_level: float = 0.95,
                   stream: int = 0, workers: int = 1) -> Verdict:
     """Estimate the exceedance probability at the bound's own threshold (uniform
     p) and classify the claim as Violated / Consistent / Inconclusive."""
-    request, verdicts = falsify_cell([spec], trials, family=family, ci_level=ci_level,
-                                     stream=stream)
-    [summary] = summarize_many([request], master_seed, workers)
-    [verdict] = verdicts(summary)
-    return verdict
+    if trials < 100:
+        raise ValidationError("falsification requires trials >= 100")
+    if family not in ("multinomial", "dirichlet"):
+        raise ValidationError(f"unsupported distribution family {family!r}")
+    evaluation = evaluate_bound(spec)
+    estimate = estimate_tail_probability(DeviationSource(family, spec.S, n=spec.n),
+                                         evaluation.epsilon, trials, master_seed,
+                                         ci_level=ci_level, stream=stream, workers=workers)
+    return Verdict(evaluation=evaluation, estimate=estimate,
+                   outcome=classify_verdict(estimate, spec.delta))

@@ -8,64 +8,51 @@ from l1conc.bounds import (
     BoundFamily,
     BoundSpec,
     agrawal_epsilon,
-    devroye_epsilon,
     devroye_valid,
     evaluate_bound,
-    weissman_epsilon,
 )
 from l1conc.errors import ValidationError
+
+UNION, EXACT, DEVROYE = BoundFamily.WEISSMAN_UNION, BoundFamily.WEISSMAN_EXACT, BoundFamily.DEVROYE
+
+
+def epsilon(family, n, S, delta):
+    return evaluate_bound(BoundSpec(family, n, S, delta)).epsilon
 
 
 class TestWeissman:
     def test_reference_values(self):
-        assert weissman_epsilon(100, 2, 0.05, "union") == pytest.approx(
+        assert epsilon(UNION, 100, 2, 0.05) == pytest.approx(
             math.sqrt(2 * 2 * math.log(40) / 100), rel=1e-12)
-        assert weissman_epsilon(100, 2, 0.05, "union") == pytest.approx(0.384130, abs=1e-6)
-        assert weissman_epsilon(100, 2, 0.05, "exact") == pytest.approx(0.271620, abs=1e-6)
-        assert weissman_epsilon(100, 3, 0.05, "exact") == pytest.approx(0.309435, abs=1e-6)
+        assert epsilon(UNION, 100, 2, 0.05) == pytest.approx(0.384130, abs=1e-6)
+        assert epsilon(EXACT, 100, 2, 0.05) == pytest.approx(0.271620, abs=1e-6)
+        assert epsilon(EXACT, 100, 3, 0.05) == pytest.approx(0.309435, abs=1e-6)
 
     def test_exact_below_union(self):
         for S in range(2, 31):
             for delta in (1e-6, 1e-3, 0.1, 0.5, 1.0):
-                assert weissman_epsilon(50, S, delta, "exact") <= weissman_epsilon(50, S, delta, "union")
+                assert epsilon(EXACT, 50, S, delta) <= epsilon(UNION, 50, S, delta)
 
     def test_large_S_log_path(self):
         # the floating-point branch must agree with exact integer arithmetic
         for S in (59, 60, 61, 80, 200):
             direct = math.sqrt(2 * (S * math.log(2) + math.log1p(-2.0 ** (1 - S)) - math.log(0.05)) / 100)
-            assert weissman_epsilon(100, S, 0.05, "exact") == pytest.approx(direct, rel=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValidationError):
-            weissman_epsilon(100, 2, 0.0, "union")
-        with pytest.raises(ValidationError):
-            weissman_epsilon(100, 2, 2.5, "union")
-        with pytest.raises(ValidationError):
-            weissman_epsilon(100, 2, 2.5, "exact")  # 2^2 - 2 = 2 < 2.5
-        with pytest.raises(ValidationError):
-            weissman_epsilon(100, 1, 0.05)
-        with pytest.raises(ValidationError):
-            weissman_epsilon(100, 2, 0.05, "bogus")
+            assert epsilon(EXACT, 100, S, 0.05) == pytest.approx(direct, rel=1e-12)
 
 
 class TestDevroye:
     def test_reference_values(self):
-        assert devroye_epsilon(100, 0.05) == pytest.approx(5 * math.sqrt(math.log(60) / 100), rel=1e-12)
-        assert devroye_epsilon(100, 0.05) == pytest.approx(1.011727, abs=1e-5)
-        assert devroye_epsilon(100, 3.0) == 0.0
-        assert devroye_epsilon(400, 0.05) == pytest.approx(devroye_epsilon(100, 0.05) / 2, rel=1e-12)
+        assert epsilon(DEVROYE, 100, 2, 0.05) == pytest.approx(
+            5 * math.sqrt(math.log(60) / 100), rel=1e-12)
+        assert epsilon(DEVROYE, 100, 2, 0.05) == pytest.approx(1.011727, abs=1e-5)
+        assert epsilon(DEVROYE, 400, 2, 0.05) == pytest.approx(
+            epsilon(DEVROYE, 100, 2, 0.05) / 2, rel=1e-12)
 
     def test_validity_regime(self):
         assert devroye_valid(2, 0.05)
         assert not devroye_valid(10, 0.05)
         assert devroye_valid(2, 0.0)
         assert devroye_valid(50, 3 * math.exp(-40.0))
-
-    def test_domain_errors(self):
-        with pytest.raises(ValidationError):
-            devroye_epsilon(100, 3.5)
-        with pytest.raises(ValidationError):
-            devroye_epsilon(100, 0.0)
 
     def test_exceeds_sqrt_4s_over_5n(self):
         # inside the validity regime the threshold dominates sqrt(4S/(5n))
@@ -104,9 +91,9 @@ class TestMonotonicity:
 
     def test_nonincreasing_in_n_and_delta(self):
         fns = [
-            lambda n, d: weissman_epsilon(n, 4, d, "union"),
-            lambda n, d: weissman_epsilon(n, 4, d, "exact"),
-            devroye_epsilon,
+            lambda n, d: epsilon(UNION, n, 4, d),
+            lambda n, d: epsilon(EXACT, n, 4, d),
+            lambda n, d: epsilon(DEVROYE, n, 4, d),
             agrawal_epsilon,
         ]
         for fn in fns:
@@ -146,7 +133,7 @@ class TestBoundSpecEvaluation:
         ev = evaluate_bound(BoundSpec(BoundFamily.DEVROYE, 100, 10, 0.05))
         assert isinstance(ev, BoundEvaluation)
         assert not ev.valid
-        assert ev.epsilon == pytest.approx(devroye_epsilon(100, 0.05))
+        assert ev.epsilon == pytest.approx(5 * math.sqrt(math.log(60) / 100))
 
     def test_vacuous_flag(self):
         ev = evaluate_bound(BoundSpec(BoundFamily.DEVROYE, 10, 2, 0.05))

@@ -6,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from l1conc import experiment, montecarlo
 from l1conc.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USAGE, EXIT_VIOLATED, main
 from l1conc.experiment import CSV_COLUMNS
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -110,6 +113,17 @@ class TestOtherCommands:
             assert code == EXIT_USAGE
             assert err.startswith("error:") and len(err.splitlines()) == 1
             assert needle in err
+
+
+@pytest.mark.parametrize("command", ["tail", "quantiles", "falsify", "asymptotic-mean"])
+def test_config_runs_every_task_whatever_the_subcommand(capsys, tmp_path, command):
+    # with --config the subcommand selects nothing: the golden file's tasks
+    # of every kind all run, and its Violated row sets the exit code
+    out = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, command, "--config", str(DATA / "golden.ini"),
+                         "--workers", "1", "--out", str(out))
+    assert code == EXIT_VIOLATED
+    assert out.read_bytes() == (DATA / "golden.json").read_bytes()
 
 
 class TestReportCommand:
@@ -255,6 +269,20 @@ class TestUsageErrors:
     def test_workers_env_below_one_rejected(self, capsys, monkeypatch):
         monkeypatch.setenv("L1CONC_WORKERS", "0")
         self.assert_usage_error(capsys, list(TAIL), "L1CONC_WORKERS")
+
+    def test_workers_env_auto_uses_affinity(self, capsys, monkeypatch):
+        # the environment override takes 'auto' as the config key does
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 2, 5})
+        monkeypatch.setenv("L1CONC_WORKERS", "auto")
+        seen = []
+
+        def summarize_many(requests, master_seed, workers=1):
+            seen.append(workers)
+            return montecarlo.summarize_many(requests, master_seed, workers)
+
+        monkeypatch.setattr(experiment, "summarize_many", summarize_many)
+        code, _, err = run_cli(capsys, *TAIL)
+        assert (code, err, seen) == (EXIT_OK, "", [3])
 
     def test_n_beyond_int64_lattice_rejected(self, capsys):
         self.assert_usage_error(capsys, ["tail", "--seed", "1", "--S", "3", "--n", str(10**21),

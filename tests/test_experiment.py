@@ -9,7 +9,7 @@ import pytest
 from scipy.stats import norm
 
 from l1conc import experiment, montecarlo
-from l1conc.bounds import BoundSpec
+from l1conc.bounds import BoundFamily, BoundSpec, evaluate_bound
 from l1conc.errors import ConfigError
 from l1conc.experiment import (
     CSV_COLUMNS,
@@ -246,6 +246,25 @@ class TestFalsifySweep:
             assert (row["epsilon"], row["point"], row["ci_low"], row["ci_high"],
                     row["outcome"]) == (verdict.evaluation.epsilon, est.point, est.ci_low,
                                         est.ci_high, verdict.outcome)
+
+
+def test_falsify_row_is_the_tail_row_at_its_epsilon():
+    # a falsify task, then a tail task of the same law at its epsilons
+    epsilons = [evaluate_bound(BoundSpec(BoundFamily.WEISSMAN_EXACT, 100, 5, delta)).epsilon
+                for delta in (0.9, 0.5)]
+    text = ("master_seed = 23\n"
+            "[task]\nkind = falsify\nbound = weissman-exact\nS = 5\nn = 100\n"
+            "delta = 0.9,0.5\ntrials = 2000\n"
+            "[task]\nkind = tail\nS = 5\nn = 100\ntrials = 2000\n"
+            f"threshold = {','.join(map(repr, epsilons))}\n")
+    rows = run_experiment(parse_config(text)).rows
+    falsify, tail = rows[:2], rows[2:]
+    assert [row["epsilon"] for row in falsify] == epsilons
+    assert [row["outcome"] for row in tail] == [None, None]
+    keys = ("threshold", "point", "ci_low", "ci_high")
+    for f_row, t_row in zip(falsify, tail, strict=True):
+        assert [f_row[key] for key in keys] == [t_row[key] for key in keys]
+    assert tail[0]["point"] > tail[1]["point"] > 0
 
 
 class TestSharedLaw:

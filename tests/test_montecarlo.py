@@ -256,8 +256,6 @@ def test_levels_rejected_before_drawing(monkeypatch, level):
     with pytest.raises(ValidationError, match="level"):
         estimate_quantile_curve(source, [0.1, 0.2], 200_000, SEED, band_level=level)
     with pytest.raises(ValidationError, match="level"):
-        montecarlo.falsify_cell([spec], 200_000, ci_level=level)
-    with pytest.raises(ValidationError, match="level"):
         falsify_bound(spec, 200_000, SEED, ci_level=level)
 
 
@@ -474,19 +472,6 @@ class TestVerdicts:
         spec = BoundSpec(BoundFamily.AGRAWAL, 100, 2, 0.5)
         with pytest.raises(ValidationError, match="integer"):
             falsify_bound(spec, 1000.5, SEED)
-
-    def test_cell_specs_share_bound_S_and_n(self):
-        spec = BoundSpec(BoundFamily.AGRAWAL, 100, 2, 0.5)
-        for other in (BoundSpec(BoundFamily.DEVROYE, 100, 2, 0.1),
-                      BoundSpec(BoundFamily.AGRAWAL, 101, 2, 0.1),
-                      BoundSpec(BoundFamily.AGRAWAL, 100, 3, 0.1)):
-            with pytest.raises(ValidationError, match="sharing"):
-                montecarlo.falsify_cell([spec, other], 1000)
-        with pytest.raises(ValidationError, match="sharing"):
-            montecarlo.falsify_cell([], 1000)
-        request, _ = montecarlo.falsify_cell([spec, BoundSpec(BoundFamily.AGRAWAL, 100, 2, 0.1)],
-                                             1000)
-        assert len(request.thresholds) == 2 and request.row == 0
 
 
 class TestCltConvergence:
