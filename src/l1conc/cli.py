@@ -13,6 +13,7 @@ from .errors import CapacityError, ConfigError, ValidationError
 from .experiment import (
     TASK_KINDS,
     ExperimentConfig,
+    _parse_workers,
     build_task,
     emit_plot_data,
     emit_report,
@@ -55,7 +56,8 @@ def _add_run_flags(sub):
     sub.add_argument("--seed", type=int, help="master seed (mandatory, never auto-generated)")
     for name, text in TASK_FLAGS.items():
         sub.add_argument(f"--{name}", help=text)
-    sub.add_argument("--workers", type=int, help="parallel workers (default 1 or env)")
+    sub.add_argument("--workers", help="parallel workers, an integer >= 1 or 'auto' "
+                     "(default 1 or env)")
     sub.add_argument("--format", choices=["csv", "json"], default="json")
     sub.add_argument("--out", help="report output path (default stdout)")
     sub.add_argument("--plot-out", help="also write plot data for the task here")
@@ -105,6 +107,11 @@ def _run(args) -> int:
     flags = {key: (0, value) for key in TASK_FLAGS if (value := getattr(args, key)) is not None}
     if args.config and flags:
         raise ConfigError(f"--config cannot be combined with task flags: --{', --'.join(flags)}")
+    if args.workers is not None:  # parsed as the config key and L1CONC_WORKERS are
+        errors: list[str] = []
+        args.workers = _parse_workers(args.workers, "--workers", errors)
+        if errors:
+            raise ConfigError("; ".join(errors))
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = parse_config(fh.read())

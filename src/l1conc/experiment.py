@@ -313,7 +313,7 @@ def _parse_workers(text, path, errors):
         return len(os.sched_getaffinity(0))
     workers = _parse_scalar(int, text, path, errors)
     if workers is not None and workers < 1:
-        errors.append(f"{path}: must be >= 1 or 'auto'")
+        errors.append(f"{path}: must be >= 1 or 'auto', got {text!r}")
         return None
     return workers
 
@@ -382,8 +382,8 @@ def _task_cells(task: TaskConfig, task_index: int, seed: int) -> list:
     per S, at row r for the r-th S; only asymptotic-mean tasks sweep S, so
     every other task is one cell at row 0, and its thresholds (a falsify
     task's epsilons), grid points or deltas are all counted on that one
-    sample.  A cell whose source and trials count repeat an earlier cell's
-    reads that cell's sample instead (see ``run_experiment``)."""
+    sample.  A cell of the same law and trials count as an earlier cell
+    reads that cell's sample instead (see ``_law`` and ``run_experiment``)."""
     cells = []
     for r, S in enumerate(task.S_values):
         # the parser leaves deltas empty, so evaluations too, unless falsify
@@ -396,41 +396,59 @@ def _task_cells(task: TaskConfig, task_index: int, seed: int) -> list:
     return cells
 
 
+def _law(request: SampleRequest) -> tuple:
+    """The law a cell's request samples, and the multiplier ``c`` the cell
+    applies to that law's sample.  A limit sample is Z at D = 1 times
+    ``D · scale`` (``sample_Z_batch`` multiplies by ``D / sqrt(S)`` last), so
+    a limit law is its S; a finite-n law is its whole source."""
+    source = request.source
+    if source.family == "limit":
+        return ("limit", source.S, request.trials), source.D * source.scale
+    return (source, request.trials), 1.0
+
+
 def run_experiment(config: ExperimentConfig) -> Report:
     """Execute every task and aggregate results into a Report.
 
-    Cells with the same source and trials count are one law, so they read
-    one sample: the request of the first such cell in config order, with
+    Cells of one law (see ``_law``) read one sample: the request of the
+    first such cell in config order, at that cell's multiplier ``c0``, with
     the thresholds and grid points of every such cell appended, and each
-    cell reads its own slice of the counts.  The samples of every law are
-    summarized in one ``summarize_many`` call, so a run starts at most one
-    process pool.  The report content depends only on the config and master
-    seed, never on the worker count or scheduling.
+    cell reads its own slice of the counts.  A later cell with multiplier
+    ``c`` appends its points divided by ``c / c0`` and reads the mean and
+    ``m2`` times ``c / c0`` and its square; the first cell of a law, and
+    every cell at its multiplier, divides and multiplies by 1, exactly.
+    The samples of every law are summarized in one ``summarize_many`` call,
+    so a run starts at most one process pool.  The report content depends
+    only on the config and master seed, never on the worker count or
+    scheduling.
     """
     workers = resolve_workers(config)
     cells = [cell for i, task in enumerate(config.tasks)
              for cell in _task_cells(task, i, config.master_seed)]
-    laws, views = {}, []  # law -> its shared request; (law, slices, rows) per cell
+    laws, views = {}, []  # law -> its shared request; (law, c / c0, slices, rows) per cell
     for request, rows in cells:
-        law = (request.source, request.trials)
+        law, c = _law(request)
         shared = laws.setdefault(law, request._replace(thresholds=(), grid=()))
+        ratio = c / _law(shared)[1]
+        thresholds = tuple(x / ratio for x in request.thresholds)
+        grid = tuple(x / ratio for x in request.grid)
         t, g = len(shared.thresholds), len(shared.grid)
-        views.append((law, slice(t, t + len(request.thresholds)),
-                      slice(g, g + len(request.grid)), rows))
-        laws[law] = shared._replace(thresholds=shared.thresholds + request.thresholds,
-                                    grid=shared.grid + request.grid)
+        views.append((law, ratio, slice(t, t + len(thresholds)), slice(g, g + len(grid)), rows))
+        laws[law] = shared._replace(thresholds=shared.thresholds + thresholds,
+                                    grid=shared.grid + grid)
     summaries = dict(zip(laws, summarize_many(laws.values(), config.master_seed, workers)))
 
-    def view(law, at_least, at_most):
+    def view(law, ratio, at_least, at_most):
         summary = summaries[law]
         return replace(summary, at_least=summary.at_least[at_least],
-                       at_most=summary.at_most[at_most])
+                       at_most=summary.at_most[at_most], mean=summary.mean * ratio,
+                       m2=summary.m2 * ratio**2)
 
     return Report(
         master_seed=config.master_seed,
         tasks=[t.echo() for t in config.tasks],
-        rows=[row for law, at_least, at_most, rows in views
-              for row in rows(view(law, at_least, at_most))],
+        rows=[row for law, ratio, at_least, at_most, rows in views
+              for row in rows(view(law, ratio, at_least, at_most))],
     )
 
 

@@ -11,7 +11,8 @@ point it names is counted on the same draws, so a tail task's thresholds and
 a falsify task's deltas (a falsify cell is a tail cell at its bounds'
 epsilons) share one sample, and only rows that need a different law need
 another request: the experiment runner sends one request per law, so tasks
-of one source and trials count share it too.
+of one law and trials count share it too.  A finite-n law is its source; a
+limit law is its S alone, because D and ``scale`` only multiply the sample.
 ``summarize_many`` schedules the chunks of many sample requests (every law
 of an experiment) together, on at most one process pool, which it shuts down
 before returning.  Chunk boundaries do not depend on the worker count, and
@@ -60,7 +61,9 @@ class DeviationSource:
     finite-n empirical (or Dirichlet(n·p)) vector and p; ``limit`` sources
     produce the asymptotic variable directly, at the scale ``D`` that only
     they take.  ``scale`` multiplies every sample, e.g. sqrt(n)·D/2 to compare
-    finite-n draws with the limit law.
+    finite-n draws with the limit law.  A limit sample is ``D · scale`` times
+    the sample at D = 1 (bit for bit when that product is a power of two), so
+    the experiment runner reads every D of one S off one sample.
     """
 
     family: str

@@ -266,6 +266,25 @@ class TestUsageErrors:
     def test_workers_flag_below_one_rejected(self, capsys, workers):
         self.assert_usage_error(capsys, [*TAIL, "--workers", workers], "--workers", workers)
 
+    @pytest.mark.parametrize("workers", ["x", "2.5"])
+    def test_workers_flag_not_a_count_rejected(self, capsys, workers):
+        self.assert_usage_error(capsys, [*TAIL, "--workers", workers], "--workers", workers)
+
+    def test_workers_flag_auto_uses_affinity(self, capsys, monkeypatch):
+        # the flag takes 'auto' as the config key and the environment do
+        code, one, err = run_cli(capsys, *TAIL, "--workers", "1")
+        assert (code, err) == (EXIT_OK, "")
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 2})
+        seen = []
+
+        def summarize_many(requests, master_seed, workers=1):
+            seen.append(workers)
+            return montecarlo.summarize_many(requests, master_seed, workers)
+
+        monkeypatch.setattr(experiment, "summarize_many", summarize_many)
+        assert run_cli(capsys, *TAIL, "--workers", "auto") == (EXIT_OK, one, "")
+        assert seen == [2]
+
     def test_workers_env_below_one_rejected(self, capsys, monkeypatch):
         monkeypatch.setenv("L1CONC_WORKERS", "0")
         self.assert_usage_error(capsys, list(TAIL), "L1CONC_WORKERS")

@@ -323,15 +323,70 @@ class TestSharedLaw:
                 "trials = 500\n"
                 "[task]\nkind = asymptotic-mean\nS = 5,5,10\ntrials = 500\n")
         requests, _ = _requests_seen(monkeypatch, text)
-        # the mean sweep's S = 5 cells share task 3's law; its S = 10 is new
+        # trials, family and S part laws; D does not: task 4 (D = 2) and the
+        # mean sweep's S = 5 cells read task 3's limit sample, its S = 10 is new
         assert [(r.stream, r.row) for r in requests] == [(0, 0), (1, 0), (2, 0), (3, 0),
-                                                         (4, 0), (5, 2)]
-        assert [len(r.thresholds) for r in requests] == [2, 2, 2, 1, 1, 0]
+                                                         (5, 2)]
+        assert [len(r.thresholds) for r in requests] == [2, 2, 2, 2, 0]
+        assert requests[3].thresholds == (1.0, 0.5)
 
     def test_worker_count_invariance(self):
         outputs = []
         for workers in (1, 2):
             cfg = parse_config(self.TEXT)
+            cfg.workers = workers
+            outputs.append(emit_report(run_experiment(cfg), "json"))
+        assert outputs[0] == outputs[1]
+
+
+class TestLimitLaw:
+    # one limit law (S = 50, 20000 trials, two chunks) at D = 1, then at D = 2
+    FIRST = "[task]\nkind = asymptotic-mean\nS = 50\ntrials = 20000\n"
+    MEAN_AT_2 = FIRST.replace("S = 50\n", "S = 50\nD = 2\n")
+    TEXT = ("master_seed = 23\n" + FIRST
+            + "[task]\nkind = tail\nfamily = limit\nS = 50\nD = 2\nthreshold = 5,6.5\n"
+            "trials = 20000\n"
+            "[task]\nkind = quantiles\nfamily = limit\nS = 50\nD = 2\ngrid = 5,6,7\n"
+            "trials = 20000\n" + MEAN_AT_2)
+
+    def test_every_D_sends_one_request(self, monkeypatch):
+        [request], _ = _requests_seen(monkeypatch, self.TEXT)
+        assert (request.source.D, request.stream, request.row) == (1.0, 0, 0)
+        assert request.thresholds == (2.5, 3.25)
+        assert request.grid == (2.5, 3.0, 3.5)
+
+    def test_first_task_rows_unchanged(self):
+        alone = run_experiment(parse_config("master_seed = 23\n" + self.FIRST)).rows
+        assert run_experiment(parse_config(self.TEXT)).rows[:1] == alone
+
+    def test_later_tasks_read_twice_the_D_1_sample(self):
+        rows = run_experiment(parse_config(self.TEXT)).rows
+        z = 2 * montecarlo.draw_samples(montecarlo.DeviationSource("limit", 50), 20000, 23,
+                                        stream=0)
+        tail = [row for row in rows if row["task_id"] == "task1"]
+        assert [round(row["point"] * 20000) for row in tail] == [
+            int((z >= t).sum()) for t in (5, 6.5)]
+        cdf = [row["point"] for row in rows if row["task_id"] == "task2"]
+        assert cdf == [(z <= g).sum() / 20000 for g in (5, 6, 7)]
+        assert 0 < cdf[0] < cdf[-1] < 1
+
+    def test_mean_scales_exactly_by_a_power_of_two(self):
+        # the D = 2 mean row reads the D = 1 moments times 2 and 4, which is
+        # exactly what the same task draws alone (scaling by 2 rounds nothing)
+        rows = run_experiment(parse_config(self.TEXT)).rows
+        alone = run_experiment(parse_config("master_seed = 23\n" + self.MEAN_AT_2)).rows
+        [first, later] = [row for row in rows if row["kind"] == "asymptotic-mean"]
+        assert [later[key] for key in ("point", "ci_low", "ci_high")] == [
+            2 * first[key] for key in ("point", "ci_low", "ci_high")]
+        assert {**later, "task_id": "task0"} == alone[0]
+
+    def test_worker_count_invariance_at_other_D(self):
+        # at D = 1.5 the thresholds, grid points and moments are rescaled by
+        # 1.5 in the calling process, never in a worker
+        text = self.TEXT.replace("D = 2", "D = 1.5")
+        outputs = []
+        for workers in (1, 2):
+            cfg = parse_config(text)
             cfg.workers = workers
             outputs.append(emit_report(run_experiment(cfg), "json"))
         assert outputs[0] == outputs[1]

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l1conc import montecarlo
+from l1conc.asymptotic import sample_Z_batch
 from l1conc.cli import main
 from l1conc.errors import ConfigError, ValidationError
 from l1conc.experiment import (
@@ -193,6 +194,18 @@ def test_dirichlet_rows_on_simplex(alpha, size, key):
     x = sample_dirichlet_batch(alpha, size, key)
     assert x.shape == (size, len(alpha))
     assert np.all(x >= 0) and np.all(np.abs(x.sum(axis=1) - 1.0) <= SIMPLEX_SUM_TOL)
+
+
+@settings(max_examples=100, deadline=None)
+@given(S=st.integers(2, 300), size=st.integers(1, 200), key=keys, j=st.integers(-30, 30),
+       D=st.floats(1e-9, 1e9))
+def test_limit_draws_scale_with_D(S, size, key, j, D):
+    # the runner reads every D of a limit law off one sample (experiment._law)
+    z = sample_Z_batch(S, 1.0, size, key)
+    assert np.array_equal(sample_Z_batch(S, 2.0**j, size, key), 2.0**j * z)
+    # sum·(D/sqrt(S)) and D·(sum·(1/sqrt(S))) differ by five roundings, so by at most 5 ulp
+    want = D * z
+    assert np.all(np.abs(sample_Z_batch(S, D, size, key) - want) <= 5 * np.spacing(want))
 
 
 SCHEDULER_CHUNK = 16  # small chunks, so cheap requests still span several
