@@ -24,6 +24,13 @@ l1 deviation is L / (n·S) with L = sum |S·c_i - n|, summed in int64 and
 divided once, so exact ties count at ``>= threshold``.  The exact oracle
 ``exact_tail_small`` sums that same event over the law of L, which it builds
 by splitting the categories into those above and those at or below the mean.
+
+The module needs NumPy and the standard library alone.  A Clopper-Pearson
+endpoint is a beta quantile, found by safeguarded Halley steps on the
+binomial tail I_x(a, b); the tail is a sum of positive terms times Loader's
+saddle-point binomial probability (Loader 2000), so it keeps its relative
+precision at any N, and each endpoint is moved outward by the relative
+``CP_MARGIN`` so that the interval contains the exact one.
 """
 
 import math
@@ -35,7 +42,6 @@ from itertools import starmap
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import betaincinv, gammaln, xlogy
 
 from .asymptotic import sample_Z_batch
 from .bounds import BoundEvaluation, BoundSpec, evaluate_bound
@@ -216,8 +222,110 @@ def _check_level(level: float, name: str) -> None:
         raise ValidationError(f"{name} must lie in (0, 1)")
 
 
+# Clopper-Pearson endpoints move outward by this relative margin, which is far
+# above the solver's error (about 1e-14 relative), so the interval contains the
+# exact one
+CP_MARGIN = 1e-10
+_STIRLING = (1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188)
+
+
+def _stirlerr(n: int) -> float:
+    # log(n!) − log(sqrt(2πn)·(n/e)^n): lgamma while its rounding stays small
+    if n <= 15:
+        return math.lgamma(n + 1) - (n + 0.5) * math.log(n) + n - 0.5 * math.log(2 * math.pi)
+    s = 0.0
+    for c in reversed(_STIRLING):
+        s = c - s / (n * n)
+    return s / n
+
+
+def _bd0(x: float, m: float) -> float:
+    # x·log(x/m) + m − x without cancellation near x = m (Loader 2000)
+    if abs(x - m) >= 0.1 * (x + m):
+        return x * math.log(x / m) + m - x
+    v = (x - m) / (x + m)
+    s, term, j = (x - m) * v, 2 * x * v, 3
+    while True:
+        term *= v * v
+        if s + term / j == s:
+            return s
+        s, j = s + term / j, j + 2
+
+
+def _binom_pmf(a: int, b: int, x: float, y: float) -> float:
+    # P(Bin(a+b−1, x) = a) for y = 1 − x, by Loader's saddle-point form; an
+    # lgamma difference would lose 1e-9 relative at a+b = 10^6
+    n = a + b - 1
+    if b == 1:
+        return x ** a
+    return math.exp(_stirlerr(n) - _stirlerr(a) - _stirlerr(b - 1) - _bd0(a, n * x)
+                    - _bd0(b - 1, n * y)) / math.sqrt(2 * math.pi * a * (b - 1) / n)
+
+
+def _binom_tail_ratio(a: int, b: int, x: float, y: float) -> float:
+    # P(Bin(n, x) >= a) / P(Bin(n, x) = a), n = a+b−1, as a sum of positive
+    # terms that fall from the first when x lies below the mean a/(a+b)
+    n, s, term = a + b - 1, 1.0, 1.0
+    for j in range(a, n):
+        term *= (n - j) * x / ((j + 1) * y)
+        s += term
+        if term <= 1e-17 * s:
+            break
+    return s
+
+
+def _beta_tails(a: int, b: int, x: float) -> tuple[float, float, float]:
+    """I_x(a, b), 1 − I_x(a, b) and dI_x(a, b)/dx, for integers a, b >= 1.
+    The tail on x's side of the mean a/(a+b) is summed and the other is 1
+    minus it, so the smaller one is exact to rounding; the upper tail uses
+    1 − I_x(a, b) = I_y(b, a) for y = 1 − x, with x and y only as factors."""
+    y = 1.0 - x
+    pmf = _binom_pmf(a, b, x, y)
+    density = pmf * a / x
+    if x * (a + b) < a:
+        near = pmf * _binom_tail_ratio(a, b, x, y)
+        return near, 1.0 - near, density
+    far = density * y / b * _binom_tail_ratio(b, a, y, x)
+    return 1.0 - far, far, density
+
+
+def _beta_tail_inverse(a: int, b: int, upper: bool, target: float) -> float:
+    """The x in (0, 1) with I_x(a, b) = target, or 1 − I_x(a, b) = target if
+    ``upper``, for target < 1/2: Halley steps from the Numerical Recipes
+    normal-approximation guess, each one that leaves the bracket or stalls
+    replaced by bisection."""
+    t = math.sqrt(-2.0 * math.log(target))
+    z = (2.30753 + 0.27061 * t) / (1.0 + t * (0.99229 + 0.04481 * t)) - t
+    z = z if upper else -z
+    al, h = (z * z - 3.0) / 6.0, 2.0 / (1.0 / (2 * a - 1) + 1.0 / (2 * b - 1))
+    w = (z * math.sqrt(al + h) / h
+         - (1.0 / (2 * b - 1) - 1.0 / (2 * a - 1)) * (al + 5.0 / 6 - 2.0 / (3 * h)))
+    e = b * math.exp(2.0 * w)
+    x, flip = a / (a + e), e < a
+    if flip:  # the root lies above 1/2: solve for 1 − x, where floats are finer
+        a, b, upper, x = b, a, not upper, e / (a + e)
+    lo, hi, dx, dx_old = 0.0, 1.0, 1.0, 1.0
+    for _ in range(200):
+        lower_tail, upper_tail, density = _beta_tails(a, b, x)
+        err = target - upper_tail if upper else lower_tail - target  # increasing in x
+        if err == 0.0:
+            break
+        lo, hi = (x, hi) if err < 0 else (lo, x)
+        u = err / density if density > 0.0 else math.inf
+        step = u / (1.0 - 0.5 * min(1.0, u * ((a - 1) / x - (b - 1) / (1.0 - x))))
+        if not lo <= x - step <= hi or abs(step) > 0.5 * abs(dx_old):
+            step = x - 0.5 * (lo + hi)
+        dx_old, dx = dx, step
+        x -= step
+        if abs(step) <= 1e-12 * x:
+            break
+    return 1.0 - x if flip else x
+
+
 def clopper_pearson(successes: int, trials: int, level: float = 0.95) -> tuple[float, float]:
-    """Exact two-sided binomial confidence interval via beta quantiles."""
+    """Exact two-sided binomial confidence interval: the beta quantiles
+    I^-1_{alpha/2}(k, N−k+1) and I^-1_{1−alpha/2}(k+1, N−k), in closed form
+    at k = 0 and k = N, each moved outward by the relative ``CP_MARGIN``."""
     if not (isinstance(successes, numbers.Integral) and isinstance(trials, numbers.Integral)):
         raise ValidationError("successes and trials must be integers")
     if trials < 1:
@@ -225,10 +333,26 @@ def clopper_pearson(successes: int, trials: int, level: float = 0.95) -> tuple[f
     _check_level(level, "level")
     if not (0 <= successes <= trials):
         raise ValidationError("successes must lie in [0, trials]")
-    alpha = 1.0 - level
-    lo = 0.0 if successes == 0 else float(betaincinv(successes, trials - successes + 1, alpha / 2))
-    hi = 1.0 if successes == trials else float(betaincinv(successes + 1, trials - successes, 1 - alpha / 2))
-    return lo, hi
+    k, n = int(successes), int(trials)
+    half = (1.0 - level) / 2
+    # I^-1_{1−alpha/2} with 1 − alpha/2 rounded (SciPy's betaincinv form) has
+    # the upper tail 1 − (1 − alpha/2); solving for the smaller of that and
+    # alpha/2 keeps both its interval and the exact one inside.  At the level
+    # 1 − 2^-53 that tail is 0, the upper tail of hi = 1.
+    upper = min(half, 1.0 - (1.0 - half))
+    if k == 0:
+        lo = 0.0
+    elif k == n:
+        lo = math.exp(math.log(half) / n)
+    else:
+        lo = _beta_tail_inverse(k, n - k + 1, False, half)
+    if k == n or upper == 0.0:
+        hi = 1.0
+    elif k == 0:
+        hi = -math.expm1(math.log(upper) / n)
+    else:
+        hi = _beta_tail_inverse(k + 1, n - k, True, upper)
+    return lo * (1.0 - CP_MARGIN), min(1.0, hi * (1.0 + CP_MARGIN))
 
 
 @dataclass(frozen=True)
@@ -270,8 +394,10 @@ def estimate_tail_probability(source: DeviationSource, threshold: float, trials:
 
 
 def _poisson_pmf(k, mu: float):
-    # Poisson(mu) pmf as the exp of its log, the same terms SciPy's poisson.pmf sums
-    return np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)
+    # Poisson(mu) pmf at the integers k as exp(k·log(mu) − mu − log k!), mu > 0
+    k = np.asarray(k)
+    log_factorial = np.fromiter(map(math.lgamma, k.ravel() + 1.0), float, k.size)
+    return np.exp(k * math.log(mu) - mu - log_factorial.reshape(k.shape))
 
 
 def _convolved(scaled, kernel, n: int, log_factor: float = 0.0):

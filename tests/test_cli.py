@@ -316,25 +316,30 @@ def test_oversized_grid_is_capacity_error(capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
-# Importing scipy.stats costs about a second per process and per spawned
-# worker; the package needs only scipy.special.  A fresh interpreter is
-# needed because this test process has scipy.stats loaded.
-NO_SCIPY_STATS = """
+# The runtime needs NumPy alone: with SciPy made unimportable, the console
+# entry point still writes the golden report at 1 and 2 workers, the exact
+# oracle still runs, and no scipy module gets loaded.  A fresh interpreter is
+# needed because this test process has SciPy loaded.
+WITHOUT_SCIPY = """
 import sys
-import l1conc, l1conc.cli
-config = l1conc.parse_config(
-    "master_seed = 1\\n[task]\\nkind = asymptotic-mean\\nS = 5\\ntrials = 100\\n"
-    "[task]\\nkind = falsify\\nbound = agrawal\\nS = 5\\nn = 100\\ndelta = 0.1\\n"
-    "trials = 100\\n")
-l1conc.run_experiment(config)
-l1conc.exact_tail_small([0.5, 0.5], 10, 0.2)
-print(sorted(name for name in sys.modules if name.startswith("scipy.stats")))
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from l1conc import exact_tail_small
+from l1conc.cli import main
+data, out = sys.argv[1], sys.argv[2]
+for workers in ("1", "2"):
+    code = main(["falsify", "--config", data + "/golden.ini", "--workers", workers,
+                 "--out", out])
+    with open(out, "rb") as got, open(data + "/golden.json", "rb") as want:
+        print(code, got.read() == want.read())
+exact_tail_small([0.5, 0.5], 10, 0.2)
+print(sorted(name for name, module in sys.modules.items()
+             if name.startswith("scipy") and module is not None))
 """
 
 
-def test_scipy_stats_never_imported():
+def test_runs_with_scipy_unimportable(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_STATS], env=env,
-                          capture_output=True, text=True, timeout=120)
+    argv = [sys.executable, "-c", WITHOUT_SCIPY, str(DATA), str(tmp_path / "g.json")]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == [f"{EXIT_VIOLATED} True"] * 2 + ["[]"]

@@ -51,6 +51,14 @@ class TestClopperPearson:
         lo, hi = clopper_pearson(50, 50)
         assert hi == 1.0 and lo > 0.9
 
+    def test_level_just_below_one(self):
+        # at the level 1 − 2^-53, 1 − alpha/2 rounds to 1, and beta.ppf gives 1
+        level = 1 - 2**-53
+        for k in (0, 3, 10):
+            lo, hi = clopper_pearson(k, 10, level)
+            assert hi == 1.0
+            assert lo <= (0.0 if k == 0 else beta.ppf((1 - level) / 2, k, 11 - k))
+
     def test_bad_args(self):
         with pytest.raises(ValidationError):
             clopper_pearson(5, 0)
@@ -63,15 +71,21 @@ class TestClopperPearson:
                 clopper_pearson(successes, trials)
         assert clopper_pearson(np.int64(3), np.int64(10)) == clopper_pearson(3, 10)
 
-    @pytest.mark.parametrize("level", [0.95, 1 - 1e-6])
-    @pytest.mark.parametrize("trials", [1, 2, 100, 10**4, 10**6])
+    @pytest.mark.parametrize("level", [0.5, 0.95, 1 - 1e-6])
+    @pytest.mark.parametrize("trials", [1, 2, 100, 10**4, 131072, 10**6])
     def test_equals_beta_quantiles(self, trials, level):
-        # bit for bit the scipy.stats form of the interval
+        # contains the scipy.stats beta-quantile interval, each endpoint within
+        # 1e-9 relative of it (the package no longer calls SciPy)
         alpha = 1 - level
-        for k in sorted({0, 1, trials // 3, trials - 1, trials}):
+        for k in {0, 1, 2, trials // 3, trials // 2, trials - 2, trials - 1, trials}:
+            if not 0 <= k <= trials:
+                continue
             lo = 0.0 if k == 0 else float(beta.ppf(alpha / 2, k, trials - k + 1))
             hi = 1.0 if k == trials else float(beta.ppf(1 - alpha / 2, k + 1, trials - k))
-            assert clopper_pearson(k, trials, level) == (lo, hi)
+            got_lo, got_hi = clopper_pearson(k, trials, level)
+            assert got_lo <= lo and got_hi >= hi, (k, got_lo, lo, got_hi, hi)
+            assert got_lo == pytest.approx(lo, rel=1e-9, abs=0)
+            assert got_hi == pytest.approx(hi, rel=1e-9, abs=0)
 
     def test_coverage_against_exact_oracle(self):
         # 95% intervals around MC tail estimates cover the enumerated truth
@@ -262,9 +276,11 @@ def test_levels_rejected_before_drawing(monkeypatch, level):
 class TestExactOracle:
     @pytest.mark.parametrize("S,n", [(3, 150), (3, 250), (5, 20), (10, 8)])
     def test_poisson_weights_equal_scipy(self, S, n):
+        # math.lgamma in place of SciPy's gammaln moves the weights by rounding
         k = np.arange(n + 1)
-        assert np.array_equal(montecarlo._poisson_pmf(k, n / S), poisson.pmf(k, n / S))
-        assert montecarlo._poisson_pmf(n, n) == poisson.pmf(n, n)
+        np.testing.assert_allclose(montecarlo._poisson_pmf(k, n / S), poisson.pmf(k, n / S),
+                                   rtol=1e-12, atol=0)
+        assert montecarlo._poisson_pmf(n, n) == pytest.approx(poisson.pmf(n, n), rel=1e-12)
 
     def test_total_probability(self):
         assert exact_tail_small(np.full(3, 1 / 3), 5, 0.0) == pytest.approx(1.0, rel=1e-12)

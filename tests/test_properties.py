@@ -1,5 +1,6 @@
 """Property-based tests of the config parser, the report round trip, the
-batch samplers, the chunk scheduler and the exact oracle."""
+batch samplers, the chunk scheduler, the exact oracle and the Clopper-Pearson
+interval."""
 
 import itertools
 import math
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betaincinv
 
 from l1conc import montecarlo
 from l1conc.asymptotic import sample_Z_batch
@@ -30,6 +32,7 @@ from l1conc.montecarlo import (
     SOURCE_FAMILIES,
     DeviationSource,
     SampleRequest,
+    clopper_pearson,
     exact_tail_small,
     summarize_many,
 )
@@ -250,3 +253,24 @@ def test_exact_oracle_equals_brute_force(S, n, data):
                         for c, L in zip(outcomes, lattice) if L / (n * S) >= threshold), S ** n)
     assert exact_tail_small(np.full(S, 1 / S), n, threshold) == pytest.approx(
         float(want), abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trials=st.integers(1, 10**6),
+       level=st.one_of(st.floats(0.5, 1 - 1e-9), st.floats(1 - 1e-7, 1 - 1e-9)),
+       data=st.data())
+def test_clopper_pearson_contains_scipy_and_is_monotone(trials, level, data):
+    # levels near 1 are drawn often: there 1 − alpha/2 rounds by up to 5e-9
+    # relative of alpha/2, and the interval must still contain SciPy's
+    # the few counts at either end, where the tails are steepest, and any count
+    k = data.draw(st.one_of(st.integers(0, min(trials, 3)), st.integers(0, trials),
+                            st.integers(max(0, trials - 3), trials)))
+    lo, hi = clopper_pearson(k, trials, level)
+    assert 0.0 <= lo <= k / trials <= hi <= 1.0
+    alpha = 1 - level
+    if k > 0:
+        assert lo <= betaincinv(k, trials - k + 1, alpha / 2)
+    if k < trials:
+        assert hi >= betaincinv(k + 1, trials - k, 1 - alpha / 2)
+        next_lo, next_hi = clopper_pearson(k + 1, trials, level)
+        assert next_lo >= lo and next_hi >= hi
