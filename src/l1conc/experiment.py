@@ -308,9 +308,12 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _parse_workers(text, path, errors):
-    # an integer >= 1, or 'auto' for the CPUs this process may run on
+    # an integer >= 1, or 'auto' for the CPUs this process may run on (where
+    # the OS has no affinity call, such as macOS and Windows, all of them)
     if text == "auto":
-        return len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     workers = _parse_scalar(int, text, path, errors)
     if workers is not None and workers < 1:
         errors.append(f"{path}: must be >= 1 or 'auto', got {text!r}")
@@ -418,7 +421,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
     ``m2`` times ``c / c0`` and its square; the first cell of a law, and
     every cell at its multiplier, divides and multiplies by 1, exactly.
     The samples of every law are summarized in one ``summarize_many`` call,
-    so a run starts at most one process pool.  The report content depends
+    so a run starts at most one thread pool.  The report content depends
     only on the config and master seed, never on the worker count or
     scheduling.
     """

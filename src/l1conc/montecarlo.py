@@ -14,10 +14,13 @@ another request: the experiment runner sends one request per law, so tasks
 of one law and trials count share it too.  A finite-n law is its source; a
 limit law is its S alone, because D and ``scale`` only multiply the sample.
 ``summarize_many`` schedules the chunks of many sample requests (every law
-of an experiment) together, on at most one process pool, which it shuts down
-before returning.  Chunk boundaries do not depend on the worker count, and
-chunk results are merged in index order, so every estimate is bit-identical
-whether it ran on 1 worker or 64.
+of an experiment) together, on at most one thread pool in this process,
+which it shuts down before returning; NumPy releases the GIL while it draws,
+sorts and reduces, so the chunks overlap.  A finite-n chunk is drawn a
+column (multinomial) or a block of rows (Dirichlet) at a time, so its memory
+does not grow with S either.  Chunk boundaries do not depend on the worker
+count, and chunk results are merged in index order, so every estimate is
+bit-identical whether it ran on 1 worker or 64.
 
 Multinomial counts c are scored on the integer lattice: under uniform p the
 l1 deviation is L / (n·S) with L = sum |S·c_i - n|, summed in int64 and
@@ -35,7 +38,7 @@ precision at any N, and each endpoint is moved outward by the relative
 
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 from itertools import starmap
@@ -43,13 +46,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .asymptotic import sample_Z_batch
+from .asymptotic import _BLOCK_ELEMS, sample_Z_batch
 from .bounds import BoundEvaluation, BoundSpec, evaluate_bound
 from .deviation import l1_deviation
 from .errors import CapacityError, ValidationError
-from .sampling import StreamKey, as_simplex, sample_dirichlet_batch, sample_multinomial_batch
+from .sampling import StreamKey, _multinomial_columns, as_simplex
 
 CHUNK_SIZE = 1 << 14
+
+# the one pool class _map_requests starts; bench/spans.py patches this name to
+# count pools, and ROADMAP item 3 renames it
+ProcessPoolExecutor = ThreadPoolExecutor
 
 # cap on the exact oracle's convolution multiply-adds (M + 2·log2 S)·(n+1)²:
 # admits (S, n) = (50, 10^4), about 1.2 s on one core; rejects (200, 10^4)
@@ -116,13 +123,19 @@ def _draw_chunk(request: SampleRequest, master_seed: int, chunk: int, count: int
     key = StreamKey(master_seed, request.stream, request.row, chunk)
     if source.family == "limit":
         out = sample_Z_batch(source.S, source.D, count, key)
-    else:
+    else:  # memory stays at a few rows or columns of the chunk, whatever S is
         S, n = source.S, source.n
-        p = np.full(S, 1.0 / S)
+        p, rng = np.full(S, 1.0 / S), key.generator()
         if source.family == "multinomial":
-            out = np.abs(S * sample_multinomial_batch(p, n, count, key) - n).sum(-1) / (n * S)
-        else:
-            out = l1_deviation(sample_dirichlet_batch(n * p, count, key), p)
+            L = np.zeros(count, dtype=np.int64)
+            for c in _multinomial_columns(rng, p, n, count):
+                L += np.abs(S * c - n)
+            out = L / (n * S)
+        else:  # gamma blocks continue one stream, so they equal one whole batch
+            rows, out = max(1, _BLOCK_ELEMS // S), np.empty(count)
+            for start in range(0, count, rows):
+                g = rng.standard_gamma(n * p, size=(min(rows, count - start), S))
+                out[start:start + rows] = l1_deviation(g / g.sum(-1, keepdims=True), p)
     if source.scale != 1.0:
         out = source.scale * out
     return out
@@ -131,8 +144,8 @@ def _draw_chunk(request: SampleRequest, master_seed: int, chunk: int, count: int
 def _map_requests(fn, requests: list, master_seed: int, workers: int) -> list[list]:
     """``fn(request, master_seed, chunk, size)`` for every chunk of every
     request, grouped by request in chunk order.  The chunks of all requests
-    form one job list, mapped on at most one process pool, which is shut down
-    (its workers joined) before this returns."""
+    form one job list, mapped on at most one thread pool, which is shut down
+    (its threads joined) before this returns."""
     if not all(isinstance(request.trials, numbers.Integral) and request.trials >= 1
                for request in requests):
         raise ValidationError("trials must be an integer >= 1")

@@ -59,24 +59,22 @@ class StreamKey:
         return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
-def _multinomial_chain(rng: np.random.Generator, p: np.ndarray, n: int, size: int) -> np.ndarray:
-    """Sample ``size`` rows of multinomial counts via sequential conditional
-    binomials, vectorized across rows.  Stable for large n and any dimension.
+def _multinomial_columns(rng: np.random.Generator, p: np.ndarray, n: int, size: int):
+    """Yield the count columns of ``size`` Multinomial(n, p) rows, one per
+    category in order, by sequential conditional binomials vectorized across
+    rows.  Stable for large n and any dimension; a consumer that reduces each
+    column as it comes never holds the ``size × p.size`` counts.
     """
-    S = p.size
-    counts = np.zeros((size, S), dtype=np.int64)
     remaining = np.full(size, n, dtype=np.int64)
     tail = 1.0
-    for i in range(S - 1):
-        if tail <= 0.0:
-            break
-        cond = min(max(float(p[i]) / tail, 0.0), 1.0)
-        c = rng.binomial(remaining, cond)
-        counts[:, i] = c
+    for q in map(float, p[:-1]):
+        # once the rest of p sums to 0 its columns are empty and nothing more is drawn
+        c = (rng.binomial(remaining, min(max(q / tail, 0.0), 1.0)) if tail > 0.0
+             else np.zeros_like(remaining))
+        yield c
         remaining -= c
-        tail -= float(p[i])
-    counts[:, S - 1] = remaining
-    return counts
+        tail -= q
+    yield remaining
 
 
 def sample_multinomial_batch(p, n: int, size: int, key: StreamKey) -> np.ndarray:
@@ -86,8 +84,7 @@ def sample_multinomial_batch(p, n: int, size: int, key: StreamKey) -> np.ndarray
         raise ValidationError("trial count n must be an integer >= 0")
     if size < 1:
         raise ValidationError("batch size must be >= 1")
-    rng = key.generator()
-    return _multinomial_chain(rng, p, n, size)
+    return np.column_stack(list(_multinomial_columns(key.generator(), p, n, size)))
 
 
 def sample_dirichlet_batch(alpha, size: int, key: StreamKey) -> np.ndarray:

@@ -303,6 +303,29 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, *TAIL)
         assert (code, err, seen) == (EXIT_OK, "", [3])
 
+    @pytest.mark.parametrize("cpus, expected", [(5, 5), (None, 1)])
+    def test_workers_auto_without_affinity_call(self, capsys, monkeypatch, tmp_path, cpus,
+                                                expected):
+        # macOS and Windows have no os.sched_getaffinity: 'auto' counts every CPU,
+        # from the config key, the flag and the environment alike
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        seen = []
+
+        def summarize_many(requests, master_seed, workers=1):
+            seen.append(workers)
+            return montecarlo.summarize_many(requests, master_seed, workers)
+
+        monkeypatch.setattr(experiment, "summarize_many", summarize_many)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("master_seed = 4\nworkers = auto\n[task]\nkind = tail\nS = 3\nn = 50\n"
+                       "threshold = 0.2\ntrials = 200\n")
+        assert run_cli(capsys, "tail", "--config", str(cfg))[::2] == (EXIT_OK, "")
+        assert run_cli(capsys, *TAIL, "--workers", "auto")[::2] == (EXIT_OK, "")
+        monkeypatch.setenv("L1CONC_WORKERS", "auto")
+        assert run_cli(capsys, *TAIL)[::2] == (EXIT_OK, "")
+        assert seen == [expected] * 3
+
     def test_n_beyond_int64_lattice_rejected(self, capsys):
         self.assert_usage_error(capsys, ["tail", "--seed", "1", "--S", "3", "--n", str(10**21),
                                          "--threshold", "0.5", "--trials", "10"], "2·S·n")

@@ -30,7 +30,8 @@ from l1conc.montecarlo import (
     summarize_many,
     tail_estimate_from_count,
 )
-from l1conc.sampling import StreamKey, sample_multinomial_batch
+from l1conc.deviation import l1_deviation
+from l1conc.sampling import StreamKey, sample_dirichlet_batch, sample_multinomial_batch
 
 SEED = 90125
 
@@ -202,6 +203,51 @@ class TestSummarizeSamples:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+class TestBoundedChunks:
+    # a finite-n chunk is drawn a column or a block of rows at a time; it must
+    # equal the statistic of the whole batch of counts or of Dirichlet rows
+
+    @pytest.mark.parametrize("S, n, count", [(5, 100, 3000), (50, 10**4, 500), (2000, 10**4, 40)])
+    def test_streamed_multinomial_matches_counts(self, S, n, count):
+        request = SampleRequest(DeviationSource("multinomial", S, n=n), count, stream=2, row=1)
+        got = montecarlo._draw_chunk(request, SEED, 3, count)
+        counts = sample_multinomial_batch(np.full(S, 1 / S), n, count, StreamKey(SEED, 2, 1, 3))
+        assert got.tobytes() == (np.abs(S * counts - n).sum(-1) / (n * S)).tobytes()
+
+    # 2^15 // S rows a block: 10922 rows at S = 3 and one row at S = 20000, so
+    # a block boundary falls inside each chunk
+    @pytest.mark.parametrize("S, n, count", [(3, 10, 12_000), (20_000, 200, 3)])
+    def test_blocked_dirichlet_matches_whole_batch(self, S, n, count):
+        request = SampleRequest(DeviationSource("dirichlet", S, n=n), count, stream=1)
+        got = montecarlo._draw_chunk(request, SEED, 2, count)
+        p = np.full(S, 1 / S)
+        whole = sample_dirichlet_batch(n * p, count, StreamKey(SEED, 1, 0, 2))
+        assert got.tobytes() == l1_deviation(whole, p).tobytes()
+
+    @pytest.mark.parametrize("family", ["multinomial", "dirichlet"])
+    def test_chunk_memory_flat_in_S(self, family):
+        # 256 rows at S = 20000 are 39 MiB of counts or gammas as one array
+        request = SampleRequest(DeviationSource(family, 20_000, n=200), 256, thresholds=(1.0,))
+        tracemalloc.start()
+        try:
+            summary = montecarlo._reduce_chunk(request, SEED, 0, 256)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert summary.count == 256
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("family", ["multinomial", "dirichlet"])
+    def test_worker_count_invariance_at_large_S(self, family):
+        # three chunks, two of them running at once on the pool's threads
+        request = SampleRequest(DeviationSource(family, 500, n=100), 2 * montecarlo.CHUNK_SIZE + 7,
+                                thresholds=(1.25, 1.3, 1.64), grid=(1.29, 1.63))
+        [one], [two] = (summarize_many([request], SEED, workers) for workers in (1, 2))
+        assert one.at_least.tolist() == two.at_least.tolist()
+        assert one.at_most.tolist() == two.at_most.tolist()
+        assert (one.count, one.mean, one.m2) == (two.count, two.mean, two.m2)
 
 
 class TestTailEstimation:
