@@ -30,6 +30,7 @@ from .montecarlo import (
     dkw_halfwidth,
     summarize_many,
     tail_estimate_from_count,
+    _usable_cpus,
 )
 
 SCHEMA_VERSION = 1
@@ -308,12 +309,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _parse_workers(text, path, errors):
-    # an integer >= 1, or 'auto' for the CPUs this process may run on (where
-    # the OS has no affinity call, such as macOS and Windows, all of them)
+    # an integer >= 1, or 'auto' for the CPUs this process may run on
     if text == "auto":
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
+        return _usable_cpus()
     workers = _parse_scalar(int, text, path, errors)
     if workers is not None and workers < 1:
         errors.append(f"{path}: must be >= 1 or 'auto', got {text!r}")

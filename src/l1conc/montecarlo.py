@@ -14,13 +14,19 @@ another request: the experiment runner sends one request per law, so tasks
 of one law and trials count share it too.  A finite-n law is its source; a
 limit law is its S alone, because D and ``scale`` only multiply the sample.
 ``summarize_many`` schedules the chunks of many sample requests (every law
-of an experiment) together, on at most one thread pool in this process,
-which it shuts down before returning; NumPy releases the GIL while it draws,
-sorts and reduces, so the chunks overlap.  A finite-n chunk is drawn a
-column (multinomial) or a block of rows (Dirichlet) at a time, so its memory
-does not grow with S either.  Chunk boundaries do not depend on the worker
-count, and chunk results are merged in index order, so every estimate is
-bit-identical whether it ran on 1 worker or 64.
+of an experiment) together, on at most one thread pool in this process, of
+no more threads than the CPUs it may run on, which it shuts down before
+returning; NumPy releases the GIL while it draws, sorts and reduces, so the
+chunks overlap.  A finite-n chunk is drawn a block of rows or a column at a
+time, so its memory does not grow with S either.  A uniform multinomial
+chunk with n <= 8·S tallies n uniform categories a row, the direct method
+(Devroye 1986): there the chain of S − 1 conditional binomials is slower,
+since their means n/S are small and NumPy's inversion sampler redoes its
+set-up for every row.  Above 8·S a chunk adds one binomial count column at
+a time, and a Dirichlet chunk draws blocks of gamma rows.  Which method a
+chunk takes depends on (S, n) alone, chunk boundaries do not depend on the
+worker count, and chunk results are merged in index order, so every
+estimate is bit-identical whether it ran on 1 worker or 64.
 
 Multinomial counts c are scored on the integer lattice: under uniform p the
 l1 deviation is L / (n·S) with L = sum |S·c_i - n|, summed in int64 and
@@ -38,6 +44,7 @@ precision at any N, and each endpoint is moved outward by the relative
 
 import math
 import numbers
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
@@ -53,6 +60,12 @@ from .errors import CapacityError, ValidationError
 from .sampling import StreamKey, _multinomial_columns, as_simplex
 
 CHUNK_SIZE = 1 << 14
+
+# a uniform multinomial chunk with n <= _COUNTING_RATIO·S tallies n category
+# draws a row; in sweeps of 16,384-row chunks at S = 5, 10, 50 and 200 that
+# beat the chain of S − 1 binomials at every S up to n = 8·S (by 1.1-2.0x
+# there), and at n = 20·S it was no faster than the chain at S = 5
+_COUNTING_RATIO = 8
 
 # the one pool class _map_requests starts; bench/spans.py patches this name to
 # count pools, and ROADMAP item 3 renames it
@@ -118,21 +131,43 @@ class SampleRequest(NamedTuple):
     row: int = 0
 
 
+def _multinomial_L(rng: np.random.Generator, S: int, n: int, count: int) -> np.ndarray:
+    """L = sum_i |S·c_i − n| for ``count`` Multinomial(n, 1/S) rows, in int64.
+    With n <= ``_COUNTING_RATIO``·S a row's counts are the tally of n uniform
+    categories, drawn ``_BLOCK_ELEMS // (n + S)`` rows at a time, so that a
+    block's categories and counts together hold at most ``_BLOCK_ELEMS``
+    int64 (row r's categories are offset by S·r, so one ``bincount`` tallies
+    the block); above it the binomial chain adds one count column at a time.
+    Either way memory stays at one block or column, whatever S is."""
+    if n > _COUNTING_RATIO * S:
+        L = np.zeros(count, dtype=np.int64)
+        for c in _multinomial_columns(rng, np.full(S, 1.0 / S), n, count):
+            L += np.abs(S * c - n)
+        return L
+    L, rows = np.empty(count, dtype=np.int64), max(1, _BLOCK_ELEMS // (n + S))
+    for start in range(0, count, rows):
+        size = min(rows, count - start)
+        categories = rng.integers(0, S, size=(size, n))
+        categories += S * np.arange(size)[:, None]
+        c = np.bincount(categories.ravel(), minlength=size * S).reshape(size, S)
+        c *= S
+        c -= n
+        np.abs(c, out=c)
+        c.sum(-1, out=L[start:start + size])
+    return L
+
+
 def _draw_chunk(request: SampleRequest, master_seed: int, chunk: int, count: int) -> np.ndarray:
     source = request.source
     key = StreamKey(master_seed, request.stream, request.row, chunk)
     if source.family == "limit":
         out = sample_Z_batch(source.S, source.D, count, key)
     else:  # memory stays at a few rows or columns of the chunk, whatever S is
-        S, n = source.S, source.n
-        p, rng = np.full(S, 1.0 / S), key.generator()
+        S, n, rng = source.S, source.n, key.generator()
         if source.family == "multinomial":
-            L = np.zeros(count, dtype=np.int64)
-            for c in _multinomial_columns(rng, p, n, count):
-                L += np.abs(S * c - n)
-            out = L / (n * S)
+            out = _multinomial_L(rng, S, n, count) / (n * S)
         else:  # gamma blocks continue one stream, so they equal one whole batch
-            rows, out = max(1, _BLOCK_ELEMS // S), np.empty(count)
+            p, rows, out = np.full(S, 1.0 / S), max(1, _BLOCK_ELEMS // S), np.empty(count)
             for start in range(0, count, rows):
                 g = rng.standard_gamma(n * p, size=(min(rows, count - start), S))
                 out[start:start + rows] = l1_deviation(g / g.sum(-1, keepdims=True), p)
@@ -141,11 +176,20 @@ def _draw_chunk(request: SampleRequest, master_seed: int, chunk: int, count: int
     return out
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; where the OS has no affinity call
+    (macOS, Windows), all of them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_requests(fn, requests: list, master_seed: int, workers: int) -> list[list]:
     """``fn(request, master_seed, chunk, size)`` for every chunk of every
     request, grouped by request in chunk order.  The chunks of all requests
-    form one job list, mapped on at most one thread pool, which is shut down
-    (its threads joined) before this returns."""
+    form one job list, mapped on at most one thread pool of
+    min(``workers``, jobs, usable CPUs) threads, which is shut down (its
+    threads joined) before this returns."""
     if not all(isinstance(request.trials, numbers.Integral) and request.trials >= 1
                for request in requests):
         raise ValidationError("trials must be an integer >= 1")
@@ -156,8 +200,9 @@ def _map_requests(fn, requests: list, master_seed: int, workers: int) -> list[li
         raise ValidationError("thresholds and grid points must be finite")
     jobs = [(request, master_seed, start // CHUNK_SIZE, min(CHUNK_SIZE, request.trials - start))
             for request in requests for start in range(0, request.trials, CHUNK_SIZE)]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+    threads = min(workers, len(jobs), _usable_cpus())
+    if threads > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
             results = iter(list(pool.map(fn, *zip(*jobs))))
     else:
         results = starmap(fn, jobs)

@@ -163,6 +163,7 @@ class TestRunExperiment:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 64)
         outputs = []
         threads = threading.active_count()
         for workers, expected_pools in ((1, []), (2, [2]), (3, [3])):

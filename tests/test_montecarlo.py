@@ -209,7 +209,8 @@ class TestBoundedChunks:
     # a finite-n chunk is drawn a column or a block of rows at a time; it must
     # equal the statistic of the whole batch of counts or of Dirichlet rows
 
-    @pytest.mark.parametrize("S, n, count", [(5, 100, 3000), (50, 10**4, 500), (2000, 10**4, 40)])
+    # n > 8·S, so each chunk takes the binomial chain
+    @pytest.mark.parametrize("S, n, count", [(5, 100, 3000), (50, 10**4, 500), (500, 10**4, 40)])
     def test_streamed_multinomial_matches_counts(self, S, n, count):
         request = SampleRequest(DeviationSource("multinomial", S, n=n), count, stream=2, row=1)
         got = montecarlo._draw_chunk(request, SEED, 3, count)
@@ -226,10 +227,15 @@ class TestBoundedChunks:
         whole = sample_dirichlet_batch(n * p, count, StreamKey(SEED, 1, 0, 2))
         assert got.tobytes() == l1_deviation(whole, p).tobytes()
 
-    @pytest.mark.parametrize("family", ["multinomial", "dirichlet"])
-    def test_chunk_memory_flat_in_S(self, family):
-        # 256 rows at S = 20000 are 39 MiB of counts or gammas as one array
-        request = SampleRequest(DeviationSource(family, 20_000, n=200), 256, thresholds=(1.0,))
+    # 256 rows at S = 20000 are 39 MiB of counts or gammas as one array; at
+    # (50, 400) the 256 rows of 400 categories would be 0.8 MiB
+    @pytest.mark.parametrize("family, S, n", [
+        pytest.param("multinomial", 20_000, 200, id="multinomial"),
+        pytest.param("dirichlet", 20_000, 200, id="dirichlet"),
+        pytest.param("multinomial", 50, 400, id="multinomial-50-400"),
+    ])
+    def test_chunk_memory_flat_in_S(self, family, S, n):
+        request = SampleRequest(DeviationSource(family, S, n=n), 256, thresholds=(1.0,))
         tracemalloc.start()
         try:
             summary = montecarlo._reduce_chunk(request, SEED, 0, 256)
@@ -240,14 +246,79 @@ class TestBoundedChunks:
         assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("family", ["multinomial", "dirichlet"])
-    def test_worker_count_invariance_at_large_S(self, family):
+    def test_worker_count_invariance_at_large_S(self, family, monkeypatch):
         # three chunks, two of them running at once on the pool's threads
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
         request = SampleRequest(DeviationSource(family, 500, n=100), 2 * montecarlo.CHUNK_SIZE + 7,
                                 thresholds=(1.25, 1.3, 1.64), grid=(1.29, 1.63))
         [one], [two] = (summarize_many([request], SEED, workers) for workers in (1, 2))
         assert one.at_least.tolist() == two.at_least.tolist()
         assert one.at_most.tolist() == two.at_most.tolist()
         assert (one.count, one.mean, one.m2) == (two.count, two.mean, two.m2)
+
+
+class TestCountingChunks:
+    # a chunk with n <= 8·S tallies n uniform categories a row; one with
+    # n > 8·S takes the binomial chain
+
+    # thresholds on atoms of L, so ties count at >= threshold
+    @pytest.mark.parametrize("S, n, Ls", [
+        (10, 8, (64, 80, 96)), (5, 20, (30, 40, 50)), (3, 24, (12, 18, 24)), (3, 25, (14, 20, 26)),
+    ])
+    def test_tails_match_exact_oracle(self, S, n, Ls):
+        trials = 10**5
+        thresholds = tuple(L / (n * S) for L in Ls)
+        [summary] = summarize_many([SampleRequest(DeviationSource("multinomial", S, n=n), trials,
+                                                  thresholds=thresholds)], SEED)
+        half = dkw_halfwidth(trials, 1e-6)
+        for t, k in zip(thresholds, summary.at_least):
+            assert abs(k / trials - exact_tail_small(np.full(S, 1 / S), n, t)) <= half
+
+    def test_chain_only_above_8S(self, monkeypatch):
+        def no_chain(*args):
+            raise AssertionError("the binomial chain ran")
+
+        monkeypatch.setattr(montecarlo, "_multinomial_columns", no_chain)
+        request = SampleRequest(DeviationSource("multinomial", 7, n=56), 100)
+        assert montecarlo._draw_chunk(request, SEED, 0, 100).shape == (100,)
+        request = SampleRequest(DeviationSource("multinomial", 7, n=57), 100)
+        with pytest.raises(AssertionError, match="chain"):
+            montecarlo._draw_chunk(request, SEED, 0, 100)
+
+
+class TestPoolSize:
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        # records each pool's size and maps in this thread, so no thread starts
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+        return sizes
+
+    # five chunks; a pool has at most min(workers, chunks, usable CPUs) threads
+    @pytest.mark.parametrize("workers, cpus, expected", [
+        (100_000, 3, [3]), (100_000, 64, [5]), (2, 64, [2]), (100_000, 1, []),
+    ])
+    def test_capped_at_usable_cpus(self, sizes, monkeypatch, workers, cpus, expected):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        source = DeviationSource("multinomial", 3, n=10)
+        trials = 4 * montecarlo.CHUNK_SIZE + 1
+        got = draw_samples(source, trials, SEED, workers=workers)
+        assert sizes == expected
+        assert got.tobytes() == draw_samples(source, trials, SEED).tobytes()
 
 
 class TestTailEstimation:

@@ -1,6 +1,6 @@
 """Property-based tests of the config parser, the report round trip, the
-batch samplers, the chunk scheduler, the exact oracle and the Clopper-Pearson
-interval."""
+batch samplers, the counted multinomial chunks, the chunk scheduler, the
+exact oracle and the Clopper-Pearson interval."""
 
 import itertools
 import math
@@ -197,6 +197,20 @@ def test_dirichlet_rows_on_simplex(alpha, size, key):
     x = sample_dirichlet_batch(alpha, size, key)
     assert x.shape == (size, len(alpha))
     assert np.all(x >= 0) and np.all(np.abs(x.sum(axis=1) - 1.0) <= SIMPLEX_SUM_TOL)
+
+
+@settings(max_examples=100, deadline=None)
+@given(S=st.integers(2, 64), size=st.integers(1, 300), key=keys, data=st.data())
+def test_counted_multinomial_L_on_its_lattice(S, size, key, data):
+    # n <= 8·S tallies categories, in blocks of 2^15 // (n + S) rows; L is
+    # twice the excess above the mean, least when the counts differ by at
+    # most 1 (r of them one above n // S) and most when one category holds n
+    n = data.draw(st.integers(1, 8 * S), label="n")
+    L = montecarlo._multinomial_L(key.generator(), S, n, size)
+    r = n % S
+    assert L.dtype == np.int64 and np.all(L % 2 == 0)
+    assert np.all((2 * r * (S - r) <= L) & (L <= 2 * n * (S - 1)))
+    assert np.array_equal(montecarlo._multinomial_L(key.generator(), S, n, size), L)
 
 
 @settings(max_examples=100, deadline=None)
