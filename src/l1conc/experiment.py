@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -296,8 +297,6 @@ def parse_config(text: str) -> ExperimentConfig:
         master_seed = 0
     else:
         master_seed = _parse_scalar(int, globals_["master_seed"][1], "master_seed", errors) or 0
-        if master_seed < 0:
-            errors.append("master_seed: must be >= 0")
     workers = None
     if "workers" in globals_:
         workers = _parse_workers(globals_["workers"][1], "workers", errors)
@@ -344,20 +343,17 @@ def _row(task: TaskConfig, seed: int, **kw) -> dict:
             "seed": seed, **kw}
 
 
-def _source_for(task: TaskConfig, S: int) -> DeviationSource:
-    return DeviationSource(family=task.family, S=S, n=task.n, D=task.D)
-
-
 def _cell_rows(task: TaskConfig, seed: int, S: int, thresholds, evaluations,
                summary) -> list[dict]:
     """The report rows of one cell of ``task`` at dimension ``S``, read from
     the summary of its sample: a mean row, one CDF row per grid point, or one
     tail row per threshold.  A falsify cell is a tail cell at its bounds'
-    epsilons, each row then classified against its delta."""
+    epsilons, each row then classified against its delta.  A limit sample
+    is drawn at D = 1, so its moments are multiplied by ``task.D`` here."""
     if task.kind == "asymptotic-mean":
         z_crit = NormalDist().inv_cdf(0.5 + task.ci_level / 2.0)
-        mean = float(summary.mean)
-        se = math.sqrt(summary.variance) / math.sqrt(task.trials)
+        mean = task.D * float(summary.mean)
+        se = task.D * math.sqrt(summary.variance) / math.sqrt(task.trials)
         return [_row(task, seed, S=S, epsilon=task.D * expected_Z(S),
                      point=mean, ci_low=mean - z_crit * se, ci_high=mean + z_crit * se)]
     if task.kind == "quantiles":
@@ -376,80 +372,65 @@ def _cell_rows(task: TaskConfig, seed: int, S: int, thresholds, evaluations,
     return rows
 
 
-def _task_cells(task: TaskConfig, task_index: int, seed: int) -> list:
-    """``(request, rows)`` for every cell of a task: the samples the cell
-    needs, drawn from stream ``task_index`` at the cell's row, and the
-    function that turns their summary into report rows.  A task has a cell
-    per S, at row r for the r-th S; only asymptotic-mean tasks sweep S, so
-    every other task is one cell at row 0, and its thresholds (a falsify
-    task's epsilons), grid points or deltas are all counted on that one
-    sample.  A cell of the same law and trials count as an earlier cell
-    reads that cell's sample instead (see ``_law`` and ``run_experiment``)."""
+def _task_cells(task: TaskConfig, seed: int) -> list:
+    """``(request, rows)`` for every cell of a task: the sample the cell
+    needs and the function that turns its summary into report rows.  A task
+    has a cell per S; only asymptotic-mean tasks sweep S, so every other task
+    is one cell, and its thresholds (a falsify task's epsilons), grid points
+    or deltas are all counted on that one sample.  A request names the law
+    alone (no ``stream``), so its draws do not depend on the task's place in
+    the config.  A limit law is drawn at D = 1, so a cell divides its
+    thresholds and grid points by its D (and ``_cell_rows`` multiplies the
+    moments by it); a finite-n cell has D = 1."""
     cells = []
-    for r, S in enumerate(task.S_values):
+    for S in task.S_values:
         # the parser leaves deltas empty, so evaluations too, unless falsify
         evaluations = [evaluate_bound(BoundSpec(task.bound, task.n, S, delta))
                        for delta in task.deltas]
         thresholds = tuple(e.epsilon for e in evaluations) or tuple(task.thresholds)
-        request = SampleRequest(_source_for(task, S), task.trials, task_index, thresholds,
-                                tuple(task.grid), r)
+        request = SampleRequest(DeviationSource(task.family, S, n=task.n), task.trials,
+                                thresholds=tuple(t / task.D for t in thresholds),
+                                grid=tuple(g / task.D for g in task.grid))
         cells.append((request, partial(_cell_rows, task, seed, S, thresholds, evaluations)))
     return cells
-
-
-def _law(request: SampleRequest) -> tuple:
-    """The law a cell's request samples, and the multiplier ``c`` the cell
-    applies to that law's sample.  A limit sample is Z at D = 1 times
-    ``D · scale`` (``sample_Z_batch`` multiplies by ``D / sqrt(S)`` last), so
-    a limit law is its S; a finite-n law is its whole source."""
-    source = request.source
-    if source.family == "limit":
-        return ("limit", source.S, request.trials), source.D * source.scale
-    return (source, request.trials), 1.0
 
 
 def run_experiment(config: ExperimentConfig) -> Report:
     """Execute every task and aggregate results into a Report.
 
-    Cells of one law (see ``_law``) read one sample: the request of the
-    first such cell in config order, at that cell's multiplier ``c0``, with
-    the thresholds and grid points of every such cell appended, and each
-    cell reads its own slice of the counts.  A later cell with multiplier
-    ``c`` appends its points divided by ``c / c0`` and reads the mean and
-    ``m2`` times ``c / c0`` and its square; the first cell of a law, and
-    every cell at its multiplier, divides and multiplies by 1, exactly.
-    The samples of every law are summarized in one ``summarize_many`` call,
-    so a run starts at most one thread pool.  The report content depends
-    only on the config and master seed, never on the worker count or
-    scheduling.
+    The master seed is checked before any draw.  Cells of one law read one
+    sample: equal requests, bar their points, become one request with the
+    thresholds and grid points of every such cell appended, and each cell
+    reads its own slice of the counts.  The samples of every law are
+    summarized in one ``summarize_many`` call, so a run starts at most one
+    thread pool.  A row depends only on its own task and the master seed,
+    never on the other tasks, the worker count or scheduling.
     """
+    seed = config.master_seed
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
+        raise ConfigError(f"master_seed: must be an integer in [0, 2^64), got {seed!r}")
     workers = resolve_workers(config)
-    cells = [cell for i, task in enumerate(config.tasks)
-             for cell in _task_cells(task, i, config.master_seed)]
-    laws, views = {}, []  # law -> its shared request; (law, c / c0, slices, rows) per cell
-    for request, rows in cells:
-        law, c = _law(request)
-        shared = laws.setdefault(law, request._replace(thresholds=(), grid=()))
-        ratio = c / _law(shared)[1]
-        thresholds = tuple(x / ratio for x in request.thresholds)
-        grid = tuple(x / ratio for x in request.grid)
-        t, g = len(shared.thresholds), len(shared.grid)
-        views.append((law, ratio, slice(t, t + len(thresholds)), slice(g, g + len(grid)), rows))
-        laws[law] = shared._replace(thresholds=shared.thresholds + thresholds,
-                                    grid=shared.grid + grid)
-    summaries = dict(zip(laws, summarize_many(laws.values(), config.master_seed, workers)))
+    points, views = {}, []  # law -> (thresholds, grid); (law, slices, rows) per cell
+    for request, rows in (cell for task in config.tasks for cell in _task_cells(task, seed)):
+        law = request._replace(thresholds=(), grid=())
+        thresholds, grid = points.setdefault(law, ([], []))
+        views.append((law, slice(len(thresholds), len(thresholds) + len(request.thresholds)),
+                      slice(len(grid), len(grid) + len(request.grid)), rows))
+        thresholds += request.thresholds
+        grid += request.grid
+    requests = [law._replace(thresholds=tuple(t), grid=tuple(g)) for law, (t, g) in points.items()]
+    summaries = dict(zip(points, summarize_many(requests, seed, workers)))
 
-    def view(law, ratio, at_least, at_most):
+    def view(law, at_least, at_most):
         summary = summaries[law]
         return replace(summary, at_least=summary.at_least[at_least],
-                       at_most=summary.at_most[at_most], mean=summary.mean * ratio,
-                       m2=summary.m2 * ratio**2)
+                       at_most=summary.at_most[at_most])
 
     return Report(
-        master_seed=config.master_seed,
+        master_seed=seed,
         tasks=[t.echo() for t in config.tasks],
-        rows=[row for law, ratio, at_least, at_most, rows in views
-              for row in rows(view(law, ratio, at_least, at_most))],
+        rows=[row for law, at_least, at_most, rows in views
+              for row in rows(view(law, at_least, at_most))],
     )
 
 

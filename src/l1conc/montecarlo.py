@@ -1,18 +1,19 @@
 """Monte Carlo engine: tail and quantile estimation with exact confidence
 intervals, a small-instance exact oracle, and bound falsification.
 
-Trials are drawn in fixed-size chunks.  Chunk ``chunk`` of a request draws
-from the Philox counter segment ``StreamKey(master_seed, stream, row,
-chunk)``, disjoint from every other chunk, row and stream of the master seed
-however many of each there are.  Estimators reduce each chunk to exceedance
-counts, at-most counts and moments where it is drawn, so memory does not
-grow with ``trials``.  A request is one sample: every threshold and grid
-point it names is counted on the same draws, so a tail task's thresholds and
-a falsify task's deltas (a falsify cell is a tail cell at its bounds'
-epsilons) share one sample, and only rows that need a different law need
-another request: the experiment runner sends one request per law, so tasks
-of one law and trials count share it too.  A finite-n law is its source; a
-limit law is its S alone, because D and ``scale`` only multiply the sample.
+Trials are drawn in fixed-size chunks, each from its own Philox counter
+segment (see ``StreamKey``).  A request with no ``stream`` is keyed by its
+law: chunk ``chunk`` draws from ``StreamKey(master_seed, S, n or 0, chunk,
+family_code << 62 | trials)``, ``family_code`` being 1 + the family's index
+in ``SOURCE_FAMILIES``, so distinct laws never share a draw and a law's
+sample does not depend on what else is drawn.  A limit law is its S alone,
+because D and ``scale`` only multiply the sample.  The public ``stream=``
+keyword draws from ``StreamKey(master_seed, stream, 0, chunk)`` instead.
+Estimators reduce each chunk to exceedance counts, at-most counts and
+moments where it is drawn, so memory does not grow with ``trials``.  A
+request is one sample: every threshold and grid point it names is counted
+on the same draws, so the experiment runner sends one request per law, and
+every row of that law reads it.
 ``summarize_many`` schedules the chunks of many sample requests (every law
 of an experiment) together, on at most one thread pool in this process, of
 no more threads than the CPUs it may run on, which it shuts down before
@@ -101,8 +102,8 @@ class DeviationSource:
     def __post_init__(self):
         if self.family not in SOURCE_FAMILIES:
             raise ValidationError(f"unknown source family {self.family!r}")
-        if not isinstance(self.S, numbers.Integral) or self.S < 2:
-            raise ValidationError("S must be an integer >= 2")
+        if not (isinstance(self.S, numbers.Integral) and 2 <= self.S < 2**64):  # a counter word
+            raise ValidationError("S must be an integer >= 2 and < 2^64")
         if self.family != "limit":
             if not isinstance(self.n, numbers.Integral) or self.n < 1:
                 raise ValidationError("finite-n sources require an integer n >= 1")
@@ -120,15 +121,15 @@ class DeviationSource:
 
 class SampleRequest(NamedTuple):
     """``trials`` deviation samples of ``source`` drawn from the Philox
-    segments of ``(stream, row)``, summarized at ``thresholds`` (counts of
-    samples >= t) and on ``grid`` (counts of samples <= g)."""
+    segments of its law, or of ``stream`` if one is given, summarized at
+    ``thresholds`` (counts of samples >= t) and on ``grid`` (counts of
+    samples <= g)."""
 
     source: DeviationSource
     trials: int
-    stream: int = 0
+    stream: int | None = None
     thresholds: tuple = ()
     grid: tuple = ()
-    row: int = 0
 
 
 def _multinomial_L(rng: np.random.Generator, S: int, n: int, count: int) -> np.ndarray:
@@ -159,7 +160,11 @@ def _multinomial_L(rng: np.random.Generator, S: int, n: int, count: int) -> np.n
 
 def _draw_chunk(request: SampleRequest, master_seed: int, chunk: int, count: int) -> np.ndarray:
     source = request.source
-    key = StreamKey(master_seed, request.stream, request.row, chunk)
+    if request.stream is None:  # the law's own segments
+        law = (1 + SOURCE_FAMILIES.index(source.family)) << 62 | request.trials
+        key = StreamKey(master_seed, source.S, source.n or 0, chunk, law)
+    else:
+        key = StreamKey(master_seed, request.stream, 0, chunk)
     if source.family == "limit":
         out = sample_Z_batch(source.S, source.D, count, key)
     else:  # memory stays at a few rows or columns of the chunk, whatever S is
@@ -190,9 +195,9 @@ def _map_requests(fn, requests: list, master_seed: int, workers: int) -> list[li
     form one job list, mapped on at most one thread pool of
     min(``workers``, jobs, usable CPUs) threads, which is shut down (its
     threads joined) before this returns."""
-    if not all(isinstance(request.trials, numbers.Integral) and request.trials >= 1
-               for request in requests):
-        raise ValidationError("trials must be an integer >= 1")
+    if not all(isinstance(request.trials, numbers.Integral) and 1 <= request.trials < 2**62
+               for request in requests):  # 62 bits is the trials field of a law's key
+        raise ValidationError("trials must be an integer >= 1 and < 2^62")
     if not (isinstance(workers, numbers.Integral) and workers >= 1):
         raise ValidationError("workers must be an integer >= 1")
     if not all(np.isfinite(np.asarray(values, dtype=float)).all()

@@ -36,26 +36,30 @@ def as_simplex(p) -> np.ndarray:
 class StreamKey:
     """Deterministic handle for one segment of a master seed's Philox stream.
 
-    The key is ``(master_seed, 0)``; ``(stream, row, chunk)`` fill the three
+    The key is ``(master_seed, law)``; ``(stream, row, chunk)`` fill the three
     high 64-bit words of the 256-bit counter, and numpy advances it from the
     low word, so distinct handles own disjoint stretches of 2^64 blocks
     (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
+    The experiment runner names a law by its key word ``law`` and its
+    counter words (see ``montecarlo._draw_chunk``); ``law = 0`` is the
+    public ``stream=`` layout.
     """
 
     master_seed: int
     stream: int = 0
     row: int = 0
     chunk: int = 0
+    law: int = 0
 
     def __post_init__(self):
-        for name in ("master_seed", "stream", "row", "chunk"):
+        for name in ("master_seed", "stream", "row", "chunk", "law"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Integral) and 0 <= value < 2**64):
                 raise ValidationError(f"{name} must be an integer that fits in 64 unsigned bits")
 
     def generator(self) -> np.random.Generator:
         counter = np.array([0, self.stream, self.row, self.chunk], dtype=np.uint64)
-        key = np.array([self.master_seed, 0], dtype=np.uint64)
+        key = np.array([self.master_seed, self.law], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 

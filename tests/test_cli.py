@@ -326,6 +326,26 @@ class TestUsageErrors:
         assert run_cli(capsys, *TAIL)[::2] == (EXIT_OK, "")
         assert seen == [expected] * 3
 
+    def test_trials_beyond_the_law_key_rejected(self, capsys):
+        # 62 bits is the trials field of a law's key word; the job list for
+        # this many trials would never fit in memory, so no draw may start
+        self.assert_usage_error(capsys, ["tail", "--seed", "1", "--S", "3", "--n", "10",
+                                         "--threshold", "0.5", "--trials", str(2**62)],
+                                "trials")
+
+    @pytest.mark.parametrize("seed", [-5, 2**64])
+    def test_master_seed_out_of_range_rejected(self, capsys, tmp_path, seed):
+        # from the config, from --seed over a config with no tasks, and from
+        # --seed with task flags: one error line, and no report is written
+        cfg, empty, out = tmp_path / "exp.cfg", tmp_path / "empty.cfg", tmp_path / "r.json"
+        cfg.write_text(f"master_seed = {seed}\n[task]\nkind = asymptotic-mean\nS = 5\n")
+        empty.write_text("master_seed = 1\n")
+        for argv in (["asymptotic-mean", "--config", str(cfg)],
+                     ["asymptotic-mean", "--config", str(empty), "--seed", str(seed)],
+                     [*TAIL[:1], "--seed", str(seed), *TAIL[3:]]):
+            self.assert_usage_error(capsys, [*argv, "--out", str(out)], "error: master_seed")
+            assert not out.exists()
+
     def test_n_beyond_int64_lattice_rejected(self, capsys):
         self.assert_usage_error(capsys, ["tail", "--seed", "1", "--S", "3", "--n", str(10**21),
                                          "--threshold", "0.5", "--trials", "10"], "2·S·n")

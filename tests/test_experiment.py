@@ -22,7 +22,13 @@ from l1conc.experiment import (
     report_from_dict,
     run_experiment,
 )
-from l1conc.montecarlo import falsify_bound
+from l1conc.montecarlo import (
+    DeviationSource,
+    SampleRequest,
+    classify_verdict,
+    summarize_many,
+    tail_estimate_from_count,
+)
 
 MINIMAL_FALSIFY = """
 master_seed = 7
@@ -191,7 +197,7 @@ class TestRunExperiment:
         cfg = parse_config("master_seed = 5\n[task]\nkind = asymptotic-mean\nS = 10\n"
                            f"trials = 100\nci_level = {level}\n")
         task = cfg.tasks[0]
-        [(request, rows)] = _task_cells(task, 0, cfg.master_seed)
+        [(request, rows)] = _task_cells(task, cfg.master_seed)
         # mean 0 and standard error exactly 1 put ci_high at the critical value
         t = request.trials
         summary = montecarlo.SampleSummary(np.zeros(0), np.zeros(0), t, 0.0, float(t * (t - 1)))
@@ -200,6 +206,19 @@ class TestRunExperiment:
         z = NormalDist().inv_cdf(0.5 + task.ci_level / 2.0)
         assert row["ci_high"] == z == pytest.approx(norm.ppf(0.5 + task.ci_level / 2.0),
                                                     rel=1e-15)
+
+
+def _law_tail(source, trials, seed, threshold, ci_level=0.95):
+    # the tail estimate of one threshold on the sample of the law alone
+    [summary] = summarize_many([SampleRequest(source, trials, thresholds=(threshold,))], seed)
+    return tail_estimate_from_count(threshold, int(summary.at_least[0]), trials, ci_level)
+
+
+def _law_draws(source, trials, seed):
+    # the raw draws of the law's own sample, in chunk order
+    [chunks] = montecarlo._map_requests(montecarlo._draw_chunk, [SampleRequest(source, trials)],
+                                        seed, 1)
+    return np.concatenate(chunks)
 
 
 def _requests_seen(monkeypatch, text):
@@ -217,7 +236,7 @@ def _requests_seen(monkeypatch, text):
 
 
 class TestFalsifySweep:
-    # a 3-delta falsify task behind a tail task, so it draws from stream 1
+    # a 3-delta falsify task behind a tail task of another law
     TEXT = ("master_seed = 13\n"
             "[task]\nkind = tail\nS = 3\nn = 12\nthreshold = 0.25\ntrials = 200\n"
             "[task]\nkind = falsify\nbound = agrawal\nS = 3\nn = 100\n"
@@ -225,8 +244,8 @@ class TestFalsifySweep:
 
     def test_one_request_per_task(self, monkeypatch):
         requests, _ = _requests_seen(monkeypatch, self.TEXT)
-        [falsify] = [request for request in requests if request.stream == 1]
-        assert len(falsify.thresholds) == 3 and falsify.row == 0
+        [falsify] = [request for request in requests if request.source.n == 100]
+        assert len(falsify.thresholds) == 3 and falsify.stream is None
 
     def test_counts_non_increasing_in_epsilon(self):
         rows = [row for row in run_experiment(parse_config(self.TEXT)).rows
@@ -241,13 +260,13 @@ class TestFalsifySweep:
         cfg = parse_config(self.TEXT)
         task = cfg.tasks[1]
         rows = [row for row in run_experiment(cfg).rows if row["kind"] == "falsify"]
+        source = DeviationSource("multinomial", 3, n=100)
         for row, delta in zip(rows, task.deltas, strict=True):
-            spec = BoundSpec(task.bound, task.n, task.S_values[0], delta)
-            verdict = falsify_bound(spec, task.trials, cfg.master_seed, stream=1)
-            est = verdict.estimate
+            epsilon = evaluate_bound(BoundSpec(task.bound, task.n, 3, delta)).epsilon
+            est = _law_tail(source, task.trials, cfg.master_seed, epsilon)
             assert (row["epsilon"], row["point"], row["ci_low"], row["ci_high"],
-                    row["outcome"]) == (verdict.evaluation.epsilon, est.point, est.ci_low,
-                                        est.ci_high, verdict.outcome)
+                    row["outcome"]) == (epsilon, est.point, est.ci_low, est.ci_high,
+                                        classify_verdict(est, delta))
 
 
 def test_falsify_row_is_the_tail_row_at_its_epsilon():
@@ -282,7 +301,7 @@ class TestSharedLaw:
 
     def test_tasks_of_one_law_send_one_request(self, monkeypatch):
         [request], report = _requests_seen(monkeypatch, self.TEXT)
-        assert (request.stream, request.row) == (0, 0)
+        assert request.stream is None
         epsilons = [row["epsilon"] for row in report.rows if row["kind"] == "falsify"]
         assert request.thresholds == (*epsilons, 0.15, 0.3)
         assert request.grid == (0.1, 0.2)
@@ -292,29 +311,27 @@ class TestSharedLaw:
         assert run_experiment(parse_config(self.TEXT)).rows[:2] == alone
 
     def test_later_tasks_read_the_first_task_stream(self):
+        # every task reads the law's own sample, as the first one does
         cfg = parse_config(self.TEXT)
         rows = run_experiment(cfg).rows
         task = cfg.tasks[1]
+        source = DeviationSource("multinomial", 5, n=100)
         agrawal = [row for row in rows if row["task_id"] == "task1"]
         for row, delta in zip(agrawal, task.deltas, strict=True):
-            spec = BoundSpec(task.bound, task.n, task.S_values[0], delta)
-            verdict = falsify_bound(spec, task.trials, cfg.master_seed, stream=0)
-            est = verdict.estimate
+            epsilon = evaluate_bound(BoundSpec(task.bound, task.n, 5, delta)).epsilon
+            est = _law_tail(source, task.trials, cfg.master_seed, epsilon)
             assert (row["epsilon"], row["point"], row["ci_low"], row["ci_high"],
-                    row["outcome"]) == (verdict.evaluation.epsilon, est.point, est.ci_low,
-                                        est.ci_high, verdict.outcome)
+                    row["outcome"]) == (epsilon, est.point, est.ci_low, est.ci_high,
+                                        classify_verdict(est, delta))
         assert 0 < agrawal[-1]["point"] < agrawal[0]["point"] < 1
-        source = montecarlo.DeviationSource("multinomial", 5, n=100)
         tail = [row for row in rows if row["task_id"] == "task2"]
         for row, threshold in zip(tail, (0.15, 0.3), strict=True):
-            est = montecarlo.estimate_tail_probability(source, threshold, 20000,
-                                                       cfg.master_seed, stream=0)
+            est = _law_tail(source, 20000, cfg.master_seed, threshold)
             assert (row["point"], row["ci_low"], row["ci_high"]) == (
                 est.point, est.ci_low, est.ci_high)
-        curve = montecarlo.estimate_quantile_curve(source, [0.1, 0.2], 20000, cfg.master_seed,
-                                                   stream=0)
-        assert [row["point"] for row in rows if row["task_id"] == "task3"] == \
-            curve.cdf_estimates.tolist()
+        x = _law_draws(source, 20000, cfg.master_seed)
+        assert [row["point"] for row in rows if row["task_id"] == "task3"] == [
+            (x <= g).sum() / 20000 for g in (0.1, 0.2)]
 
     def test_other_laws_stay_separate(self, monkeypatch):
         text = ("master_seed = 19\n" + self.FIRST
@@ -326,9 +343,13 @@ class TestSharedLaw:
                 "[task]\nkind = asymptotic-mean\nS = 5,5,10\ntrials = 500\n")
         requests, _ = _requests_seen(monkeypatch, text)
         # trials, family and S part laws; D does not: task 4 (D = 2) and the
-        # mean sweep's S = 5 cells read task 3's limit sample, its S = 10 is new
-        assert [(r.stream, r.row) for r in requests] == [(0, 0), (1, 0), (2, 0), (3, 0),
-                                                         (5, 2)]
+        # mean sweep's S = 5 cells read the S = 5 limit sample, its S = 10 is new
+        assert [(r.source.family, r.source.S, r.source.D, r.trials, r.stream)
+                for r in requests] == [("multinomial", 5, 1.0, 20000, None),
+                                       ("multinomial", 5, 1.0, 3000, None),
+                                       ("dirichlet", 5, 1.0, 20000, None),
+                                       ("limit", 5, 1.0, 500, None),
+                                       ("limit", 10, 1.0, 500, None)]
         assert [len(r.thresholds) for r in requests] == [2, 2, 2, 2, 0]
         assert requests[3].thresholds == (1.0, 0.5)
 
@@ -339,6 +360,17 @@ class TestSharedLaw:
             cfg.workers = workers
             outputs.append(emit_report(run_experiment(cfg), "json"))
         assert outputs[0] == outputs[1]
+
+
+def test_a_task_in_front_leaves_the_rows_of_another_law_unchanged():
+    # a Dirichlet tail task in front of a multinomial one draws its own law,
+    # so the multinomial row is the one that task writes alone
+    multinomial = "[task]\nkind = tail\nS = 10\nn = 100\nthreshold = 0.4\ntrials = 5000\n"
+    dirichlet = multinomial.replace("[task]\n", "[task]\nfamily = dirichlet\n")
+    [alone] = run_experiment(parse_config("master_seed = 5\n" + multinomial)).rows
+    rows = run_experiment(parse_config("master_seed = 5\n" + dirichlet + multinomial)).rows
+    assert rows[1] == {**alone, "task_id": "task1"}
+    assert 0 < alone["point"] < 0.1 and rows[0]["family"] == "dirichlet"
 
 
 class TestLimitLaw:
@@ -353,7 +385,7 @@ class TestLimitLaw:
 
     def test_every_D_sends_one_request(self, monkeypatch):
         [request], _ = _requests_seen(monkeypatch, self.TEXT)
-        assert (request.source.D, request.stream, request.row) == (1.0, 0, 0)
+        assert (request.source.D, request.stream) == (1.0, None)
         assert request.thresholds == (2.5, 3.25)
         assert request.grid == (2.5, 3.0, 3.5)
 
@@ -363,8 +395,7 @@ class TestLimitLaw:
 
     def test_later_tasks_read_twice_the_D_1_sample(self):
         rows = run_experiment(parse_config(self.TEXT)).rows
-        z = 2 * montecarlo.draw_samples(montecarlo.DeviationSource("limit", 50), 20000, 23,
-                                        stream=0)
+        z = 2 * _law_draws(DeviationSource("limit", 50), 20000, 23)
         tail = [row for row in rows if row["task_id"] == "task1"]
         assert [round(row["point"] * 20000) for row in tail] == [
             int((z >= t).sum()) for t in (5, 6.5)]

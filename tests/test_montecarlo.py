@@ -109,6 +109,10 @@ class TestDeviationSource:
             DeviationSource("multinomial", 5)  # missing n
         with pytest.raises(ValidationError):
             DeviationSource("limit", 1)
+        # S is a counter word of the law's stream key
+        with pytest.raises(ValidationError, match="S must be"):
+            DeviationSource("limit", 2**64)
+        DeviationSource("limit", 2**64 - 1)
         # D scales only the limit law; finite-n sources would ignore it
         for family in ("multinomial", "dirichlet"):
             with pytest.raises(ValidationError, match="D applies to the limit family"):
@@ -212,9 +216,11 @@ class TestBoundedChunks:
     # n > 8·S, so each chunk takes the binomial chain
     @pytest.mark.parametrize("S, n, count", [(5, 100, 3000), (50, 10**4, 500), (500, 10**4, 40)])
     def test_streamed_multinomial_matches_counts(self, S, n, count):
-        request = SampleRequest(DeviationSource("multinomial", S, n=n), count, stream=2, row=1)
+        # a request with no stream draws from its law's key: (multinomial, count) and S, n
+        request = SampleRequest(DeviationSource("multinomial", S, n=n), count)
         got = montecarlo._draw_chunk(request, SEED, 3, count)
-        counts = sample_multinomial_batch(np.full(S, 1 / S), n, count, StreamKey(SEED, 2, 1, 3))
+        key = StreamKey(SEED, S, n, 3, 1 << 62 | count)
+        counts = sample_multinomial_batch(np.full(S, 1 / S), n, count, key)
         assert got.tobytes() == (np.abs(S * counts - n).sum(-1) / (n * S)).tobytes()
 
     # 2^15 // S rows a block: 10922 rows at S = 3 and one row at S = 20000, so

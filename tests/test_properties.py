@@ -217,7 +217,7 @@ def test_counted_multinomial_L_on_its_lattice(S, size, key, data):
 @given(S=st.integers(2, 300), size=st.integers(1, 200), key=keys, j=st.integers(-30, 30),
        D=st.floats(1e-9, 1e9))
 def test_limit_draws_scale_with_D(S, size, key, j, D):
-    # the runner reads every D of a limit law off one sample (experiment._law)
+    # the runner draws a limit law at D = 1 and reads every D off that sample
     z = sample_Z_batch(S, 1.0, size, key)
     assert np.array_equal(sample_Z_batch(S, 2.0**j, size, key), 2.0**j * z)
     # sum·(D/sqrt(S)) and D·(sum·(1/sqrt(S))) differ by five roundings, so by at most 5 ulp
@@ -234,8 +234,8 @@ sources = st.one_of(
 )
 levels = st.lists(st.floats(0.0, 3.0), max_size=4)
 requests = st.builds(SampleRequest, sources, st.integers(1, 5 * SCHEDULER_CHUNK),
-                     st.integers(0, 1000), levels.map(tuple), levels.map(sorted).map(tuple),
-                     row=st.integers(0, 1000))
+                     st.one_of(st.none(), st.integers(0, 1000)), levels.map(tuple),
+                     levels.map(sorted).map(tuple))
 
 
 @settings(max_examples=40, deadline=None)

@@ -174,23 +174,32 @@ class TestStreamKey:
             StreamKey(0, 0, -1)
         with pytest.raises(ValidationError, match="chunk"):
             StreamKey(0, 0, 0, 2**64)
+        with pytest.raises(ValidationError, match="law"):
+            StreamKey(0, 0, 0, 0, 2**64)
+
+    # the runner's law word: family code 1-3 above 62 bits of trials
+    LAW = 1 << 62 | 2000
 
     def test_handles_are_counter_segments_of_one_keyed_stream(self):
-        state = StreamKey(SEED, 7, 3, 2).generator().bit_generator.state["state"]
-        assert state["key"].tolist() == [SEED, 0]
-        assert state["counter"].tolist() == [0, 7, 3, 2]
-        # the same draws as the master seed's stream advanced to that segment
-        whole = np.random.Philox(key=SEED)
-        whole.advance(7 * 2**64 + 3 * 2**128 + 2 * 2**192)
-        assert np.array_equal(np.random.Generator(whole).standard_normal(5),
-                              StreamKey(SEED, 7, 3, 2).generator().standard_normal(5))
+        for law in (0, self.LAW):
+            state = StreamKey(SEED, 7, 3, 2, law).generator().bit_generator.state["state"]
+            assert state["key"].tolist() == [SEED, law]
+            assert state["counter"].tolist() == [0, 7, 3, 2]
+            # the same draws as the (master seed, law) stream advanced to that segment
+            whole = np.random.Philox(key=SEED + law * 2**64)
+            whole.advance(7 * 2**64 + 3 * 2**128 + 2 * 2**192)
+            assert np.array_equal(np.random.Generator(whole).standard_normal(5),
+                                  StreamKey(SEED, 7, 3, 2, law).generator().standard_normal(5))
 
     def test_adjacent_handles_share_no_raw_value(self):
-        def raw(stream, row, chunk):
-            gen = StreamKey(SEED, stream, row, chunk).generator()
+        def raw(stream, row, chunk, law=self.LAW):
+            gen = StreamKey(SEED, stream, row, chunk, law).generator()
             return gen.bit_generator.random_raw(10**5)
         base = raw(5, 5, 5)
-        for neighbour in ((5, 5, 6), (5, 6, 5), (6, 5, 5)):
+        # neighbouring counter words, a neighbouring trials count, a
+        # neighbouring family, and the public stream= layout's key word 0
+        for neighbour in ((5, 5, 6), (5, 6, 5), (6, 5, 5), (5, 5, 5, self.LAW + 1),
+                          (5, 5, 5, self.LAW + (1 << 62)), (5, 5, 5, 0)):
             assert np.intersect1d(base, raw(*neighbour)).size == 0
 
     def test_row_4096_has_its_own_counter_word(self):
