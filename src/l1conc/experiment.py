@@ -12,7 +12,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from statistics import NormalDist
 from typing import Callable, NamedTuple
@@ -348,8 +348,8 @@ def _cell_rows(task: TaskConfig, seed: int, S: int, thresholds, evaluations,
     """The report rows of one cell of ``task`` at dimension ``S``, read from
     the summary of its sample: a mean row, one CDF row per grid point, or one
     tail row per threshold.  A falsify cell is a tail cell at its bounds'
-    epsilons, each row then classified against its delta.  A limit sample
-    is drawn at D = 1, so its moments are multiplied by ``task.D`` here."""
+    epsilons, each row then classified against its delta.  A mean cell's
+    sample is at D = 1, so its moments are multiplied by ``task.D`` here."""
     if task.kind == "asymptotic-mean":
         z_crit = NormalDist().inv_cdf(0.5 + task.ci_level / 2.0)
         mean = task.D * float(summary.mean)
@@ -379,18 +379,17 @@ def _task_cells(task: TaskConfig, seed: int) -> list:
     is one cell, and its thresholds (a falsify task's epsilons), grid points
     or deltas are all counted on that one sample.  A request names the law
     alone (no ``stream``), so its draws do not depend on the task's place in
-    the config.  A limit law is drawn at D = 1, so a cell divides its
-    thresholds and grid points by its D (and ``_cell_rows`` multiplies the
-    moments by it); a finite-n cell has D = 1."""
+    the config.  A mean cell asks for the law at D = 1 and ``_cell_rows``
+    multiplies its moments by D, so its variance never holds D²."""
     cells = []
     for S in task.S_values:
         # the parser leaves deltas empty, so evaluations too, unless falsify
         evaluations = [evaluate_bound(BoundSpec(task.bound, task.n, S, delta))
                        for delta in task.deltas]
         thresholds = tuple(e.epsilon for e in evaluations) or tuple(task.thresholds)
-        request = SampleRequest(DeviationSource(task.family, S, n=task.n), task.trials,
-                                thresholds=tuple(t / task.D for t in thresholds),
-                                grid=tuple(g / task.D for g in task.grid))
+        D = 1.0 if task.kind == "asymptotic-mean" else task.D
+        request = SampleRequest(DeviationSource(task.family, S, n=task.n, D=D), task.trials,
+                                thresholds=thresholds, grid=tuple(task.grid))
         cells.append((request, partial(_cell_rows, task, seed, S, thresholds, evaluations)))
     return cells
 
@@ -398,39 +397,22 @@ def _task_cells(task: TaskConfig, seed: int) -> list:
 def run_experiment(config: ExperimentConfig) -> Report:
     """Execute every task and aggregate results into a Report.
 
-    The master seed is checked before any draw.  Cells of one law read one
-    sample: equal requests, bar their points, become one request with the
-    thresholds and grid points of every such cell appended, and each cell
-    reads its own slice of the counts.  The samples of every law are
-    summarized in one ``summarize_many`` call, so a run starts at most one
-    thread pool.  A row depends only on its own task and the master seed,
-    never on the other tasks, the worker count or scheduling.
+    The master seed is checked before any draw.  Every cell of every task is
+    one request to one ``summarize_many`` call, which draws each law once,
+    whatever the D of its cells, so a run starts at most one thread pool.  A
+    row depends only on its own task and the master seed, never on the other
+    tasks, the worker count or scheduling.
     """
     seed = config.master_seed
     if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
         raise ConfigError(f"master_seed: must be an integer in [0, 2^64), got {seed!r}")
     workers = resolve_workers(config)
-    points, views = {}, []  # law -> (thresholds, grid); (law, slices, rows) per cell
-    for request, rows in (cell for task in config.tasks for cell in _task_cells(task, seed)):
-        law = request._replace(thresholds=(), grid=())
-        thresholds, grid = points.setdefault(law, ([], []))
-        views.append((law, slice(len(thresholds), len(thresholds) + len(request.thresholds)),
-                      slice(len(grid), len(grid) + len(request.grid)), rows))
-        thresholds += request.thresholds
-        grid += request.grid
-    requests = [law._replace(thresholds=tuple(t), grid=tuple(g)) for law, (t, g) in points.items()]
-    summaries = dict(zip(points, summarize_many(requests, seed, workers)))
-
-    def view(law, at_least, at_most):
-        summary = summaries[law]
-        return replace(summary, at_least=summary.at_least[at_least],
-                       at_most=summary.at_most[at_most])
-
+    cells = [cell for task in config.tasks for cell in _task_cells(task, seed)]
+    summaries = summarize_many([request for request, _ in cells], seed, workers)
     return Report(
         master_seed=seed,
         tasks=[t.echo() for t in config.tasks],
-        rows=[row for law, at_least, at_most, rows in views
-              for row in rows(view(law, at_least, at_most))],
+        rows=[row for (_, rows), summary in zip(cells, summaries) for row in rows(summary)],
     )
 
 

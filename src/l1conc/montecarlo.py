@@ -2,32 +2,32 @@
 intervals, a small-instance exact oracle, and bound falsification.
 
 Trials are drawn in fixed-size chunks, each from its own Philox counter
-segment (see ``StreamKey``).  A request with no ``stream`` is keyed by its
-law: chunk ``chunk`` draws from ``StreamKey(master_seed, S, n or 0, chunk,
-family_code << 62 | trials)``, ``family_code`` being 1 + the family's index
-in ``SOURCE_FAMILIES``, so distinct laws never share a draw and a law's
-sample does not depend on what else is drawn.  A limit law is its S alone,
-because D and ``scale`` only multiply the sample.  The public ``stream=``
-keyword draws from ``StreamKey(master_seed, stream, 0, chunk)`` instead.
-Estimators reduce each chunk to exceedance counts, at-most counts and
-moments where it is drawn, so memory does not grow with ``trials``.  A
-request is one sample: every threshold and grid point it names is counted
-on the same draws, so the experiment runner sends one request per law, and
-every row of that law reads it.
-``summarize_many`` schedules the chunks of many sample requests (every law
-of an experiment) together, on at most one thread pool in this process, of
-no more threads than the CPUs it may run on, which it shuts down before
-returning; NumPy releases the GIL while it draws, sorts and reduces, so the
-chunks overlap.  A finite-n chunk is drawn a block of rows or a column at a
-time, so its memory does not grow with S either.  A uniform multinomial
-chunk with n <= 8·S tallies n uniform categories a row, the direct method
-(Devroye 1986): there the chain of S − 1 conditional binomials is slower,
-since their means n/S are small and NumPy's inversion sampler redoes its
-set-up for every row.  Above 8·S a chunk adds one binomial count column at
-a time, and a Dirichlet chunk draws blocks of gamma rows.  Which method a
-chunk takes depends on (S, n) alone, chunk boundaries do not depend on the
-worker count, and chunk results are merged in index order, so every
-estimate is bit-identical whether it ran on 1 worker or 64.
+segment (see ``StreamKey``).  A law is a family, S, n, a trial count and a
+stream; D and ``scale`` only multiply its sample, which is drawn at unit
+scale.  With no ``stream`` (the default), chunk ``chunk`` of a law draws
+from ``StreamKey(master_seed, S, n or 0, chunk, family_code << 62 |
+trials)``, ``family_code`` being 1 + the family's index in
+``SOURCE_FAMILIES``, so distinct laws never share a draw and a law's sample
+does not depend on what else is drawn; an explicit ``stream=`` draws from
+``StreamKey(master_seed, stream, 0, chunk)`` instead.  Estimators reduce
+each chunk to exceedance counts, at-most counts and moments where it is
+drawn, so memory does not grow with ``trials``.  ``summarize_many`` draws
+each law of its requests once and counts every request's thresholds and grid
+points on it, divided by that request's D·``scale``, so an API call for a
+report cell reads the sample its rows read.  It schedules the chunks of
+every law together, on at most one thread pool in this process, of no more
+threads than the CPUs it may run on, which it shuts down before returning;
+NumPy releases the GIL while it draws, sorts and reduces, so the chunks
+overlap.  A finite-n chunk is drawn a block of rows or a column at a time,
+so its memory does not grow with S either.  A uniform multinomial chunk with
+n <= 8·S tallies n uniform categories a row, the direct method (Devroye
+1986): there the chain of S − 1 conditional binomials is slower, since their
+means n/S are small and NumPy's inversion sampler redoes its set-up for
+every row.  Above 8·S a chunk adds one binomial count column at a time, and
+a Dirichlet chunk draws blocks of gamma rows.  Which method a chunk takes
+depends on (S, n) alone, chunk boundaries do not depend on the worker count,
+and chunk results are merged in index order, so every estimate is
+bit-identical whether it ran on 1 worker or 64.
 
 Multinomial counts c are scored on the integer lattice: under uniform p the
 l1 deviation is L / (n·S) with L = sum |S·c_i - n|, summed in int64 and
@@ -47,7 +47,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import starmap
 from typing import NamedTuple
@@ -88,9 +88,9 @@ class DeviationSource:
     finite-n empirical (or Dirichlet(n·p)) vector and p; ``limit`` sources
     produce the asymptotic variable directly, at the scale ``D`` that only
     they take.  ``scale`` multiplies every sample, e.g. sqrt(n)·D/2 to compare
-    finite-n draws with the limit law.  A limit sample is ``D · scale`` times
-    the sample at D = 1 (bit for bit when that product is a power of two), so
-    the experiment runner reads every D of one S off one sample.
+    finite-n draws with the limit law.  Neither is part of the law: a sample
+    is D·``scale`` times the law's sample at unit scale, so sources that
+    differ in them alone read one sample.
     """
 
     family: str
@@ -166,7 +166,7 @@ def _draw_chunk(request: SampleRequest, master_seed: int, chunk: int, count: int
     else:
         key = StreamKey(master_seed, request.stream, 0, chunk)
     if source.family == "limit":
-        out = sample_Z_batch(source.S, source.D, count, key)
+        out = sample_Z_batch(source.S, 1.0, count, key)
     else:  # memory stays at a few rows or columns of the chunk, whatever S is
         S, n, rng = source.S, source.n, key.generator()
         if source.family == "multinomial":
@@ -176,8 +176,6 @@ def _draw_chunk(request: SampleRequest, master_seed: int, chunk: int, count: int
             for start in range(0, count, rows):
                 g = rng.standard_gamma(n * p, size=(min(rows, count - start), S))
                 out[start:start + rows] = l1_deviation(g / g.sum(-1, keepdims=True), p)
-    if source.scale != 1.0:
-        out = source.scale * out
     return out
 
 
@@ -200,9 +198,6 @@ def _map_requests(fn, requests: list, master_seed: int, workers: int) -> list[li
         raise ValidationError("trials must be an integer >= 1 and < 2^62")
     if not (isinstance(workers, numbers.Integral) and workers >= 1):
         raise ValidationError("workers must be an integer >= 1")
-    if not all(np.isfinite(np.asarray(values, dtype=float)).all()
-               for request in requests for values in (request.thresholds, request.grid)):
-        raise ValidationError("thresholds and grid points must be finite")
     jobs = [(request, master_seed, start // CHUNK_SIZE, min(CHUNK_SIZE, request.trials - start))
             for request in requests for start in range(0, request.trials, CHUNK_SIZE)]
     threads = min(workers, len(jobs), _usable_cpus())
@@ -215,11 +210,12 @@ def _map_requests(fn, requests: list, master_seed: int, workers: int) -> list[li
 
 
 def draw_samples(source: DeviationSource, trials: int, master_seed: int, *,
-                 stream: int = 0, workers: int = 1) -> np.ndarray:
-    """Draw ``trials`` deviation samples, reproducible and worker-independent."""
+                 stream: int | None = None, workers: int = 1) -> np.ndarray:
+    """Draw ``trials`` deviation samples, reproducible and worker-independent:
+    D·``scale`` times the sample of the law, which is drawn at unit scale."""
     [chunks] = _map_requests(_draw_chunk, [SampleRequest(source, trials, stream)],
                              master_seed, workers)
-    return np.concatenate(chunks)
+    return source.D * source.scale * np.concatenate(chunks)
 
 
 @dataclass(frozen=True)
@@ -274,10 +270,30 @@ def _reduce_chunk(request: SampleRequest, master_seed: int, chunk: int,
 
 
 def summarize_many(requests, master_seed: int, workers: int = 1) -> list[SampleSummary]:
-    """The ``SampleSummary`` of every request, in request order.  The chunks
-    of all requests share one schedule, so one pool serves them all."""
-    parts = _map_requests(_reduce_chunk, list(requests), master_seed, workers)
-    return [reduce(SampleSummary.merge, chunks) for chunks in parts]
+    """The ``SampleSummary`` of every request, in request order.  Requests of
+    one law read one sample, drawn once: each counts its points divided by
+    its D·``scale`` and has its moments multiplied back.  The chunks of every
+    law share one schedule, so one pool serves them all."""
+    laws, cells = {}, []  # law -> its unit-scale points; (law, scale, slices) per request
+    for request in requests:
+        if not all(np.isfinite(np.asarray(values, dtype=float)).all()
+                   for values in (request.thresholds, request.grid)):
+            raise ValidationError("thresholds and grid points must be finite")
+        c = request.source.D * request.source.scale
+        law = SampleRequest(replace(request.source, D=1.0, scale=1.0), request.trials,
+                            request.stream)
+        thresholds, grid = laws.setdefault(law, ([], []))
+        cells.append((law, c, slice(len(thresholds), len(thresholds) + len(request.thresholds)),
+                      slice(len(grid), len(grid) + len(request.grid))))
+        thresholds += [t / c for t in request.thresholds]
+        grid += [g / c for g in request.grid]
+    parts = _map_requests(_reduce_chunk, [law._replace(thresholds=tuple(t), grid=tuple(g))
+                                          for law, (t, g) in laws.items()], master_seed, workers)
+    summaries = dict(zip(laws, (reduce(SampleSummary.merge, chunks) for chunks in parts)))
+    return [replace(summaries[law], at_least=summaries[law].at_least[at_least],
+                    at_most=summaries[law].at_most[at_most], mean=c * summaries[law].mean,
+                    m2=c * c * summaries[law].m2)
+            for law, c, at_least, at_most in cells]
 
 
 def _check_level(level: float, name: str) -> None:
@@ -447,7 +463,7 @@ def tail_estimate_from_count(threshold: float, k: int, trials: int,
 
 def estimate_tail_probability(source: DeviationSource, threshold: float, trials: int,
                               master_seed: int, *, ci_level: float = 0.95,
-                              stream: int = 0, workers: int = 1) -> TailEstimate:
+                              stream: int | None = None, workers: int = 1) -> TailEstimate:
     """Monte Carlo estimate of P(statistic >= threshold) with a Clopper-Pearson
     interval, deterministic given the master seed."""
     _check_level(ci_level, "ci_level")
@@ -536,7 +552,7 @@ def dkw_halfwidth(trials: int, band_level: float) -> float:
 
 
 def estimate_quantile_curve(source: DeviationSource, grid, trials: int, master_seed: int, *,
-                            band_level: float = 0.05, stream: int = 0,
+                            band_level: float = 0.05, stream: int | None = None,
                             workers: int = 1) -> QuantileCurve:
     """Empirical CDF of the deviation statistic on an ascending grid."""
     half = dkw_halfwidth(trials, band_level)  # checks band_level before any drawing
@@ -585,7 +601,7 @@ def classify_verdict(estimate: TailEstimate, claimed_delta: float) -> str:
 
 def falsify_bound(spec: BoundSpec, trials: int, master_seed: int, *,
                   family: str = "multinomial", ci_level: float = 0.95,
-                  stream: int = 0, workers: int = 1) -> Verdict:
+                  stream: int | None = None, workers: int = 1) -> Verdict:
     """Estimate the exceedance probability at the bound's own threshold (uniform
     p) and classify the claim as Violated / Consistent / Inconclusive."""
     if trials < 100:

@@ -40,9 +40,9 @@ class StreamKey:
     high 64-bit words of the 256-bit counter, and numpy advances it from the
     low word, so distinct handles own disjoint stretches of 2^64 blocks
     (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
-    The experiment runner names a law by its key word ``law`` and its
-    counter words (see ``montecarlo._draw_chunk``); ``law = 0`` is the
-    public ``stream=`` layout.
+    A law is named by its key word ``law`` and its counter words (see
+    ``montecarlo._draw_chunk``); ``law = 0`` is the layout of an explicit
+    ``stream=``.
     """
 
     master_seed: int

@@ -81,6 +81,26 @@ class TestOtherCommands:
         for row, truth in zip(rows, truths):
             assert row["ci_low"] <= truth <= row["ci_high"]
 
+    def test_tiny_D_counts_no_exceedance(self, capsys):
+        # 1 / 1e-310 overflows, but the finite inputs are checked, not that
+        # quotient: no D·Z reaches 1 here, so the point is 0, as the API gives
+        code, stdout, _ = run_cli(capsys, "tail", "--seed", "1", "--family", "limit", "--S", "5",
+                                  "--D", "1e-310", "--threshold", "1")
+        assert code == EXIT_OK
+        [row] = json.loads(stdout)["rows"]
+        source = montecarlo.DeviationSource("limit", 5, D=1e-310)
+        assert row["point"] == 0.0 == montecarlo.estimate_tail_probability(
+            source, 1.0, row["trials"], 1).point
+
+    def test_huge_D_mean_row_stays_finite(self, capsys):
+        # the mean row scales the D = 1 moments by D, so D² never overflows
+        code, stdout, _ = run_cli(capsys, "asymptotic-mean", "--seed", "1", "--S", "2",
+                                  "--trials", "10", "--D", "1e200")
+        assert code == EXIT_OK
+        [row] = json.loads(stdout)["rows"]
+        assert (row["ci_low"], row["ci_high"]) == (2.9328717134143652e+199,
+                                                   7.301266801767869e+199)
+
     def test_quantiles_with_plot_out(self, capsys, tmp_path):
         plot = tmp_path / "curve.dat"
         code, _, _ = run_cli(

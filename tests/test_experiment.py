@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from l1conc import experiment, montecarlo
+from l1conc import montecarlo
 from l1conc.bounds import BoundFamily, BoundSpec, evaluate_bound
 from l1conc.errors import ConfigError
 from l1conc.experiment import (
@@ -221,15 +221,16 @@ def _law_draws(source, trials, seed):
     return np.concatenate(chunks)
 
 
-def _requests_seen(monkeypatch, text):
-    # the requests of the run's one summarize_many call, and its report
+def _laws_drawn(monkeypatch, text):
+    # the requests a run's sample reduction draws (one per law), and its report
     seen = []
 
-    def counting(requests, master_seed, workers=1):
+    def recording(fn, requests, master_seed, workers):
         seen.append(list(requests))
-        return montecarlo.summarize_many(seen[-1], master_seed, workers)
+        return map_requests(fn, requests, master_seed, workers)
 
-    monkeypatch.setattr(experiment, "summarize_many", counting)
+    map_requests = montecarlo._map_requests
+    monkeypatch.setattr(montecarlo, "_map_requests", recording)
     report = run_experiment(parse_config(text))
     [requests] = seen
     return requests, report
@@ -243,7 +244,7 @@ class TestFalsifySweep:
             "delta = 0.9,0.5,0.1\ntrials = 3000\n")
 
     def test_one_request_per_task(self, monkeypatch):
-        requests, _ = _requests_seen(monkeypatch, self.TEXT)
+        requests, _ = _laws_drawn(monkeypatch, self.TEXT)
         [falsify] = [request for request in requests if request.source.n == 100]
         assert len(falsify.thresholds) == 3 and falsify.stream is None
 
@@ -300,7 +301,7 @@ class TestSharedLaw:
             "[task]\nkind = quantiles\nS = 5\nn = 100\ngrid = 0.1,0.2\ntrials = 20000\n")
 
     def test_tasks_of_one_law_send_one_request(self, monkeypatch):
-        [request], report = _requests_seen(monkeypatch, self.TEXT)
+        [request], report = _laws_drawn(monkeypatch, self.TEXT)
         assert request.stream is None
         epsilons = [row["epsilon"] for row in report.rows if row["kind"] == "falsify"]
         assert request.thresholds == (*epsilons, 0.15, 0.3)
@@ -341,7 +342,7 @@ class TestSharedLaw:
                 "[task]\nkind = tail\nfamily = limit\nS = 5\nD = 2\nthreshold = 1\n"
                 "trials = 500\n"
                 "[task]\nkind = asymptotic-mean\nS = 5,5,10\ntrials = 500\n")
-        requests, _ = _requests_seen(monkeypatch, text)
+        requests, _ = _laws_drawn(monkeypatch, text)
         # trials, family and S part laws; D does not: task 4 (D = 2) and the
         # mean sweep's S = 5 cells read the S = 5 limit sample, its S = 10 is new
         assert [(r.source.family, r.source.S, r.source.D, r.trials, r.stream)
@@ -384,7 +385,7 @@ class TestLimitLaw:
             "trials = 20000\n" + MEAN_AT_2)
 
     def test_every_D_sends_one_request(self, monkeypatch):
-        [request], _ = _requests_seen(monkeypatch, self.TEXT)
+        [request], _ = _laws_drawn(monkeypatch, self.TEXT)
         assert (request.source.D, request.stream) == (1.0, None)
         assert request.thresholds == (2.5, 3.25)
         assert request.grid == (2.5, 3.0, 3.5)

@@ -5,7 +5,8 @@ multinomial thresholds on the l1 lattice.  Its JSON and CSV reports are
 stored beside it; regenerate them only when a change is meant to alter the
 draws or the report format.  Each row depends on its own task and the master
 seed alone, so it replays from its task's echo, and moving tasks about
-changes no row.
+changes no row.  The Python API draws each law from the same key, so it
+gives every tail, quantiles and falsify row as well.
 """
 
 import json
@@ -14,7 +15,20 @@ from pathlib import Path
 
 import pytest
 
-from l1conc.experiment import TASK_KEYS, emit_report, parse_config, run_experiment
+from l1conc.bounds import BoundSpec
+from l1conc.experiment import (
+    TASK_KEYS,
+    bound_family_from_name,
+    emit_report,
+    parse_config,
+    run_experiment,
+)
+from l1conc.montecarlo import (
+    DeviationSource,
+    estimate_quantile_curve,
+    estimate_tail_probability,
+    falsify_bound,
+)
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -77,3 +91,39 @@ def test_reversed_task_order_changes_no_row():
     last = len(blocks) - 1
     assert {f"task{last - int(task_id[4:])}": rows
             for task_id, rows in _rows_by_task(report.rows).items()} == golden
+
+
+def test_every_tail_quantiles_and_falsify_row_replays_from_the_api():
+    # the API's default stream is the law's key, as the runner's is, so one
+    # call per cell gives the row's point and interval
+    golden = json.loads((DATA / "golden.json").read_text())
+    seed, by_task = golden["master_seed"], _rows_by_task(golden["rows"])
+    replayed = 0
+    for task in golden["tasks"]:
+        if task["kind"] == "asymptotic-mean":  # no estimator of the API writes a mean row
+            continue
+        [S] = task["S"]
+        source = DeviationSource(task["family"], S, n=task["n"], D=task["D"])
+        if task["kind"] == "tail":
+            estimates = [estimate_tail_probability(source, t, task["trials"], seed,
+                                                   ci_level=task["ci_level"])
+                         for t in task["threshold"]]
+            got = [(e.point, e.ci_low, e.ci_high) for e in estimates]
+        elif task["kind"] == "quantiles":
+            curve = estimate_quantile_curve(source, task["grid"], task["trials"], seed,
+                                            band_level=task["band_level"])
+            half = curve.dkw_halfwidth
+            got = [(cdf, max(0.0, cdf - half), min(1.0, cdf + half))
+                   for cdf in curve.cdf_estimates.tolist()]
+        else:
+            verdicts = [falsify_bound(BoundSpec(bound_family_from_name(task["bound"]),
+                                                task["n"], S, delta),
+                                      task["trials"], seed, family=task["family"],
+                                      ci_level=task["ci_level"])
+                        for delta in task["delta"]]
+            got = [(v.estimate.point, v.estimate.ci_low, v.estimate.ci_high) for v in verdicts]
+            assert [v.outcome for v in verdicts] == [r["outcome"] for r in by_task[task["id"]]]
+        want = [(r["point"], r["ci_low"], r["ci_high"]) for r in by_task[task["id"]]]
+        assert got == want, task["id"]
+        replayed += len(got)
+    assert replayed == 16

@@ -155,6 +155,13 @@ class TestDeviationSource:
             with pytest.raises(ValidationError, match="finite"):
                 DeviationSource(family, 5, n=n, scale=bad)
 
+    def test_neighbouring_laws_draw_apart_by_default(self):
+        # the default stream is the law's key, so (10, 100) and (10, 101) are
+        # not one sample (a shared stream=0 correlated them at 0.987)
+        a, b = (draw_samples(DeviationSource("multinomial", 10, n=n), 20_000, 7)
+                for n in (100, 101))
+        assert abs(np.corrcoef(a, b)[0, 1]) < 0.05
+
     def test_draws_deterministic_and_worker_independent(self):
         source = DeviationSource("limit", 10)
         a = draw_samples(source, 40_000, SEED)
@@ -177,7 +184,11 @@ class TestSummarizeSamples:
         (DeviationSource("multinomial", 3, n=6), [0.0, 1 / 3, 2 / 3, 1.0, 4 / 3],
          [0.0, 1 / 3, 2 / 3, 1.0, 4 / 3]),
         (DeviationSource("limit", 10), [1.2, 0.5, 2.0], np.linspace(0.0, 3.0, 13)),
-    ], ids=["multinomial-lattice", "limit"])
+        # the law is drawn at unit scale: points are divided by D·scale = 2 and
+        # the moments multiplied back, exactly, as 2 is a power of two
+        (DeviationSource("limit", 10, D=4.0, scale=0.5), [2.4, 1.0, 4.0],
+         np.linspace(0.0, 6.0, 13)),
+    ], ids=["multinomial-lattice", "limit", "limit-at-D-4-scale-half"])
     def test_matches_draw_samples(self, source, thresholds, grid, workers):
         trials = 40_000  # two full chunks and a partial one
         x = draw_samples(source, trials, SEED, stream=3)

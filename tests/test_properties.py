@@ -5,6 +5,7 @@ exact oracle and the Clopper-Pearson interval."""
 import itertools
 import math
 import tempfile
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -240,12 +241,31 @@ requests = st.builds(SampleRequest, sources, st.integers(1, 5 * SCHEDULER_CHUNK)
 
 @settings(max_examples=40, deadline=None)
 @given(batch=st.lists(requests, min_size=1, max_size=4), seed=st.integers(0, 2**32),
-       workers=st.sampled_from([1, 2]))
-def test_summarize_many_equals_one_request_at_a_time(batch, seed, workers):
+       workers=st.sampled_from([1, 2]), data=st.data())
+def test_summarize_many_equals_one_request_at_a_time(batch, seed, workers, data):
+    # a request's law may come back at another D (limit only) or scale, with
+    # other points; the batch draws each law once, in any request order
+    for request in list(batch):
+        if data.draw(st.booleans(), label="repeat"):
+            D = data.draw(st.floats(0.5, 3.0), label="D") if request.source.n is None else 1.0
+            source = replace(request.source, D=D, scale=data.draw(st.floats(0.25, 4.0)))
+            batch.append(request._replace(source=source, thresholds=data.draw(levels.map(tuple)),
+                                          grid=data.draw(levels.map(sorted).map(tuple))))
+    batch = data.draw(st.permutations(batch), label="batch")
+    laws = {(r.source.family, r.source.S, r.source.n, r.trials, r.stream) for r in batch}
+    drawn = []
+
+    def recording(fn, requests, master_seed, workers):
+        drawn.append(len(requests))
+        return map_requests(fn, requests, master_seed, workers)
+
+    map_requests = montecarlo._map_requests
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "CHUNK_SIZE", SCHEDULER_CHUNK)
+        mp.setattr(montecarlo, "_map_requests", recording)
         got = summarize_many(batch, seed, workers)
         want = [summarize_many([r], seed)[0] for r in batch]
+    assert drawn == [len(laws)] + [1] * len(batch)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert np.array_equal(g.at_least, w.at_least) and np.array_equal(g.at_most, w.at_most)
