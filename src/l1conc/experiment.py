@@ -450,10 +450,34 @@ def report_from_dict(obj: dict) -> Report:
     )
 
 
+def _non_finite(value, path: str):
+    # the path of the first non-finite float in a JSON-like value, else None
+    if isinstance(value, float):
+        return None if math.isfinite(value) else f"{path} = {value!r}"
+    if isinstance(value, dict):
+        items = ((f"{path}.{key}", item) for key, item in value.items())
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{path}[{i}]", item) for i, item in enumerate(value))
+    else:
+        return None
+    for where, item in items:
+        found = _non_finite(item, where)
+        if found is not None:
+            return found
+    return None
+
+
 def emit_report(report: Report, fmt: str = "json") -> bytes:
-    """Serialize a report to canonical JSON or the fixed-column CSV schema."""
+    """Serialize a report to canonical JSON or the fixed-column CSV schema.
+    A report holds finite numbers only: strict JSON has no token for
+    infinity or NaN, so a non-finite float anywhere in it is refused, in
+    either format."""
+    obj = report_to_dict(report)
+    bad = _non_finite(obj, "report")
+    if bad is not None:
+        raise ConfigError(f"{bad} is not finite; a report holds finite numbers only")
     if fmt == "json":
-        text = json.dumps(report_to_dict(report), indent=2, sort_keys=True)
+        text = json.dumps(obj, indent=2, sort_keys=True)
         return (text + "\n").encode()
     if fmt == "csv":
         out = io.StringIO()

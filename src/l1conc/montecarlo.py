@@ -19,12 +19,21 @@ every law together, on at most one thread pool in this process, of no more
 threads than the CPUs it may run on, which it shuts down before returning;
 NumPy releases the GIL while it draws, sorts and reduces, so the chunks
 overlap.  A finite-n chunk is drawn a block of rows or a column at a time,
-so its memory does not grow with S either.  A uniform multinomial chunk with
-n <= 8·S tallies n uniform categories a row, the direct method (Devroye
-1986): there the chain of S − 1 conditional binomials is slower, since their
-means n/S are small and NumPy's inversion sampler redoes its set-up for
-every row.  Above 8·S a chunk adds one binomial count column at a time, and
-a Dirichlet chunk draws blocks of gamma rows.  Which method a chunk takes
+so its memory does not grow with S either.  A uniform multinomial chunk
+takes one of three methods (Devroye 1986).  The first two run where the
+chain of S − 1 conditional binomials is slower, since NumPy's binomial
+sampler redoes its set-up for every row and, while n/S < 30, inverts with a
+loop of about n/S steps a variate:
+
+- n <= 8·S: a row tallies n uniform categories, the direct method;
+- 8·S < n <= 32·S with S >= 10: Poissonization.  S i.i.d. Poisson(μ)
+  counts with total T are, given T = t, Multinomial(t, 1/S), so a row of
+  Poisson counts, read off one CDF table, topped up with n − T uniform
+  categories is Multinomial(n, 1/S) exactly.  μ = (n − ⌈3√n⌉)/S, and a row
+  with T > n, an event of T alone, is redrawn;
+- elsewhere a chunk adds one binomial count column at a time.
+
+A Dirichlet chunk draws blocks of gamma rows.  Which method a chunk takes
 depends on (S, n) alone, chunk boundaries do not depend on the worker count,
 and chunk results are merged in index order, so every estimate is
 bit-identical whether it ran on 1 worker or 64.
@@ -67,6 +76,13 @@ CHUNK_SIZE = 1 << 14
 # beat the chain of S − 1 binomials at every S up to n = 8·S (by 1.1-2.0x
 # there), and at n = 20·S it was no faster than the chain at S = 5
 _COUNTING_RATIO = 8
+# above that, one with n <= _POISSON_RATIO·S and S >= _POISSON_MIN_S is
+# Poissonized; in a sweep of 16,384-row chunks at S = 3-200 and n = 9-128·S
+# that beat the chain by 1.2-3.0x at every such cell, was no faster than it
+# at n = 64·S for S = 10 and 20, at n = 32·S for S = 5 or at any n for
+# S = 3, and beat counting at n = 9·S and 16·S for S >= 10
+_POISSON_RATIO = 32
+_POISSON_MIN_S = 10
 
 # the one pool class _map_requests starts; bench/spans.py patches this name to
 # count pools, and ROADMAP item 3 renames it
@@ -132,29 +148,86 @@ class SampleRequest(NamedTuple):
     grid: tuple = ()
 
 
-def _multinomial_L(rng: np.random.Generator, S: int, n: int, count: int) -> np.ndarray:
-    """L = sum_i |S·c_i − n| for ``count`` Multinomial(n, 1/S) rows, in int64.
-    With n <= ``_COUNTING_RATIO``·S a row's counts are the tally of n uniform
-    categories, drawn ``_BLOCK_ELEMS // (n + S)`` rows at a time, so that a
-    block's categories and counts together hold at most ``_BLOCK_ELEMS``
-    int64 (row r's categories are offset by S·r, so one ``bincount`` tallies
-    the block); above it the binomial chain adds one count column at a time.
-    Either way memory stays at one block or column, whatever S is."""
-    if n > _COUNTING_RATIO * S:
-        L = np.zeros(count, dtype=np.int64)
-        for c in _multinomial_columns(rng, np.full(S, 1.0 / S), n, count):
-            L += np.abs(S * c - n)
-        return L
-    L, rows = np.empty(count, dtype=np.int64), max(1, _BLOCK_ELEMS // (n + S))
-    for start in range(0, count, rows):
-        size = min(rows, count - start)
+def _score(c: np.ndarray, S: int, n: int, out: np.ndarray) -> None:
+    # out = sum_i |S·c_i − n| of each row of the int64 counts c, in place
+    c *= S
+    c -= n
+    np.abs(c, out=c)
+    c.sum(-1, out=out)
+
+
+def _counted_L(rng: np.random.Generator, S: int, n: int, L: np.ndarray) -> None:
+    rows = max(1, _BLOCK_ELEMS // (n + S))
+    for start in range(0, L.size, rows):
+        size = min(rows, L.size - start)
         categories = rng.integers(0, S, size=(size, n))
         categories += S * np.arange(size)[:, None]
         c = np.bincount(categories.ravel(), minlength=size * S).reshape(size, S)
-        c *= S
-        c -= n
-        np.abs(c, out=c)
-        c.sum(-1, out=L[start:start + size])
+        _score(c, S, n, L[start:start + size])
+
+
+def _poissonized_L(rng: np.random.Generator, S: int, n: int, L: np.ndarray) -> None:
+    top = math.isqrt(9 * n - 1) + 1  # ⌈3√n⌉, the mean top-up
+    mu, rows = (n - top) / S, max(1, _BLOCK_ELEMS // (2 * (S + top)))
+    # P(X <= k) for X ~ Poisson(mu), k = 0, 1, ..., until the mass left is
+    # below 1e-24, divided by its last entry: that entry is then exactly 1.0,
+    # so every uniform in [0, 1) lands inside the table
+    cdf = np.cumsum(_poisson_pmf(np.arange(math.ceil(mu + 12 * math.sqrt(mu)) + 20), mu))
+    cdf /= cdf[-1]
+    for start in range(0, L.size, rows):
+        size = min(rows, L.size - start)
+        c = np.searchsorted(cdf, rng.random((size, S)), side="right")
+        T = c.sum(-1)
+        over = np.flatnonzero(T > n)
+        while over.size:
+            c[over] = np.searchsorted(cdf, rng.random((over.size, S)), side="right")
+            T[over] = c[over].sum(-1)
+            over = over[T[over] > n]
+        extra = n - T  # each row's top-up
+        categories = rng.integers(0, S, size=extra.sum())
+        categories += np.repeat(np.arange(0, size * S, S), extra)
+        c += np.bincount(categories, minlength=size * S).reshape(size, S)
+        _score(c, S, n, L[start:start + size])
+
+
+def _chained_L(rng: np.random.Generator, S: int, n: int, L: np.ndarray) -> None:
+    for c in _multinomial_columns(rng, np.full(S, 1.0 / S), n, L.size):
+        L += np.abs(S * c - n)
+
+
+def _multinomial_L(rng: np.random.Generator, S: int, n: int, count: int) -> np.ndarray:
+    """L = sum_i |S·c_i − n| for ``count`` Multinomial(n, 1/S) rows, in int64,
+    by one of three methods, chosen by (S, n) alone:
+
+    - n <= ``_COUNTING_RATIO``·S, ``_counted_L``: a row's counts are the
+      tally of n uniform categories, drawn ``_BLOCK_ELEMS // (n + S)`` rows
+      at a time, so that a block's categories and counts together hold at
+      most ``_BLOCK_ELEMS`` int64 (row r's categories are offset by S·r, so
+      one ``bincount`` tallies the block).
+    - n <= ``_POISSON_RATIO``·S and S >= ``_POISSON_MIN_S``,
+      ``_poissonized_L``: if X_1..X_S are i.i.d. Poisson(μ) with total T,
+      then X given T = t is Multinomial(t, 1/S) (Devroye 1986), so adding
+      n − t uniform categories gives Multinomial(n, 1/S) exactly.  With
+      μ = (n − ⌈3√n⌉)/S, T > n has probability below 0.14% (0.03% at
+      n = 100, 0.09% at 1000); such a row is redrawn, which does not bias
+      it, because that event depends on T alone.  A row's S uniforms go
+      through one Poisson(μ) CDF table by ``searchsorted``, and the block's
+      top-up categories are drawn in one ``integers`` call, offset by row
+      and tallied by one ``bincount``.  A block of
+      ``_BLOCK_ELEMS // (2·(S + ⌈3√n⌉))`` rows keeps its uniforms, counts
+      and top-up categories, with their offsets, at about ``_BLOCK_ELEMS``
+      elements.
+    - otherwise, ``_chained_L``: the chain of S − 1 conditional binomials
+      adds one count column at a time.
+
+    Each way, memory stays at one block or column, whatever S is."""
+    L = np.zeros(count, dtype=np.int64)
+    if n <= _COUNTING_RATIO * S:
+        _counted_L(rng, S, n, L)
+    elif n <= _POISSON_RATIO * S and S >= _POISSON_MIN_S:
+        _poissonized_L(rng, S, n, L)
+    else:
+        _chained_L(rng, S, n, L)
     return L
 
 

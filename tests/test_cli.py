@@ -101,6 +101,19 @@ class TestOtherCommands:
         assert (row["ci_low"], row["ci_high"]) == (2.9328717134143652e+199,
                                                    7.301266801767869e+199)
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_mean_row_refused(self, capsys, tmp_path, fmt):
+        # D·E[Z] overflows to inf, which strict JSON cannot hold: exit 1, one
+        # error line, and no report file
+        out = tmp_path / f"r.{fmt}"
+        code, stdout, err = run_cli(capsys, "asymptotic-mean", "--seed", "1", "--S", "10",
+                                    "--trials", "10", "--D", "1.7e308", "--format", fmt,
+                                    "--out", str(out))
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "not finite" in err and stdout == ""
+        assert not out.exists()
+
     def test_quantiles_with_plot_out(self, capsys, tmp_path):
         plot = tmp_path / "curve.dat"
         code, _, _ = run_cli(
@@ -166,6 +179,21 @@ class TestReportCommand:
         code, stdout, _ = run_cli(capsys, "report", "--in", str(out), "--format", "csv")
         assert code == EXIT_OK
         assert stdout.splitlines()[0] == ",".join(CSV_COLUMNS)
+
+    @pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_reemit_non_finite_refused(self, capsys, tmp_path, fmt, token):
+        # json.load takes the bare tokens that json.dumps used to write
+        saved = tmp_path / "r.json"
+        saved.write_text('{"schema": 1, "master_seed": 1, "tasks": [], '
+                         f'"rows": [{{"task_id": "t", "kind": "tail", "point": {token}}}]}}')
+        out = tmp_path / f"again.{fmt}"
+        code, stdout, err = run_cli(capsys, "report", "--in", str(saved), "--format", fmt,
+                                    "--out", str(out))
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "rows[0].point" in err and stdout == ""
+        assert not out.exists()
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "report", "--in", str(tmp_path / "nope.json"))

@@ -224,8 +224,8 @@ class TestBoundedChunks:
     # a finite-n chunk is drawn a column or a block of rows at a time; it must
     # equal the statistic of the whole batch of counts or of Dirichlet rows
 
-    # n > 8·S, so each chunk takes the binomial chain
-    @pytest.mark.parametrize("S, n, count", [(5, 100, 3000), (50, 10**4, 500), (500, 10**4, 40)])
+    # n > 32·S, or S < 10 and n > 8·S, so each chunk takes the binomial chain
+    @pytest.mark.parametrize("S, n, count", [(5, 100, 3000), (50, 10**4, 500), (500, 10**5, 40)])
     def test_streamed_multinomial_matches_counts(self, S, n, count):
         # a request with no stream draws from its law's key: (multinomial, count) and S, n
         request = SampleRequest(DeviationSource("multinomial", S, n=n), count)
@@ -245,11 +245,14 @@ class TestBoundedChunks:
         assert got.tobytes() == l1_deviation(whole, p).tobytes()
 
     # 256 rows at S = 20000 are 39 MiB of counts or gammas as one array; at
-    # (50, 400) the 256 rows of 400 categories would be 0.8 MiB
+    # (50, 400) the 256 rows of 400 categories would be 0.8 MiB, and at
+    # (50, 1000) (Poissonized) 256 rows hold 0.1 MiB of uniforms and as much
+    # in counts, and about 0.2 MiB of top-up categories with their offsets
     @pytest.mark.parametrize("family, S, n", [
         pytest.param("multinomial", 20_000, 200, id="multinomial"),
         pytest.param("dirichlet", 20_000, 200, id="dirichlet"),
         pytest.param("multinomial", 50, 400, id="multinomial-50-400"),
+        pytest.param("multinomial", 50, 1000, id="multinomial-50-1000"),
     ])
     def test_chunk_memory_flat_in_S(self, family, S, n):
         request = SampleRequest(DeviationSource(family, S, n=n), 256, thresholds=(1.0,))
@@ -276,11 +279,15 @@ class TestBoundedChunks:
 
 class TestCountingChunks:
     # a chunk with n <= 8·S tallies n uniform categories a row; one with
-    # n > 8·S takes the binomial chain
+    # 8·S < n <= 32·S and S >= 10 is Poissonized; any other takes the
+    # binomial chain
 
-    # thresholds on atoms of L, so ties count at >= threshold
+    # thresholds on atoms of L, so ties count at >= threshold; the last three
+    # cells are Poissonized, their atoms multiples of 20, 40 and 100 and
+    # their tails from about 0.78 to 0.16
     @pytest.mark.parametrize("S, n, Ls", [
         (10, 8, (64, 80, 96)), (5, 20, (30, 40, 50)), (3, 24, (12, 18, 24)), (3, 25, (14, 20, 26)),
+        (10, 100, (200, 240, 300)), (20, 400, (1200, 1440, 1680)), (50, 1000, (8200, 9000, 9800)),
     ])
     def test_tails_match_exact_oracle(self, S, n, Ls):
         trials = 10**5
@@ -292,15 +299,80 @@ class TestCountingChunks:
             assert abs(k / trials - exact_tail_small(np.full(S, 1 / S), n, t)) <= half
 
     def test_chain_only_above_8S(self, monkeypatch):
-        def no_chain(*args):
-            raise AssertionError("the binomial chain ran")
+        # the method on each side of 8·S, of 32·S and of the least S of the
+        # Poissonized band, with the other two methods made to raise
+        methods = ("_counted_L", "_poissonized_L", "_chained_L")
+        counted, poissonized, chained = methods
 
-        monkeypatch.setattr(montecarlo, "_multinomial_columns", no_chain)
-        request = SampleRequest(DeviationSource("multinomial", 7, n=56), 100)
-        assert montecarlo._draw_chunk(request, SEED, 0, 100).shape == (100,)
-        request = SampleRequest(DeviationSource("multinomial", 7, n=57), 100)
-        with pytest.raises(AssertionError, match="chain"):
-            montecarlo._draw_chunk(request, SEED, 0, 100)
+        def other_method(*args):
+            raise AssertionError("another method ran")
+
+        for S, n, method in [
+            (7, 56, counted), (7, 57, chained), (5, 100, chained),
+            (10, 80, counted), (10, 81, poissonized), (10, 320, poissonized), (10, 321, chained),
+            (9, 72, counted), (9, 73, chained), (9, 288, chained),
+            (50, 400, counted), (50, 401, poissonized), (50, 1600, poissonized),
+            (50, 1601, chained),
+        ]:
+            with monkeypatch.context() as patch:
+                for name in methods:
+                    if name != method:
+                        patch.setattr(montecarlo, name, other_method)
+                request = SampleRequest(DeviationSource("multinomial", S, n=n), 100)
+                assert montecarlo._draw_chunk(request, SEED, 0, 100).shape == (100,), (S, n)
+
+
+class TestPoissonizedChunks:
+    # 8·S < n <= 32·S with S >= 10: S Poisson counts a row, redrawn while
+    # their total T exceeds n, then topped up with n − T uniform categories
+
+    def test_rows_sum_to_n_with_redraws(self, monkeypatch):
+        # every row's counts, redrawn ones included, are >= 0 and sum to n; a
+        # redraw is a call for uniforms right after another, with no top-up
+        # between; at (10, 100) T ~ Poisson(70) exceeds 100 about once in
+        # 3400 rows
+        S, n, count = 10, 100, 40_000
+        rng, calls, blocks = StreamKey(SEED).generator(), [], []
+
+        class Recording:
+            def random(self, size):
+                calls.append(("random", size[0]))
+                return rng.random(size)
+
+            def integers(self, low, high, size):
+                calls.append(("integers", size))
+                return rng.integers(low, high, size=size)
+
+        score = montecarlo._score
+
+        def recorded(c, *args):
+            blocks.append(c.copy())
+            score(c, *args)
+
+        monkeypatch.setattr(montecarlo, "_score", recorded)
+        L = montecarlo._multinomial_L(Recording(), S, n, count)
+        counts = np.concatenate(blocks)
+        assert counts.shape == (count, S)
+        assert np.all(counts >= 0) and np.all(counts.sum(-1) == n)
+        assert L.tolist() == np.abs(S * counts - n).sum(-1).tolist()
+        redrawn = sum(rows for (before, _), (kind, rows) in zip(calls, calls[1:])
+                      if before == kind == "random")
+        assert redrawn > 0
+        # the recording generator hands out the draws of the key's own
+        monkeypatch.setattr(montecarlo, "_score", score)
+        assert np.array_equal(montecarlo._multinomial_L(StreamKey(SEED).generator(), S, n,
+                                                        count), L)
+
+    def test_worker_count_invariance(self, monkeypatch):
+        # three chunks, two of them running at once on the pool's threads
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        request = SampleRequest(DeviationSource("multinomial", 50, n=1000),
+                                2 * montecarlo.CHUNK_SIZE + 7, thresholds=(0.16, 0.176, 0.2),
+                                grid=(0.15, 0.18))
+        [one], [two] = (summarize_many([request], SEED, workers) for workers in (1, 2))
+        assert one.at_least.tolist() == two.at_least.tolist()
+        assert one.at_most.tolist() == two.at_most.tolist()
+        assert (one.count, one.mean, one.m2) == (two.count, two.mean, two.m2)
 
 
 class TestPoolSize:

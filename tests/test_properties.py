@@ -1,8 +1,9 @@
 """Property-based tests of the config parser, the report round trip, the
-batch samplers, the counted multinomial chunks, the chunk scheduler, the
-exact oracle and the Clopper-Pearson interval."""
+batch samplers, the multinomial chunks of each method, the chunk scheduler,
+the exact oracle and the Clopper-Pearson interval."""
 
 import itertools
+import json
 import math
 import tempfile
 from dataclasses import replace
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import betaincinv
+from scipy.stats import binom
 
 from l1conc import montecarlo
 from l1conc.asymptotic import sample_Z_batch
@@ -28,6 +30,7 @@ from l1conc.experiment import (
     Report,
     emit_report,
     parse_config,
+    report_to_dict,
 )
 from l1conc.montecarlo import (
     SOURCE_FAMILIES,
@@ -163,12 +166,27 @@ task_echoes = st.dictionaries(st.text(max_size=6), st.one_of(cells, st.lists(cel
 @given(seed=st.integers(0, 2**63), tasks=st.lists(task_echoes, max_size=3),
        rows=st.lists(rows, max_size=4), fmt=st.sampled_from(["json", "csv"]))
 def test_report_reemit_byte_identical(seed, tasks, rows, fmt):
+    # a report holds finite numbers only: one with an infinite float is
+    # refused in either format, whether emitted from memory or re-read from
+    # a file whose bare Infinity tokens json.load takes
     report = Report(master_seed=seed, tasks=tasks, rows=rows)
+    text = json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    try:
+        json.dumps(report_to_dict(report), allow_nan=False)
+        finite = True
+    except ValueError:  # an infinite float
+        finite = False
     with tempfile.TemporaryDirectory() as tmp:
         saved, out = Path(tmp, "r.json"), Path(tmp, "out")
-        saved.write_bytes(emit_report(report, "json"))
+        saved.write_text(text)
         code = main(["report", "--in", str(saved), "--format", fmt, "--out", str(out)])
+        if not finite:
+            assert code == 1 and not out.exists()
+            with pytest.raises(ConfigError, match="not finite"):
+                emit_report(report, fmt)
+            return
         assert code in (0, 10)
+        assert saved.read_bytes() == emit_report(report, "json")
         assert out.read_bytes() == emit_report(report, fmt)
 
 
@@ -212,6 +230,43 @@ def test_counted_multinomial_L_on_its_lattice(S, size, key, data):
     assert L.dtype == np.int64 and np.all(L % 2 == 0)
     assert np.all((2 * r * (S - r) <= L) & (L <= 2 * n * (S - 1)))
     assert np.array_equal(montecarlo._multinomial_L(key.generator(), S, n, size), L)
+
+
+@st.composite
+def multinomial_laws(draw):
+    """(S, n) in one of the three regimes of ``_multinomial_L``, each as likely."""
+    counting, poisson, least = (montecarlo._COUNTING_RATIO, montecarlo._POISSON_RATIO,
+                                montecarlo._POISSON_MIN_S)
+    regime = draw(st.sampled_from(["counted", "poissonized", "chained"]))
+    if regime == "counted":
+        S = draw(st.integers(2, 64))
+        return S, draw(st.integers(1, counting * S))
+    if regime == "poissonized":
+        S = draw(st.integers(least, 64))
+        return S, draw(st.integers(counting * S + 1, poisson * S))
+    if draw(st.booleans()):  # below the least S of the band
+        S = draw(st.integers(2, least - 1))
+        return S, draw(st.integers(counting * S + 1, 128 * S))
+    S = draw(st.integers(least, 64))
+    return S, draw(st.integers(poisson * S + 1, 128 * S))
+
+
+@settings(max_examples=60, deadline=None)
+@given(law=multinomial_laws(), key=keys)
+def test_multinomial_L_has_its_law_in_every_regime(law, key):
+    # L is even (twice the excess above the mean), at most 2n(S − 1) (one
+    # category holds n), and its mean over 3000 rows lies within 6 standard
+    # errors (a false alarm about once in 5·10^8 examples) of
+    # E[L] = S·E|S·c − n|, c ~ Binomial(n, 1/S), the chain's law
+    S, n = law
+    size = 3000
+    L = montecarlo._multinomial_L(key.generator(), S, n, size)
+    assert L.dtype == np.int64 and np.all(L % 2 == 0)
+    assert np.all((0 <= L) & (L <= 2 * n * (S - 1)))
+    k = np.arange(n + 1)
+    mean = S * float(binom.pmf(k, n, 1 / S) @ np.abs(S * k - n))
+    margin = 6 * L.std(ddof=1) / math.sqrt(size) + 1e-9 * mean
+    assert abs(L.mean() - mean) <= margin, (S, n, L.mean(), mean, margin)
 
 
 @settings(max_examples=100, deadline=None)
