@@ -256,6 +256,15 @@ def build_task(index: int, raw: dict, errors: list) -> TaskConfig:
         errors.append(f"{path}.trials: asymptotic-mean tasks need >= 2 trials")
     if task.D <= 0:
         errors.append(f"{path}.D: must be > 0")
+    elif kind == "asymptotic-mean" and task.S_values and min(task.S_values) >= 2:
+        # a mean row holds D times the sample mean, its interval and E[Z];
+        # each stays below 2^9·D·E[Z], since a draw at D = 1 is below
+        # 14·sqrt(S) < 50·E[Z] (NumPy's normals are below 14 in magnitude)
+        # and the interval's half-width is below 8.3 standard errors
+        S = max(task.S_values)
+        if not math.isfinite(2.0**10 * task.D * expected_Z(S)):
+            errors.append(f"{path}.D: too large; the mean row at S = {S} could hold values "
+                          "that are not finite")
     for key in ("ci_level", "band_level"):
         if not (0.0 < getattr(task, key) < 1.0):
             errors.append(f"{path}.{key}: must lie in (0, 1)")

@@ -26,11 +26,12 @@ sampler redoes its set-up for every row and, while n/S < 30, inverts with a
 loop of about n/S steps a variate:
 
 - n <= 8·S: a row tallies n uniform categories, the direct method;
-- 8·S < n <= 32·S with S >= 10: Poissonization.  S i.i.d. Poisson(μ)
+- 8·S < n <= 10·S² with S >= 3: Poissonization.  S i.i.d. Poisson(μ)
   counts with total T are, given T = t, Multinomial(t, 1/S), so a row of
-  Poisson counts, read off one CDF table, topped up with n − T uniform
-  categories is Multinomial(n, 1/S) exactly.  μ = (n − ⌈3√n⌉)/S, and a row
-  with T > n, an event of T alone, is redrawn;
+  Poisson counts, read off one CDF table through a guide table (Chen &
+  Asau 1974), topped up with n − T uniform categories is Multinomial(n,
+  1/S) exactly.  μ = (n − ⌈1.5·√n⌉)/S, and a row with T > n, an event of T
+  alone, is redrawn;
 - elsewhere a chunk adds one binomial count column at a time.
 
 A Dirichlet chunk draws blocks of gamma rows.  Which method a chunk takes
@@ -76,13 +77,26 @@ CHUNK_SIZE = 1 << 14
 # beat the chain of S − 1 binomials at every S up to n = 8·S (by 1.1-2.0x
 # there), and at n = 20·S it was no faster than the chain at S = 5
 _COUNTING_RATIO = 8
-# above that, one with n <= _POISSON_RATIO·S and S >= _POISSON_MIN_S is
-# Poissonized; in a sweep of 16,384-row chunks at S = 3-200 and n = 9-128·S
-# that beat the chain by 1.2-3.0x at every such cell, was no faster than it
-# at n = 64·S for S = 10 and 20, at n = 32·S for S = 5 or at any n for
-# S = 3, and beat counting at n = 9·S and 16·S for S >= 10
-_POISSON_RATIO = 32
-_POISSON_MIN_S = 10
+# above that, one with S >= _POISSON_MIN_S and n <= _POISSON_MAX_RATIO·S² is
+# Poissonized; in a sweep of 16,384-row chunks at S = 3-200 (BENCH_23.json)
+# that beat the chain by 1.08-6.6x at every such cell but (3, 27), a tie
+# (0.93x), and beat counting by 1.1-4.2x at n = 9·S and 16·S at every S; the
+# chain caught up at 10.7·S² for S = 3, 16·S² for S = 4 and 5 and 20-25·S²
+# for S = 10-200, since a row's top-up of about 1.5·√n categories grows
+# against the chain's S − 1 binomials
+_POISSON_MIN_S = 3
+_POISSON_MAX_RATIO = 10
+# a Poissonized row's counts have mean total n − ⌈_TOP_UP·√n⌉, so up to 6.7%
+# of rows are redrawn; over seven cells of the sweep, margins of 1.0-1.5
+# took 118 ms in all, 2.0 took 129 ms and 3.0 took 159 ms
+_TOP_UP = 1.5
+# a Poissonized block holds about this many uniforms and top-up categories;
+# two pool threads overlap a chunk only while it is a few large NumPy
+# calls: at (50, 10^3) two threads drew 0.68x as fast as one with 2^13 per
+# block, 1.06x with 2^15, 1.29x with 2^16 and 1.64x with 2^17, but 2^17
+# raised falsify-grid's peak RSS by 1.85 MB, near its 5% bound, and 2^16 by
+# 0.18 MB
+_POISSON_BLOCK_ELEMS = 1 << 16
 
 # the one pool class _map_requests starts; bench/spans.py patches this name to
 # count pools, and ROADMAP item 3 renames it
@@ -166,28 +180,62 @@ def _counted_L(rng: np.random.Generator, S: int, n: int, L: np.ndarray) -> None:
         _score(c, S, n, L[start:start + size])
 
 
-def _poissonized_L(rng: np.random.Generator, S: int, n: int, L: np.ndarray) -> None:
-    top = math.isqrt(9 * n - 1) + 1  # ⌈3√n⌉, the mean top-up
-    mu, rows = (n - top) / S, max(1, _BLOCK_ELEMS // (2 * (S + top)))
-    # P(X <= k) for X ~ Poisson(mu), k = 0, 1, ..., until the mass left is
-    # below 1e-24, divided by its last entry: that entry is then exactly 1.0,
-    # so every uniform in [0, 1) lands inside the table
+def _poisson_table(mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cdf, guide, mixed) of Poisson(mu), for ``_poisson_counts``.
+
+    cdf is P(X <= k), k = 0, 1, ..., until the mass left is below 1e-24,
+    divided by its last entry: that entry is then exactly 1.0, so every
+    uniform in [0, 1) lands inside the table.  The guide table has m cells
+    (Chen & Asau 1974), the least power of two >= 16·len(cdf) but at most
+    2^16: cell i holds searchsorted(cdf, i/m, side="right"), which is the
+    count of every u in [i/m, (i+1)/m) unless a breakpoint of cdf lies in
+    the cell; ``mixed`` marks those cells."""
     cdf = np.cumsum(_poisson_pmf(np.arange(math.ceil(mu + 12 * math.sqrt(mu)) + 20), mu))
     cdf /= cdf[-1]
+    m = 1 << min((16 * cdf.size - 1).bit_length(), 16)
+    edges = np.searchsorted(cdf, np.arange(m + 1) / m, side="right")
+    return cdf, edges[:-1], edges[:-1] != edges[1:]
+
+
+def _poisson_counts(u: np.ndarray, cdf: np.ndarray, guide: np.ndarray,
+                    mixed: np.ndarray) -> np.ndarray:
+    """searchsorted(cdf, u, side="right") of the uniforms u in [0, 1), in u's
+    buffer: u·m is exact, since m is a power of two, so the cell of u is
+    ⌊u·m⌋, and only a mixed cell searches cdf."""
+    cell = np.multiply(u, guide.size, out=np.empty(u.shape, np.intp), casting="unsafe")
+    fix = np.flatnonzero(mixed.take(cell))
+    found = np.searchsorted(cdf, u.flat[fix], side="right")
+    c = guide.take(cell, out=u.view(np.intp), mode="clip")  # u is not read again
+    c.flat[fix] = found
+    return c
+
+
+def _poissonized_block(rng: np.random.Generator, S: int, n: int, table,
+                       out: np.ndarray) -> None:
+    # one block of ``_poissonized_L``, in its own frame so that its arrays
+    # are freed before the next block draws
+    size = out.size
+    c = _poisson_counts(rng.random((size, S)), *table)
+    T = c.sum(-1)
+    over = np.flatnonzero(T > n)
+    while over.size:
+        c[over] = _poisson_counts(rng.random((over.size, S)), *table)
+        T[over] = c[over].sum(-1)
+        over = over[T[over] > n]
+    # n − T top-up categories a row, offset by S·row, tallied by one bincount
+    categories = np.repeat(np.arange(0, size * S, S), n - T)
+    categories += rng.integers(0, S, size=categories.size,
+                               dtype=np.uint16 if S <= 1 << 16 else np.int64)
+    c += np.bincount(categories, minlength=size * S).reshape(size, S)
+    _score(c, S, n, out)
+
+
+def _poissonized_L(rng: np.random.Generator, S: int, n: int, L: np.ndarray) -> None:
+    top = math.ceil(_TOP_UP * math.sqrt(n))  # the mean top-up
+    table = _poisson_table((n - top) / S)
+    rows = max(1, _POISSON_BLOCK_ELEMS // (S + top))
     for start in range(0, L.size, rows):
-        size = min(rows, L.size - start)
-        c = np.searchsorted(cdf, rng.random((size, S)), side="right")
-        T = c.sum(-1)
-        over = np.flatnonzero(T > n)
-        while over.size:
-            c[over] = np.searchsorted(cdf, rng.random((over.size, S)), side="right")
-            T[over] = c[over].sum(-1)
-            over = over[T[over] > n]
-        extra = n - T  # each row's top-up
-        categories = rng.integers(0, S, size=extra.sum())
-        categories += np.repeat(np.arange(0, size * S, S), extra)
-        c += np.bincount(categories, minlength=size * S).reshape(size, S)
-        _score(c, S, n, L[start:start + size])
+        _poissonized_block(rng, S, n, table, L[start:start + rows])
 
 
 def _chained_L(rng: np.random.Generator, S: int, n: int, L: np.ndarray) -> None:
@@ -204,19 +252,22 @@ def _multinomial_L(rng: np.random.Generator, S: int, n: int, count: int) -> np.n
       at a time, so that a block's categories and counts together hold at
       most ``_BLOCK_ELEMS`` int64 (row r's categories are offset by S·r, so
       one ``bincount`` tallies the block).
-    - n <= ``_POISSON_RATIO``·S and S >= ``_POISSON_MIN_S``,
+    - n <= ``_POISSON_MAX_RATIO``·S² and S >= ``_POISSON_MIN_S``,
       ``_poissonized_L``: if X_1..X_S are i.i.d. Poisson(μ) with total T,
       then X given T = t is Multinomial(t, 1/S) (Devroye 1986), so adding
       n − t uniform categories gives Multinomial(n, 1/S) exactly.  With
-      μ = (n − ⌈3√n⌉)/S, T > n has probability below 0.14% (0.03% at
-      n = 100, 0.09% at 1000); such a row is redrawn, which does not bias
-      it, because that event depends on T alone.  A row's S uniforms go
-      through one Poisson(μ) CDF table by ``searchsorted``, and the block's
-      top-up categories are drawn in one ``integers`` call, offset by row
-      and tallied by one ``bincount``.  A block of
-      ``_BLOCK_ELEMS // (2·(S + ⌈3√n⌉))`` rows keeps its uniforms, counts
-      and top-up categories, with their offsets, at about ``_BLOCK_ELEMS``
-      elements.
+      μ = (n − ⌈1.5·√n⌉)/S, T > n has probability below 6.7% (4.9% at
+      n = 100, 5.9% at 1000); such a row is redrawn, which does not bias
+      it, because that event depends on T alone.  A row's S uniforms are
+      read off one Poisson(μ) CDF table through its guide table
+      (``_poisson_counts``), and the block's top-up categories are drawn
+      in one ``integers`` call, offset by row and tallied by one
+      ``bincount``.  A block holds
+      ``_POISSON_BLOCK_ELEMS // (S + ⌈1.5·√n⌉)`` rows, so about
+      ``_POISSON_BLOCK_ELEMS`` uniforms and top-up categories: few enough
+      NumPy calls a chunk that two pool threads overlap (each call
+      releases the GIL, and every return has to win it back), at under
+      1 MiB a block.
     - otherwise, ``_chained_L``: the chain of S − 1 conditional binomials
       adds one count column at a time.
 
@@ -224,7 +275,7 @@ def _multinomial_L(rng: np.random.Generator, S: int, n: int, count: int) -> np.n
     L = np.zeros(count, dtype=np.int64)
     if n <= _COUNTING_RATIO * S:
         _counted_L(rng, S, n, L)
-    elif n <= _POISSON_RATIO * S and S >= _POISSON_MIN_S:
+    elif S >= _POISSON_MIN_S and n <= _POISSON_MAX_RATIO * S * S:
         _poissonized_L(rng, S, n, L)
     else:
         _chained_L(rng, S, n, L)

@@ -102,9 +102,13 @@ class TestOtherCommands:
                                                    7.301266801767869e+199)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_overflowing_mean_row_refused(self, capsys, tmp_path, fmt):
-        # D·E[Z] overflows to inf, which strict JSON cannot hold: exit 1, one
-        # error line, and no report file
+    def test_overflowing_mean_row_refused(self, capsys, tmp_path, monkeypatch, fmt):
+        # D·E[Z] overflows to inf, which strict JSON cannot hold: the task is
+        # refused before any draw, with exit 1, one error line and no report
+        def summarize_many(*args, **kw):
+            raise AssertionError("drew a sample")
+
+        monkeypatch.setattr(experiment, "summarize_many", summarize_many)
         out = tmp_path / f"r.{fmt}"
         code, stdout, err = run_cli(capsys, "asymptotic-mean", "--seed", "1", "--S", "10",
                                     "--trials", "10", "--D", "1.7e308", "--format", fmt,

@@ -224,8 +224,8 @@ class TestBoundedChunks:
     # a finite-n chunk is drawn a column or a block of rows at a time; it must
     # equal the statistic of the whole batch of counts or of Dirichlet rows
 
-    # n > 32·S, or S < 10 and n > 8·S, so each chunk takes the binomial chain
-    @pytest.mark.parametrize("S, n, count", [(5, 100, 3000), (50, 10**4, 500), (500, 10**5, 40)])
+    # n > 10·S², so each chunk takes the binomial chain
+    @pytest.mark.parametrize("S, n, count", [(5, 1000, 3000), (50, 10**5, 500), (500, 10**7, 40)])
     def test_streamed_multinomial_matches_counts(self, S, n, count):
         # a request with no stream draws from its law's key: (multinomial, count) and S, n
         request = SampleRequest(DeviationSource("multinomial", S, n=n), count)
@@ -247,7 +247,7 @@ class TestBoundedChunks:
     # 256 rows at S = 20000 are 39 MiB of counts or gammas as one array; at
     # (50, 400) the 256 rows of 400 categories would be 0.8 MiB, and at
     # (50, 1000) (Poissonized) 256 rows hold 0.1 MiB of uniforms and as much
-    # in counts, and about 0.2 MiB of top-up categories with their offsets
+    # in guide cells, and 0.1 MiB of top-up categories
     @pytest.mark.parametrize("family, S, n", [
         pytest.param("multinomial", 20_000, 200, id="multinomial"),
         pytest.param("dirichlet", 20_000, 200, id="dirichlet"),
@@ -279,15 +279,18 @@ class TestBoundedChunks:
 
 class TestCountingChunks:
     # a chunk with n <= 8·S tallies n uniform categories a row; one with
-    # 8·S < n <= 32·S and S >= 10 is Poissonized; any other takes the
+    # 8·S < n <= 10·S² and S >= 3 is Poissonized; any other takes the
     # binomial chain
 
-    # thresholds on atoms of L, so ties count at >= threshold; the last three
-    # cells are Poissonized, their atoms multiples of 20, 40 and 100 and
-    # their tails from about 0.78 to 0.16
+    # thresholds on atoms of L, so ties count at >= threshold; every cell
+    # from (3, 25) on is Poissonized, with tails from about 0.8 to 0.16:
+    # (3, 25) and (7, 57) sit at the band's lower edge, (3, 90) and
+    # (7, 490) at its upper edge
     @pytest.mark.parametrize("S, n, Ls", [
         (10, 8, (64, 80, 96)), (5, 20, (30, 40, 50)), (3, 24, (12, 18, 24)), (3, 25, (14, 20, 26)),
         (10, 100, (200, 240, 300)), (20, 400, (1200, 1440, 1680)), (50, 1000, (8200, 9000, 9800)),
+        (5, 100, (60, 80, 100)), (10, 1000, (600, 760, 940)), (50, 10**4, (27000, 28000, 29000)),
+        (3, 90, (24, 30, 42)), (7, 57, (82, 104, 128)), (7, 490, (238, 308, 378)),
     ])
     def test_tails_match_exact_oracle(self, S, n, Ls):
         trials = 10**5
@@ -299,7 +302,7 @@ class TestCountingChunks:
             assert abs(k / trials - exact_tail_small(np.full(S, 1 / S), n, t)) <= half
 
     def test_chain_only_above_8S(self, monkeypatch):
-        # the method on each side of 8·S, of 32·S and of the least S of the
+        # the method on each side of 8·S, of 10·S² and of the least S of the
         # Poissonized band, with the other two methods made to raise
         methods = ("_counted_L", "_poissonized_L", "_chained_L")
         counted, poissonized, chained = methods
@@ -308,11 +311,13 @@ class TestCountingChunks:
             raise AssertionError("another method ran")
 
         for S, n, method in [
-            (7, 56, counted), (7, 57, chained), (5, 100, chained),
-            (10, 80, counted), (10, 81, poissonized), (10, 320, poissonized), (10, 321, chained),
-            (9, 72, counted), (9, 73, chained), (9, 288, chained),
-            (50, 400, counted), (50, 401, poissonized), (50, 1600, poissonized),
-            (50, 1601, chained),
+            (7, 56, counted), (7, 57, poissonized), (7, 490, poissonized), (7, 491, chained),
+            (5, 100, poissonized), (10, 80, counted), (10, 81, poissonized),
+            (10, 1000, poissonized), (10, 1001, chained),
+            (3, 24, counted), (3, 25, poissonized), (3, 90, poissonized), (3, 91, chained),
+            (2, 16, counted), (2, 17, chained), (2, 10**4, chained),
+            (50, 400, counted), (50, 401, poissonized), (50, 25_000, poissonized),
+            (50, 25_001, chained),
         ]:
             with monkeypatch.context() as patch:
                 for name in methods:
@@ -322,27 +327,33 @@ class TestCountingChunks:
                 assert montecarlo._draw_chunk(request, SEED, 0, 100).shape == (100,), (S, n)
 
 
+class Recording:
+    """Hands out the draws of ``rng`` and records each call: ("random",
+    rows) or ("integers", size)."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def random(self, size):
+        self.calls.append(("random", size[0]))
+        return self.rng.random(size)
+
+    def integers(self, low, high, size, dtype=np.int64):
+        self.calls.append(("integers", size))
+        return self.rng.integers(low, high, size=size, dtype=dtype)
+
+
 class TestPoissonizedChunks:
-    # 8·S < n <= 32·S with S >= 10: S Poisson counts a row, redrawn while
+    # 8·S < n <= 10·S² with S >= 3: S Poisson counts a row, redrawn while
     # their total T exceeds n, then topped up with n − T uniform categories
 
     def test_rows_sum_to_n_with_redraws(self, monkeypatch):
         # every row's counts, redrawn ones included, are >= 0 and sum to n; a
         # redraw is a call for uniforms right after another, with no top-up
-        # between; at (10, 100) T ~ Poisson(70) exceeds 100 about once in
-        # 3400 rows
+        # between; at (10, 100) T ~ Poisson(85) exceeds 100 about once in 20
+        # rows
         S, n, count = 10, 100, 40_000
-        rng, calls, blocks = StreamKey(SEED).generator(), [], []
-
-        class Recording:
-            def random(self, size):
-                calls.append(("random", size[0]))
-                return rng.random(size)
-
-            def integers(self, low, high, size):
-                calls.append(("integers", size))
-                return rng.integers(low, high, size=size)
-
+        rng, blocks = Recording(StreamKey(SEED).generator()), []
         score = montecarlo._score
 
         def recorded(c, *args):
@@ -350,18 +361,44 @@ class TestPoissonizedChunks:
             score(c, *args)
 
         monkeypatch.setattr(montecarlo, "_score", recorded)
-        L = montecarlo._multinomial_L(Recording(), S, n, count)
+        L = montecarlo._multinomial_L(rng, S, n, count)
         counts = np.concatenate(blocks)
         assert counts.shape == (count, S)
         assert np.all(counts >= 0) and np.all(counts.sum(-1) == n)
         assert L.tolist() == np.abs(S * counts - n).sum(-1).tolist()
-        redrawn = sum(rows for (before, _), (kind, rows) in zip(calls, calls[1:])
+        redrawn = sum(rows for (before, _), (kind, rows) in zip(rng.calls, rng.calls[1:])
                       if before == kind == "random")
         assert redrawn > 0
         # the recording generator hands out the draws of the key's own
         monkeypatch.setattr(montecarlo, "_score", score)
         assert np.array_equal(montecarlo._multinomial_L(StreamKey(SEED).generator(), S, n,
                                                         count), L)
+
+    # two pool threads overlap a Poissonized chunk only while it is a few
+    # large NumPy calls: at 2^16 elements a block, a 16,384-row chunk is 25
+    # blocks at (50, 10^3) and 51 at (50, 10^4); at 2^15 it would be 50 and
+    # 101
+    @pytest.mark.parametrize("S, n, most", [(50, 1000, 32), (50, 10**4, 64)])
+    def test_chunk_is_few_blocks(self, S, n, most):
+        # a block's first draw is a call for uniforms that follows a top-up
+        # (or opens the chunk); a redraw follows another call for uniforms
+        rng = Recording(StreamKey(SEED).generator())
+        montecarlo._multinomial_L(rng, S, n, montecarlo.CHUNK_SIZE)
+        kinds = [kind for kind, _ in rng.calls]
+        blocks = sum(kind == "random" != before for before, kind in zip([None] + kinds, kinds))
+        assert blocks == kinds.count("integers") <= most
+
+    # a block's uniforms, guide cells, counts and top-up categories, in
+    # either thread, stay below 1 MiB with the chunk's own 128 KiB of L
+    @pytest.mark.parametrize("S, n", [(10, 100), (50, 1000), (50, 10**4)])
+    def test_chunk_memory_bounded(self, S, n):
+        tracemalloc.start()
+        try:
+            montecarlo._multinomial_L(StreamKey(SEED).generator(), S, n, montecarlo.CHUNK_SIZE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 2**20
 
     def test_worker_count_invariance(self, monkeypatch):
         # three chunks, two of them running at once on the pool's threads

@@ -235,20 +235,39 @@ def test_counted_multinomial_L_on_its_lattice(S, size, key, data):
 @st.composite
 def multinomial_laws(draw):
     """(S, n) in one of the three regimes of ``_multinomial_L``, each as likely."""
-    counting, poisson, least = (montecarlo._COUNTING_RATIO, montecarlo._POISSON_RATIO,
-                                montecarlo._POISSON_MIN_S)
+    counting, ratio, least = (montecarlo._COUNTING_RATIO, montecarlo._POISSON_MAX_RATIO,
+                              montecarlo._POISSON_MIN_S)
     regime = draw(st.sampled_from(["counted", "poissonized", "chained"]))
     if regime == "counted":
         S = draw(st.integers(2, 64))
         return S, draw(st.integers(1, counting * S))
     if regime == "poissonized":
         S = draw(st.integers(least, 64))
-        return S, draw(st.integers(counting * S + 1, poisson * S))
+        return S, draw(st.integers(counting * S + 1, ratio * S * S))
     if draw(st.booleans()):  # below the least S of the band
         S = draw(st.integers(2, least - 1))
         return S, draw(st.integers(counting * S + 1, 128 * S))
     S = draw(st.integers(least, 64))
-    return S, draw(st.integers(poisson * S + 1, 128 * S))
+    return S, draw(st.integers(ratio * S * S + 1, 2 * ratio * S * S))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mu=st.floats(1.0, 1000.0), data=st.data())
+def test_guide_lookup_equals_searchsorted(mu, data):
+    # Poisson counts read through the guide table equal the plain search of
+    # the CDF, at 0, at 1 − 2^-53, at the edge j/m of every guide cell, at
+    # every breakpoint of the CDF and its two float neighbours, and at drawn
+    # uniforms
+    cdf, guide, mixed = table = montecarlo._poisson_table(mu)
+    m = guide.size
+    assert m & (m - 1) == 0 and mixed.size == m
+    inside = cdf[cdf < 1.0]
+    drawn = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=64), label="u")
+    u = np.concatenate([[0.0, 1.0 - 2.0**-53], np.arange(m) / m, inside,
+                        np.nextafter(inside, 0.0), np.nextafter(inside, 1.0), drawn])
+    u = u[u < 1.0]
+    want = np.searchsorted(cdf, u, side="right")
+    assert np.array_equal(montecarlo._poisson_counts(u.copy(), *table), want)
 
 
 @settings(max_examples=60, deadline=None)
