@@ -2,37 +2,42 @@
 intervals, a small-instance exact oracle, and bound falsification.
 
 Trials are drawn in fixed-size chunks, each from its own Philox counter
-segment (see ``StreamKey``).  A law is a family, S, n, a trial count and a
-stream; D and ``scale`` only multiply its sample, which is drawn at unit
-scale.  With no ``stream`` (the default), chunk ``chunk`` of a law draws
-from ``StreamKey(master_seed, S, n or 0, chunk, family_code << 62 |
-trials)``, ``family_code`` being 1 + the family's index in
-``SOURCE_FAMILIES``, so distinct laws never share a draw and a law's sample
-does not depend on what else is drawn; an explicit ``stream=`` draws from
-``StreamKey(master_seed, stream, 0, chunk)`` instead.  Estimators reduce
-each chunk to exceedance counts, at-most counts and moments where it is
-drawn, so memory does not grow with ``trials``.  ``summarize_many`` draws
-each law of its requests once and counts every request's thresholds and grid
-points on it, divided by that request's D·``scale``, so an API call for a
-report cell reads the sample its rows read.  It schedules the chunks of
-every law together, on at most one thread pool in this process, of no more
-threads than the CPUs it may run on, which it shuts down before returning;
-NumPy releases the GIL while it draws, sorts and reduces, so the chunks
-overlap.  A finite-n chunk is drawn a block of rows or a column at a time,
-so its memory does not grow with S either.  A uniform multinomial chunk
-takes one of three methods (Devroye 1986).  The first two run where the
-chain of S − 1 conditional binomials is slower, since NumPy's binomial
+segment (see ``StreamKey``).  A law is a family, S, n and a stream; D and
+``scale`` only multiply its sample, which is drawn at unit scale.  With no
+``stream`` (the default), chunk ``chunk`` of a law draws from
+``StreamKey(master_seed, S, n or 0, chunk, family_code << 62)``,
+``family_code`` being 1 + the family's index in ``SOURCE_FAMILIES``, so
+distinct laws never share a draw and a law's sample does not depend on what
+else is drawn; an explicit ``stream=`` draws from ``StreamKey(master_seed,
+stream, 0, chunk)`` instead.  Every chunk method is prefix-consistent: a
+chunk of m rows is the first m rows of the same chunk drawn at
+``CHUNK_SIZE`` rows, so a law's first ``trials`` draws do not depend on how
+many more are drawn.  Estimators reduce each chunk to exceedance counts,
+at-most counts and moments where it is drawn, so memory does not grow with
+``trials``.  ``summarize_many`` draws each law of its requests once, at its
+longest request's trials, and counts every request's thresholds and grid
+points on that request's own prefix, divided by its D·``scale``, so an API
+call for a report cell reads the sample its rows read, whatever trial counts
+other cells of its law ask for.  It schedules the chunks of every law
+together, largest first, on at most one thread pool in this process, of no
+more threads than the CPUs it may run on, which it shuts down before
+returning; NumPy releases the GIL while it draws, sorts and reduces, so the
+chunks overlap.  A finite-n chunk is drawn a block of rows or a column at a
+time, so its memory does not grow with S either.  A uniform multinomial
+chunk takes one of three methods (Devroye 1986).  The first two run where
+the chain of S − 1 conditional binomials is slower, since NumPy's binomial
 sampler redoes its set-up for every row and, while n/S < 30, inverts with a
 loop of about n/S steps a variate:
 
-- n <= 8·S: a row tallies n uniform categories, the direct method;
-- 8·S < n <= 10·S² with S >= 3: Poissonization.  S i.i.d. Poisson(μ)
+- n <= 5·S: a row tallies n uniform categories, the direct method;
+- 5·S < n <= 10·S² with S >= 3: Poissonization.  S i.i.d. Poisson(μ)
   counts with total T are, given T = t, Multinomial(t, 1/S), so a row of
   Poisson counts, read off one CDF table through a guide table (Chen &
   Asau 1974), topped up with n − T uniform categories is Multinomial(n,
-  1/S) exactly.  μ = (n − ⌈1.5·√n⌉)/S, and a row with T > n, an event of T
-  alone, is redrawn;
-- elsewhere a chunk adds one binomial count column at a time.
+  1/S) exactly.  μ = (n − ⌈1.5·√n⌉)/S; blocks of rows are drawn whole,
+  and a row with T > n, an event of T alone, is dropped;
+- elsewhere a chunk adds one binomial count column at a time, each column
+  from its own counter segment.
 
 A Dirichlet chunk draws blocks of gamma rows.  Which method a chunk takes
 depends on (S, n) alone, chunk boundaries do not depend on the worker count,
@@ -66,17 +71,17 @@ import numpy as np
 
 from .asymptotic import _BLOCK_ELEMS, sample_Z_batch
 from .bounds import BoundEvaluation, BoundSpec, evaluate_bound
-from .deviation import l1_deviation
 from .errors import CapacityError, ValidationError
 from .sampling import StreamKey, _multinomial_columns, as_simplex
 
 CHUNK_SIZE = 1 << 14
 
 # a uniform multinomial chunk with n <= _COUNTING_RATIO·S tallies n category
-# draws a row; in sweeps of 16,384-row chunks at S = 5, 10, 50 and 200 that
-# beat the chain of S − 1 binomials at every S up to n = 8·S (by 1.1-2.0x
-# there), and at n = 20·S it was no faster than the chain at S = 5
-_COUNTING_RATIO = 8
+# draws a row; in a sweep of 16,384-row chunks at S = 3-200 and n = 2-8·S
+# (BENCH_25.json) it beat the Poissonized method at 2·S and 3·S for every S
+# up to 50, and lost to it from 4·S at S >= 20, from 6·S at S = 10, from
+# 7·S at S = 5 and at 8·S for S = 3: 5·S keeps the small-S cells counted
+_COUNTING_RATIO = 5
 # above that, one with S >= _POISSON_MIN_S and n <= _POISSON_MAX_RATIO·S² is
 # Poissonized; in a sweep of 16,384-row chunks at S = 3-200 (BENCH_23.json)
 # that beat the chain by 1.08-6.6x at every such cell but (3, 27), a tie
@@ -87,7 +92,7 @@ _COUNTING_RATIO = 8
 _POISSON_MIN_S = 3
 _POISSON_MAX_RATIO = 10
 # a Poissonized row's counts have mean total n − ⌈_TOP_UP·√n⌉, so up to 6.7%
-# of rows are redrawn; over seven cells of the sweep, margins of 1.0-1.5
+# of rows are dropped; over seven cells of the sweep, margins of 1.0-1.5
 # took 118 ms in all, 2.0 took 129 ms and 3.0 took 159 ms
 _TOP_UP = 1.5
 # a Poissonized block holds about this many uniforms and top-up categories;
@@ -211,55 +216,66 @@ def _poisson_counts(u: np.ndarray, cdf: np.ndarray, guide: np.ndarray,
 
 
 def _poissonized_block(rng: np.random.Generator, S: int, n: int, table,
-                       out: np.ndarray) -> None:
-    # one block of ``_poissonized_L``, in its own frame so that its arrays
-    # are freed before the next block draws
-    size = out.size
-    c = _poisson_counts(rng.random((size, S)), *table)
+                       rows: int) -> np.ndarray:
+    # the L of one block's kept rows, in order, for ``_poissonized_L``; in its
+    # own frame so that its arrays are freed before the next block draws
+    c = _poisson_counts(rng.random((rows, S)), *table)
     T = c.sum(-1)
-    over = np.flatnonzero(T > n)
-    while over.size:
-        c[over] = _poisson_counts(rng.random((over.size, S)), *table)
-        T[over] = c[over].sum(-1)
-        over = over[T[over] > n]
-    # n − T top-up categories a row, offset by S·row, tallied by one bincount
-    categories = np.repeat(np.arange(0, size * S, S), n - T)
+    # n − T top-up categories a kept row (none for a dropped one), offset by
+    # S·row, tallied by one bincount
+    top = n - T
+    np.maximum(top, 0, out=top)
+    categories = np.repeat(np.arange(0, rows * S, S), top)
     categories += rng.integers(0, S, size=categories.size,
                                dtype=np.uint16 if S <= 1 << 16 else np.int64)
-    c += np.bincount(categories, minlength=size * S).reshape(size, S)
-    _score(c, S, n, out)
+    c += np.bincount(categories, minlength=rows * S).reshape(rows, S)
+    L = np.empty(rows, dtype=np.int64)
+    _score(c, S, n, L)
+    return L[T <= n]
 
 
 def _poissonized_L(rng: np.random.Generator, S: int, n: int, L: np.ndarray) -> None:
     top = math.ceil(_TOP_UP * math.sqrt(n))  # the mean top-up
     table = _poisson_table((n - top) / S)
     rows = max(1, _POISSON_BLOCK_ELEMS // (S + top))
-    for start in range(0, L.size, rows):
-        _poissonized_block(rng, S, n, table, L[start:start + rows])
+    filled = 0
+    while filled < L.size:
+        kept = _poissonized_block(rng, S, n, table, rows)[:L.size - filled]
+        L[filled:filled + kept.size] = kept
+        filled += kept.size
 
 
-def _chained_L(rng: np.random.Generator, S: int, n: int, L: np.ndarray) -> None:
-    for c in _multinomial_columns(rng, np.full(S, 1.0 / S), n, L.size):
-        L += np.abs(S * c - n)
+def _chained_L(key: StreamKey, S: int, n: int, L: np.ndarray) -> None:
+    columns = map(key.generator, range(S - 1))  # column i from segment i
+    term = np.empty_like(L)  # one buffer for every column's |S·c − n|
+    for c in _multinomial_columns(columns, np.full(S, 1.0 / S), n, L.size):
+        np.multiply(c, S, out=term)
+        term -= n
+        L += np.abs(term, out=term)
 
 
-def _multinomial_L(rng: np.random.Generator, S: int, n: int, count: int) -> np.ndarray:
+def _multinomial_L(key: StreamKey, S: int, n: int, count: int) -> np.ndarray:
     """L = sum_i |S·c_i − n| for ``count`` Multinomial(n, 1/S) rows, in int64,
-    by one of three methods, chosen by (S, n) alone:
+    by one of three methods, chosen by (S, n) alone.  Each method's first m
+    rows are the rows it draws for any ``count`` >= m, so a shorter chunk is
+    a prefix of a longer one:
 
     - n <= ``_COUNTING_RATIO``·S, ``_counted_L``: a row's counts are the
       tally of n uniform categories, drawn ``_BLOCK_ELEMS // (n + S)`` rows
       at a time, so that a block's categories and counts together hold at
       most ``_BLOCK_ELEMS`` int64 (row r's categories are offset by S·r, so
-      one ``bincount`` tallies the block).
+      one ``bincount`` tallies the block).  ``integers`` fills its output
+      in order, so a short last block draws the first rows of a full one.
     - n <= ``_POISSON_MAX_RATIO``·S² and S >= ``_POISSON_MIN_S``,
       ``_poissonized_L``: if X_1..X_S are i.i.d. Poisson(μ) with total T,
       then X given T = t is Multinomial(t, 1/S) (Devroye 1986), so adding
       n − t uniform categories gives Multinomial(n, 1/S) exactly.  With
       μ = (n − ⌈1.5·√n⌉)/S, T > n has probability below 6.7% (4.9% at
-      n = 100, 5.9% at 1000); such a row is redrawn, which does not bias
-      it, because that event depends on T alone.  A row's S uniforms are
-      read off one Poisson(μ) CDF table through its guide table
+      n = 100, 5.9% at 1000); such a row is dropped, which does not bias
+      the rows kept, because that event depends on T alone.  Blocks are
+      always drawn whole and their kept rows fill L in order until it is
+      full, so the rows do not depend on ``count``.  A row's S uniforms
+      are read off one Poisson(μ) CDF table through its guide table
       (``_poisson_counts``), and the block's top-up categories are drawn
       in one ``integers`` call, offset by row and tallied by one
       ``bincount``.  A block holds
@@ -269,37 +285,46 @@ def _multinomial_L(rng: np.random.Generator, S: int, n: int, count: int) -> np.n
       releases the GIL, and every return has to win it back), at under
       1 MiB a block.
     - otherwise, ``_chained_L``: the chain of S − 1 conditional binomials
-      adds one count column at a time.
+      adds one count column at a time, column i drawn from counter segment
+      i of ``key``, so that its rows do not depend on how many rows the
+      column before it drew.
 
     Each way, memory stays at one block or column, whatever S is."""
     L = np.zeros(count, dtype=np.int64)
     if n <= _COUNTING_RATIO * S:
-        _counted_L(rng, S, n, L)
+        _counted_L(key.generator(), S, n, L)
     elif S >= _POISSON_MIN_S and n <= _POISSON_MAX_RATIO * S * S:
-        _poissonized_L(rng, S, n, L)
+        _poissonized_L(key.generator(), S, n, L)
     else:
-        _chained_L(rng, S, n, L)
+        _chained_L(key, S, n, L)
     return L
 
 
-def _draw_chunk(request: SampleRequest, master_seed: int, chunk: int, count: int) -> np.ndarray:
+def _draw_chunk(request, master_seed: int, chunk: int, count: int) -> np.ndarray:
+    """The first ``count`` draws of chunk ``chunk`` of the request's law (or
+    of its ``stream``), at unit scale; they are the first ``count`` of any
+    longer draw of that chunk."""
     source = request.source
     if request.stream is None:  # the law's own segments
-        law = (1 + SOURCE_FAMILIES.index(source.family)) << 62 | request.trials
+        law = (1 + SOURCE_FAMILIES.index(source.family)) << 62
         key = StreamKey(master_seed, source.S, source.n or 0, chunk, law)
     else:
         key = StreamKey(master_seed, request.stream, 0, chunk)
     if source.family == "limit":
-        out = sample_Z_batch(source.S, 1.0, count, key)
-    else:  # memory stays at a few rows or columns of the chunk, whatever S is
-        S, n, rng = source.S, source.n, key.generator()
-        if source.family == "multinomial":
-            out = _multinomial_L(rng, S, n, count) / (n * S)
-        else:  # gamma blocks continue one stream, so they equal one whole batch
-            p, rows, out = np.full(S, 1.0 / S), max(1, _BLOCK_ELEMS // S), np.empty(count)
-            for start in range(0, count, rows):
-                g = rng.standard_gamma(n * p, size=(min(rows, count - start), S))
-                out[start:start + rows] = l1_deviation(g / g.sum(-1, keepdims=True), p)
+        return sample_Z_batch(source.S, 1.0, count, key)
+    # memory stays at a few rows or columns of the chunk, whatever S is
+    S, n = source.S, source.n
+    if source.family == "multinomial":
+        return _multinomial_L(key, S, n, count) / (n * S)
+    # gamma blocks continue one stream, so they equal one whole batch; each
+    # block is scored in place as |g/sum(g) − 1/S| summed
+    rng, rows, out = key.generator(), max(1, _BLOCK_ELEMS // S), np.empty(count)
+    for start in range(0, count, rows):
+        g = rng.standard_gamma(n * (1.0 / S), size=(min(rows, count - start), S))
+        g /= g.sum(-1, keepdims=True)
+        g -= 1.0 / S
+        np.abs(g, out=g)
+        g.sum(-1, out=out[start:start + rows])
     return out
 
 
@@ -311,23 +336,33 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _check_trials(trials) -> None:
+    # a bound far above any job list that fits in memory, so that such a
+    # request fails before any draw
+    if not (isinstance(trials, numbers.Integral) and 1 <= trials < 2**62):
+        raise ValidationError("trials must be an integer >= 1 and < 2^62")
+
+
 def _map_requests(fn, requests: list, master_seed: int, workers: int) -> list[list]:
     """``fn(request, master_seed, chunk, size)`` for every chunk of every
     request, grouped by request in chunk order.  The chunks of all requests
     form one job list, mapped on at most one thread pool of
     min(``workers``, jobs, usable CPUs) threads, which is shut down (its
-    threads joined) before this returns."""
-    if not all(isinstance(request.trials, numbers.Integral) and 1 <= request.trials < 2**62
-               for request in requests):  # 62 bits is the trials field of a law's key
-        raise ValidationError("trials must be an integer >= 1 and < 2^62")
+    threads joined) before this returns.  The pool takes the jobs largest
+    first, by rows·S, so that a large chunk does not start last and leave
+    the other threads idle; results come back in job order."""
+    for request in requests:
+        _check_trials(request.trials)
     if not (isinstance(workers, numbers.Integral) and workers >= 1):
         raise ValidationError("workers must be an integer >= 1")
     jobs = [(request, master_seed, start // CHUNK_SIZE, min(CHUNK_SIZE, request.trials - start))
             for request in requests for start in range(0, request.trials, CHUNK_SIZE)]
     threads = min(workers, len(jobs), _usable_cpus())
     if threads > 1:
+        order = sorted(range(len(jobs)), key=lambda i: -jobs[i][3] * jobs[i][0].source.S)
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = iter(list(pool.map(fn, *zip(*jobs))))
+            done = dict(zip(order, pool.map(fn, *zip(*(jobs[i] for i in order)))))
+        results = (done[i] for i in range(len(jobs)))
     else:
         results = starmap(fn, jobs)
     return [[next(results) for _ in range(0, request.trials, CHUNK_SIZE)] for request in requests]
@@ -378,46 +413,79 @@ class SampleSummary:
         )
 
 
-def _reduce_chunk(request: SampleRequest, master_seed: int, chunk: int,
-                  count: int) -> SampleSummary:
-    x = _draw_chunk(request, master_seed, chunk, count)
+class _Law(NamedTuple):
+    """The unit-scale requests that read one law's sample, one per trial
+    count, longest first; the law is drawn once, at the longest's trials."""
+
+    source: DeviationSource
+    stream: int | None
+    readings: tuple
+
+    @property
+    def trials(self) -> int:
+        return self.readings[0].trials
+
+
+def _summary(x: np.ndarray, request: SampleRequest) -> SampleSummary:
     ordered = np.sort(x)
     mean = x.mean()
     return SampleSummary(
-        at_least=count - np.searchsorted(ordered, np.asarray(request.thresholds, dtype=float),
-                                         side="left"),
+        at_least=x.size - np.searchsorted(ordered, np.asarray(request.thresholds, dtype=float),
+                                          side="left"),
         at_most=np.searchsorted(ordered, np.asarray(request.grid, dtype=float), side="right"),
-        count=count,
+        count=x.size,
         mean=mean,
         m2=np.square(x - mean).sum(),
     )
 
 
+def _reduce_chunk(law: _Law, master_seed: int, chunk: int, count: int) -> list[SampleSummary]:
+    """The summaries of chunk ``chunk`` for the law's requests that reach it,
+    longest first.  The chunk is drawn once, at ``count`` rows, and each
+    request reduces its own first rows, which are the rows it draws alone."""
+    x = _draw_chunk(law, master_seed, chunk, count)
+    start = chunk * CHUNK_SIZE
+    return [_summary(x[:r.trials - start], r) for r in law.readings if r.trials > start]
+
+
 def summarize_many(requests, master_seed: int, workers: int = 1) -> list[SampleSummary]:
-    """The ``SampleSummary`` of every request, in request order.  Requests of
-    one law read one sample, drawn once: each counts its points divided by
-    its D·``scale`` and has its moments multiplied back.  The chunks of every
-    law share one schedule, so one pool serves them all."""
-    laws, cells = {}, []  # law -> its unit-scale points; (law, scale, slices) per request
+    """The ``SampleSummary`` of every request, in request order.  A law is a
+    family, S, n and stream; its sample does not depend on its length, so
+    requests of one law read one sample, drawn once at the longest request's
+    trials, and a request of ``trials`` reads its first ``trials`` draws.
+    Each request counts its points divided by its D·``scale`` and has its
+    moments multiplied back, so its summary is bit for bit the one it gets
+    alone.  The chunks of every law share one schedule, so one pool serves
+    them all."""
+    laws, cells = {}, []  # law -> trials -> unit-scale points; (law, trials, scale, slices)
     for request in requests:
+        _check_trials(request.trials)
         if not all(np.isfinite(np.asarray(values, dtype=float)).all()
                    for values in (request.thresholds, request.grid)):
             raise ValidationError("thresholds and grid points must be finite")
         c = request.source.D * request.source.scale
-        law = SampleRequest(replace(request.source, D=1.0, scale=1.0), request.trials,
-                            request.stream)
-        thresholds, grid = laws.setdefault(law, ([], []))
-        cells.append((law, c, slice(len(thresholds), len(thresholds) + len(request.thresholds)),
+        law = (replace(request.source, D=1.0, scale=1.0), request.stream)
+        thresholds, grid = laws.setdefault(law, {}).setdefault(request.trials, ([], []))
+        cells.append((law, request.trials, c,
+                      slice(len(thresholds), len(thresholds) + len(request.thresholds)),
                       slice(len(grid), len(grid) + len(request.grid))))
         thresholds += [t / c for t in request.thresholds]
         grid += [g / c for g in request.grid]
-    parts = _map_requests(_reduce_chunk, [law._replace(thresholds=tuple(t), grid=tuple(g))
-                                          for law, (t, g) in laws.items()], master_seed, workers)
-    summaries = dict(zip(laws, (reduce(SampleSummary.merge, chunks) for chunks in parts)))
-    return [replace(summaries[law], at_least=summaries[law].at_least[at_least],
-                    at_most=summaries[law].at_most[at_most], mean=c * summaries[law].mean,
-                    m2=c * c * summaries[law].m2)
-            for law, c, at_least, at_most in cells]
+    drawn = [_Law(source, stream, tuple(SampleRequest(source, trials, stream, tuple(t), tuple(g))
+                                        for trials, (t, g) in sorted(counts.items(), reverse=True)))
+             for (source, stream), counts in laws.items()]
+    summaries = {}
+    for law, chunks in zip(drawn, _map_requests(_reduce_chunk, drawn, master_seed, workers)):
+        for i, reading in enumerate(law.readings):  # a chunk holds the readings that reach it
+            summaries[(law.source, law.stream), reading.trials] = reduce(
+                SampleSummary.merge, (parts[i] for parts in chunks if i < len(parts)))
+    out = []
+    for law, trials, c, at_least, at_most in cells:
+        summary = summaries[law, trials]
+        out.append(replace(summary, at_least=summary.at_least[at_least],
+                           at_most=summary.at_most[at_most], mean=c * summary.mean,
+                           m2=c * c * summary.m2))
+    return out
 
 
 def _check_level(level: float, name: str) -> None:

@@ -7,6 +7,7 @@ from its key alone, independently of scheduling or worker count.
 
 import numbers
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -40,9 +41,11 @@ class StreamKey:
     high 64-bit words of the 256-bit counter, and numpy advances it from the
     low word, so distinct handles own disjoint stretches of 2^64 blocks
     (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
-    A law is named by its key word ``law`` and its counter words (see
-    ``montecarlo._draw_chunk``); ``law = 0`` is the layout of an explicit
-    ``stream=``.
+    ``generator(segment)`` starts the low word at ``segment``·2^32, so a
+    handle's segments own disjoint stretches of 2^32 blocks (2^34 64-bit
+    draws) each.  A law is named by its key word ``law``, its family code
+    above 62 zero bits, and its counter words (see ``montecarlo._draw_chunk``);
+    ``law = 0`` is the layout of an explicit ``stream=``.
     """
 
     master_seed: int
@@ -57,21 +60,24 @@ class StreamKey:
             if not (isinstance(value, numbers.Integral) and 0 <= value < 2**64):
                 raise ValidationError(f"{name} must be an integer that fits in 64 unsigned bits")
 
-    def generator(self) -> np.random.Generator:
-        counter = np.array([0, self.stream, self.row, self.chunk], dtype=np.uint64)
+    def generator(self, segment: int = 0) -> np.random.Generator:
+        if not 0 <= segment < 2**32:
+            raise ValidationError("segment must be an integer in [0, 2^32)")
+        counter = np.array([segment << 32, self.stream, self.row, self.chunk], dtype=np.uint64)
         key = np.array([self.master_seed, self.law], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
-def _multinomial_columns(rng: np.random.Generator, p: np.ndarray, n: int, size: int):
+def _multinomial_columns(rngs, p: np.ndarray, n: int, size: int):
     """Yield the count columns of ``size`` Multinomial(n, p) rows, one per
     category in order, by sequential conditional binomials vectorized across
-    rows.  Stable for large n and any dimension; a consumer that reduces each
-    column as it comes never holds the ``size × p.size`` counts.
+    rows, column i drawn from the i-th generator of ``rngs``.  Stable for
+    large n and any dimension; a consumer that reduces each column as it
+    comes never holds the ``size × p.size`` counts.
     """
     remaining = np.full(size, n, dtype=np.int64)
     tail = 1.0
-    for q in map(float, p[:-1]):
+    for rng, q in zip(rngs, map(float, p[:-1])):
         # once the rest of p sums to 0 its columns are empty and nothing more is drawn
         c = (rng.binomial(remaining, min(max(q / tail, 0.0), 1.0)) if tail > 0.0
              else np.zeros_like(remaining))
@@ -88,7 +94,7 @@ def sample_multinomial_batch(p, n: int, size: int, key: StreamKey) -> np.ndarray
         raise ValidationError("trial count n must be an integer >= 0")
     if size < 1:
         raise ValidationError("batch size must be >= 1")
-    return np.column_stack(list(_multinomial_columns(key.generator(), p, n, size)))
+    return np.column_stack(list(_multinomial_columns(repeat(key.generator()), p, n, size)))
 
 
 def sample_dirichlet_batch(alpha, size: int, key: StreamKey) -> np.ndarray:

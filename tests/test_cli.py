@@ -98,8 +98,8 @@ class TestOtherCommands:
                                   "--trials", "10", "--D", "1e200")
         assert code == EXIT_OK
         [row] = json.loads(stdout)["rows"]
-        assert (row["ci_low"], row["ci_high"]) == (2.9328717134143652e+199,
-                                                   7.301266801767869e+199)
+        assert (row["ci_low"], row["ci_high"]) == (1.5635207112121378e+199,
+                                                   5.074329706724749e+199)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_overflowing_mean_row_refused(self, capsys, tmp_path, monkeypatch, fmt):
@@ -378,9 +378,9 @@ class TestUsageErrors:
         assert run_cli(capsys, *TAIL)[::2] == (EXIT_OK, "")
         assert seen == [expected] * 3
 
-    def test_trials_beyond_the_law_key_rejected(self, capsys):
-        # 62 bits is the trials field of a law's key word; the job list for
-        # this many trials would never fit in memory, so no draw may start
+    def test_trials_from_2_62_rejected(self, capsys):
+        # the job list for this many trials would never fit in memory, so
+        # the request fails before any draw
         self.assert_usage_error(capsys, ["tail", "--seed", "1", "--S", "3", "--n", "10",
                                          "--threshold", "0.5", "--trials", str(2**62)],
                                 "trials")

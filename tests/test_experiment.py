@@ -222,7 +222,8 @@ def _law_draws(source, trials, seed):
 
 
 def _laws_drawn(monkeypatch, text):
-    # the requests a run's sample reduction draws (one per law), and its report
+    # the laws a run's sample reduction draws, each with its requests (one per
+    # trial count, longest first), and the run's report
     seen = []
 
     def recording(fn, requests, master_seed, workers):
@@ -244,9 +245,10 @@ class TestFalsifySweep:
             "delta = 0.9,0.5,0.1\ntrials = 3000\n")
 
     def test_one_request_per_task(self, monkeypatch):
-        requests, _ = _laws_drawn(monkeypatch, self.TEXT)
-        [falsify] = [request for request in requests if request.source.n == 100]
-        assert len(falsify.thresholds) == 3 and falsify.stream is None
+        laws, _ = _laws_drawn(monkeypatch, self.TEXT)
+        [falsify] = [law for law in laws if law.source.n == 100]
+        [request] = falsify.readings
+        assert len(request.thresholds) == 3 and falsify.stream is None
 
     def test_counts_non_increasing_in_epsilon(self):
         rows = [row for row in run_experiment(parse_config(self.TEXT)).rows
@@ -301,7 +303,8 @@ class TestSharedLaw:
             "[task]\nkind = quantiles\nS = 5\nn = 100\ngrid = 0.1,0.2\ntrials = 20000\n")
 
     def test_tasks_of_one_law_send_one_request(self, monkeypatch):
-        [request], report = _laws_drawn(monkeypatch, self.TEXT)
+        [law], report = _laws_drawn(monkeypatch, self.TEXT)
+        [request] = law.readings
         assert request.stream is None
         epsilons = [row["epsilon"] for row in report.rows if row["kind"] == "falsify"]
         assert request.thresholds == (*epsilons, 0.15, 0.3)
@@ -340,19 +343,21 @@ class TestSharedLaw:
                 + self.FIRST.replace("[task]\n", "[task]\nfamily = dirichlet\n")
                 + "[task]\nkind = tail\nfamily = limit\nS = 5\nthreshold = 1\ntrials = 500\n"
                 "[task]\nkind = tail\nfamily = limit\nS = 5\nD = 2\nthreshold = 1\n"
-                "trials = 500\n"
+                "trials = 700\n"
                 "[task]\nkind = asymptotic-mean\nS = 5,5,10\ntrials = 500\n")
-        requests, _ = _laws_drawn(monkeypatch, text)
-        # trials, family and S part laws; D does not: task 4 (D = 2) and the
-        # mean sweep's S = 5 cells read the S = 5 limit sample, its S = 10 is new
-        assert [(r.source.family, r.source.S, r.source.D, r.trials, r.stream)
-                for r in requests] == [("multinomial", 5, 1.0, 20000, None),
-                                       ("multinomial", 5, 1.0, 3000, None),
-                                       ("dirichlet", 5, 1.0, 20000, None),
-                                       ("limit", 5, 1.0, 500, None),
-                                       ("limit", 10, 1.0, 500, None)]
-        assert [len(r.thresholds) for r in requests] == [2, 2, 2, 2, 0]
-        assert requests[3].thresholds == (1.0, 0.5)
+        laws, _ = _laws_drawn(monkeypatch, text)
+        # family and S part laws; D and trials do not: the 3000-trial task
+        # reads the first 3000 draws of the 20000-trial multinomial sample,
+        # task 4 (D = 2, 700 trials) and the mean sweep's S = 5 cells read
+        # the S = 5 limit sample, drawn at 700 trials; its S = 10 is new
+        assert [(law.source.family, law.source.S, law.source.D, law.trials, law.stream)
+                for law in laws] == [("multinomial", 5, 1.0, 20000, None),
+                                     ("dirichlet", 5, 1.0, 20000, None),
+                                     ("limit", 5, 1.0, 700, None),
+                                     ("limit", 10, 1.0, 500, None)]
+        assert [[(r.trials, len(r.thresholds)) for r in law.readings] for law in laws] == [
+            [(20000, 2), (3000, 2)], [(20000, 2)], [(700, 1), (500, 1)], [(500, 0)]]
+        assert [r.thresholds for r in laws[2].readings] == [(0.5,), (1.0,)]
 
     def test_worker_count_invariance(self):
         outputs = []
@@ -361,6 +366,21 @@ class TestSharedLaw:
             cfg.workers = workers
             outputs.append(emit_report(run_experiment(cfg), "json"))
         assert outputs[0] == outputs[1]
+
+
+def test_rows_alone_equal_rows_beside_a_longer_task_of_their_law():
+    # the Agrawal cell (50, 10^4) at 10,000 trials reads the first 10,000
+    # draws of the 20,000 that a proven-bound task of its law draws, and its
+    # rows are those it writes alone, byte for byte
+    agrawal = ("[task]\nkind = falsify\nbound = agrawal\nS = 50\nn = 10000\n"
+               "delta = 0.1,0.05,0.01\ntrials = 10000\n")
+    longer = ("[task]\nkind = falsify\nbound = weissman-exact\nS = 50\nn = 10000\n"
+              "delta = 0.1,0.01\ntrials = 20000\n")
+    alone = run_experiment(parse_config("master_seed = 7\n" + agrawal))
+    beside = run_experiment(parse_config("master_seed = 7\n" + longer + agrawal))
+    assert json.dumps([{**row, "task_id": "task0"} for row in beside.rows[2:]]) == \
+        json.dumps(alone.rows)
+    assert [row["outcome"] for row in alone.rows] == ["Violated"] * 3
 
 
 def test_a_task_in_front_leaves_the_rows_of_another_law_unchanged():
@@ -385,7 +405,8 @@ class TestLimitLaw:
             "trials = 20000\n" + MEAN_AT_2)
 
     def test_every_D_sends_one_request(self, monkeypatch):
-        [request], _ = _laws_drawn(monkeypatch, self.TEXT)
+        [law], _ = _laws_drawn(monkeypatch, self.TEXT)
+        [request] = law.readings
         assert (request.source.D, request.stream) == (1.0, None)
         assert request.thresholds == (2.5, 3.25)
         assert request.grid == (2.5, 3.0, 3.5)

@@ -31,7 +31,12 @@ from l1conc.montecarlo import (
     tail_estimate_from_count,
 )
 from l1conc.deviation import l1_deviation
-from l1conc.sampling import StreamKey, sample_dirichlet_batch, sample_multinomial_batch
+from l1conc.sampling import (
+    StreamKey,
+    _multinomial_columns,
+    sample_dirichlet_batch,
+    sample_multinomial_batch,
+)
 
 SEED = 90125
 
@@ -227,11 +232,14 @@ class TestBoundedChunks:
     # n > 10·S², so each chunk takes the binomial chain
     @pytest.mark.parametrize("S, n, count", [(5, 1000, 3000), (50, 10**5, 500), (500, 10**7, 40)])
     def test_streamed_multinomial_matches_counts(self, S, n, count):
-        # a request with no stream draws from its law's key: (multinomial, count) and S, n
+        # a request with no stream draws from its law's key, (multinomial) and
+        # S, n, whatever its trials; column i of the chain from segment i
         request = SampleRequest(DeviationSource("multinomial", S, n=n), count)
         got = montecarlo._draw_chunk(request, SEED, 3, count)
-        key = StreamKey(SEED, S, n, 3, 1 << 62 | count)
-        counts = sample_multinomial_batch(np.full(S, 1 / S), n, count, key)
+        key = StreamKey(SEED, S, n, 3, 1 << 62)
+        columns = map(key.generator, range(S - 1))
+        counts = np.column_stack(list(_multinomial_columns(columns, np.full(S, 1 / S), n, count)))
+        assert np.all(counts.sum(-1) == n)
         assert got.tobytes() == (np.abs(S * counts - n).sum(-1) / (n * S)).tobytes()
 
     # 2^15 // S rows a block: 10922 rows at S = 3 and one row at S = 20000, so
@@ -258,7 +266,7 @@ class TestBoundedChunks:
         request = SampleRequest(DeviationSource(family, S, n=n), 256, thresholds=(1.0,))
         tracemalloc.start()
         try:
-            summary = montecarlo._reduce_chunk(request, SEED, 0, 256)
+            [summary] = summarize_many([request], SEED)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -278,19 +286,20 @@ class TestBoundedChunks:
 
 
 class TestCountingChunks:
-    # a chunk with n <= 8·S tallies n uniform categories a row; one with
-    # 8·S < n <= 10·S² and S >= 3 is Poissonized; any other takes the
+    # a chunk with n <= 5·S tallies n uniform categories a row; one with
+    # 5·S < n <= 10·S² and S >= 3 is Poissonized; any other takes the
     # binomial chain
 
-    # thresholds on atoms of L, so ties count at >= threshold; every cell
-    # from (3, 25) on is Poissonized, with tails from about 0.8 to 0.16:
-    # (3, 25) and (7, 57) sit at the band's lower edge, (3, 90) and
-    # (7, 490) at its upper edge
+    # thresholds on atoms of L, so ties count at >= threshold, with tails
+    # from about 0.8 to 0.13; (3, 15) and (7, 35) are the last counted cells,
+    # every cell from (3, 16) on is Poissonized: (3, 16) and (7, 36) sit at
+    # the band's lower edge, (3, 90) and (7, 490) at its upper edge
     @pytest.mark.parametrize("S, n, Ls", [
         (10, 8, (64, 80, 96)), (5, 20, (30, 40, 50)), (3, 24, (12, 18, 24)), (3, 25, (14, 20, 26)),
         (10, 100, (200, 240, 300)), (20, 400, (1200, 1440, 1680)), (50, 1000, (8200, 9000, 9800)),
         (5, 100, (60, 80, 100)), (10, 1000, (600, 760, 940)), (50, 10**4, (27000, 28000, 29000)),
         (3, 90, (24, 30, 42)), (7, 57, (82, 104, 128)), (7, 490, (238, 308, 378)),
+        (3, 15, (10, 14, 20)), (7, 35, (72, 86, 100)), (3, 16, (10, 16, 22)), (7, 36, (68, 80, 96)),
     ])
     def test_tails_match_exact_oracle(self, S, n, Ls):
         trials = 10**5
@@ -301,8 +310,8 @@ class TestCountingChunks:
         for t, k in zip(thresholds, summary.at_least):
             assert abs(k / trials - exact_tail_small(np.full(S, 1 / S), n, t)) <= half
 
-    def test_chain_only_above_8S(self, monkeypatch):
-        # the method on each side of 8·S, of 10·S² and of the least S of the
+    def test_method_on_each_side_of_each_cutoff(self, monkeypatch):
+        # the method on each side of 5·S, of 10·S² and of the least S of the
         # Poissonized band, with the other two methods made to raise
         methods = ("_counted_L", "_poissonized_L", "_chained_L")
         counted, poissonized, chained = methods
@@ -311,12 +320,13 @@ class TestCountingChunks:
             raise AssertionError("another method ran")
 
         for S, n, method in [
-            (7, 56, counted), (7, 57, poissonized), (7, 490, poissonized), (7, 491, chained),
-            (5, 100, poissonized), (10, 80, counted), (10, 81, poissonized),
-            (10, 1000, poissonized), (10, 1001, chained),
-            (3, 24, counted), (3, 25, poissonized), (3, 90, poissonized), (3, 91, chained),
-            (2, 16, counted), (2, 17, chained), (2, 10**4, chained),
-            (50, 400, counted), (50, 401, poissonized), (50, 25_000, poissonized),
+            (7, 35, counted), (7, 36, poissonized), (7, 490, poissonized), (7, 491, chained),
+            (5, 25, counted), (5, 26, poissonized), (5, 100, poissonized),
+            (10, 50, counted), (10, 51, poissonized), (10, 1000, poissonized),
+            (10, 1001, chained),
+            (3, 15, counted), (3, 16, poissonized), (3, 90, poissonized), (3, 91, chained),
+            (2, 10, counted), (2, 11, chained), (2, 10**4, chained),
+            (50, 250, counted), (50, 251, poissonized), (50, 25_000, poissonized),
             (50, 25_001, chained),
         ]:
             with monkeypatch.context() as patch:
@@ -344,14 +354,14 @@ class Recording:
 
 
 class TestPoissonizedChunks:
-    # 8·S < n <= 10·S² with S >= 3: S Poisson counts a row, redrawn while
-    # their total T exceeds n, then topped up with n − T uniform categories
+    # 5·S < n <= 10·S² with S >= 3: S Poisson counts a row, dropped if their
+    # total T exceeds n, else topped up with n − T uniform categories
 
-    def test_rows_sum_to_n_with_redraws(self, monkeypatch):
-        # every row's counts, redrawn ones included, are >= 0 and sum to n; a
-        # redraw is a call for uniforms right after another, with no top-up
-        # between; at (10, 100) T ~ Poisson(85) exceeds 100 about once in 20
-        # rows
+    def test_rows_sum_to_n_with_drops(self, monkeypatch):
+        # every block is scored whole; its kept rows are >= 0 and sum to n,
+        # its dropped rows (no top-up) sum to T > n, and L holds the kept
+        # rows in order; at (10, 100) T ~ Poisson(85) exceeds 100 about once
+        # in 20 rows
         S, n, count = 10, 100, 40_000
         rng, blocks = Recording(StreamKey(SEED).generator()), []
         score = montecarlo._score
@@ -361,32 +371,31 @@ class TestPoissonizedChunks:
             score(c, *args)
 
         monkeypatch.setattr(montecarlo, "_score", recorded)
-        L = montecarlo._multinomial_L(rng, S, n, count)
+        L = np.zeros(count, dtype=np.int64)
+        montecarlo._poissonized_L(rng, S, n, L)
         counts = np.concatenate(blocks)
-        assert counts.shape == (count, S)
-        assert np.all(counts >= 0) and np.all(counts.sum(-1) == n)
-        assert L.tolist() == np.abs(S * counts - n).sum(-1).tolist()
-        redrawn = sum(rows for (before, _), (kind, rows) in zip(rng.calls, rng.calls[1:])
-                      if before == kind == "random")
-        assert redrawn > 0
+        assert [kind for kind, _ in rng.calls] == ["random", "integers"] * len(blocks)
+        assert np.all(counts >= 0) and np.all(counts.sum(-1) >= n)
+        kept = counts[counts.sum(-1) == n]
+        assert count <= kept.shape[0] < count + blocks[-1].shape[0]
+        assert counts.shape[0] - kept.shape[0] > 0
+        assert L.tolist() == np.abs(S * kept[:count] - n).sum(-1).tolist()
         # the recording generator hands out the draws of the key's own
         monkeypatch.setattr(montecarlo, "_score", score)
-        assert np.array_equal(montecarlo._multinomial_L(StreamKey(SEED).generator(), S, n,
-                                                        count), L)
+        assert np.array_equal(montecarlo._multinomial_L(StreamKey(SEED), S, n, count), L)
 
     # two pool threads overlap a Poissonized chunk only while it is a few
-    # large NumPy calls: at 2^16 elements a block, a 16,384-row chunk is 25
-    # blocks at (50, 10^3) and 51 at (50, 10^4); at 2^15 it would be 50 and
-    # 101
+    # large NumPy calls: at 2^16 elements a block, a 16,384-row chunk is 27
+    # blocks at (50, 10^3) and 54 at (50, 10^4); at 2^15 it would be 53 and
+    # 108
     @pytest.mark.parametrize("S, n, most", [(50, 1000, 32), (50, 10**4, 64)])
     def test_chunk_is_few_blocks(self, S, n, most):
-        # a block's first draw is a call for uniforms that follows a top-up
-        # (or opens the chunk); a redraw follows another call for uniforms
+        # a block is one call for uniforms and one for top-up categories
         rng = Recording(StreamKey(SEED).generator())
-        montecarlo._multinomial_L(rng, S, n, montecarlo.CHUNK_SIZE)
+        montecarlo._poissonized_L(rng, S, n, np.zeros(montecarlo.CHUNK_SIZE, dtype=np.int64))
         kinds = [kind for kind, _ in rng.calls]
-        blocks = sum(kind == "random" != before for before, kind in zip([None] + kinds, kinds))
-        assert blocks == kinds.count("integers") <= most
+        assert kinds == ["random", "integers"] * (len(kinds) // 2)
+        assert len(kinds) // 2 <= most
 
     # a block's uniforms, guide cells, counts and top-up categories, in
     # either thread, stay below 1 MiB with the chunk's own 128 KiB of L
@@ -394,7 +403,7 @@ class TestPoissonizedChunks:
     def test_chunk_memory_bounded(self, S, n):
         tracemalloc.start()
         try:
-            montecarlo._multinomial_L(StreamKey(SEED).generator(), S, n, montecarlo.CHUNK_SIZE)
+            montecarlo._multinomial_L(StreamKey(SEED), S, n, montecarlo.CHUNK_SIZE)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -410,6 +419,48 @@ class TestPoissonizedChunks:
         assert one.at_least.tolist() == two.at_least.tolist()
         assert one.at_most.tolist() == two.at_most.tolist()
         assert (one.count, one.mean, one.m2) == (two.count, two.mean, two.m2)
+
+
+class TestOneDrawPerLaw:
+    # a law's sample does not depend on its length: a request of m trials
+    # reads the first m draws of any longer request of its law
+
+    @pytest.mark.parametrize("source", [
+        DeviationSource("multinomial", 10, n=40),  # counted
+        DeviationSource("multinomial", 50, n=10**4),  # Poissonized
+        DeviationSource("multinomial", 5, n=1000),  # chained
+        DeviationSource("dirichlet", 50, n=10**4),
+        DeviationSource("limit", 50),
+    ], ids=["counted", "poissonized", "chained", "dirichlet", "limit"])
+    def test_shorter_draw_is_a_prefix(self, source):
+        longer = draw_samples(source, 2 * montecarlo.CHUNK_SIZE + 7, SEED)
+        for trials in (1, 10_000, montecarlo.CHUNK_SIZE + 1, 2 * montecarlo.CHUNK_SIZE + 7):
+            assert draw_samples(source, trials, SEED).tobytes() == longer[:trials].tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_summary_beside_longer_requests_equals_it_alone(self, workers, monkeypatch):
+        # three trial counts of one law, each ending inside another chunk,
+        # drawn once at the longest; every summary is the one it has alone
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        source = DeviationSource("multinomial", 50, n=1000)
+        requests = [SampleRequest(source, trials, thresholds=(0.16, 0.176), grid=(0.15, 0.18))
+                    for trials in (10_000, 2 * montecarlo.CHUNK_SIZE + 7,
+                                   montecarlo.CHUNK_SIZE + 1)]
+        drawn = []
+        map_requests = montecarlo._map_requests
+
+        def recording(fn, laws, master_seed, workers):
+            drawn.extend(law.trials for law in laws)
+            return map_requests(fn, laws, master_seed, workers)
+
+        monkeypatch.setattr(montecarlo, "_map_requests", recording)
+        together = summarize_many(requests, SEED, workers)
+        assert drawn == [2 * montecarlo.CHUNK_SIZE + 7]
+        for request, got in zip(requests, together, strict=True):
+            [alone] = summarize_many([request], SEED)
+            assert got.at_least.tolist() == alone.at_least.tolist()
+            assert got.at_most.tolist() == alone.at_most.tolist()
+            assert (got.count, got.mean, got.m2) == (alone.count, alone.mean, alone.m2)
 
 
 class TestPoolSize:

@@ -221,15 +221,15 @@ def test_dirichlet_rows_on_simplex(alpha, size, key):
 @settings(max_examples=100, deadline=None)
 @given(S=st.integers(2, 64), size=st.integers(1, 300), key=keys, data=st.data())
 def test_counted_multinomial_L_on_its_lattice(S, size, key, data):
-    # n <= 8·S tallies categories, in blocks of 2^15 // (n + S) rows; L is
+    # n <= 5·S tallies categories, in blocks of 2^15 // (n + S) rows; L is
     # twice the excess above the mean, least when the counts differ by at
     # most 1 (r of them one above n // S) and most when one category holds n
-    n = data.draw(st.integers(1, 8 * S), label="n")
-    L = montecarlo._multinomial_L(key.generator(), S, n, size)
+    n = data.draw(st.integers(1, montecarlo._COUNTING_RATIO * S), label="n")
+    L = montecarlo._multinomial_L(key, S, n, size)
     r = n % S
     assert L.dtype == np.int64 and np.all(L % 2 == 0)
     assert np.all((2 * r * (S - r) <= L) & (L <= 2 * n * (S - 1)))
-    assert np.array_equal(montecarlo._multinomial_L(key.generator(), S, n, size), L)
+    assert np.array_equal(montecarlo._multinomial_L(key, S, n, size), L)
 
 
 @st.composite
@@ -279,13 +279,37 @@ def test_multinomial_L_has_its_law_in_every_regime(law, key):
     # E[L] = S·E|S·c − n|, c ~ Binomial(n, 1/S), the chain's law
     S, n = law
     size = 3000
-    L = montecarlo._multinomial_L(key.generator(), S, n, size)
+    L = montecarlo._multinomial_L(key, S, n, size)
     assert L.dtype == np.int64 and np.all(L % 2 == 0)
     assert np.all((0 <= L) & (L <= 2 * n * (S - 1)))
     k = np.arange(n + 1)
     mean = S * float(binom.pmf(k, n, 1 / S) @ np.abs(S * k - n))
     margin = 6 * L.std(ddof=1) / math.sqrt(size) + 1e-9 * mean
     assert abs(L.mean() - mean) <= margin, (S, n, L.mean(), mean, margin)
+
+
+@st.composite
+def chunk_sources(draw):
+    """A source of each chunk method as likely: counted, Poissonized and
+    chained multinomial laws, Dirichlet and limit."""
+    method = draw(st.sampled_from(["multinomial", "dirichlet", "limit"]))
+    if method == "multinomial":
+        S, n = draw(multinomial_laws())
+        return DeviationSource("multinomial", S, n=n)
+    if method == "dirichlet":
+        return DeviationSource("dirichlet", draw(st.integers(2, 64)), n=draw(st.integers(1, 10**4)))
+    return DeviationSource("limit", draw(st.integers(2, 200)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(source=chunk_sources(), seed=words, chunk=words,
+       stream=st.one_of(st.none(), words), m=st.integers(1, montecarlo.CHUNK_SIZE))
+def test_chunk_is_a_prefix_of_the_full_chunk(source, seed, chunk, stream, m):
+    # a chunk of m rows is the first m rows of the same chunk drawn whole,
+    # so requests of one law with other trial counts can read one sample
+    request = SampleRequest(source, montecarlo.CHUNK_SIZE, stream)
+    full = montecarlo._draw_chunk(request, seed, chunk, montecarlo.CHUNK_SIZE)
+    assert montecarlo._draw_chunk(request, seed, chunk, m).tobytes() == full[:m].tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -308,7 +332,8 @@ sources = st.one_of(
     st.builds(DeviationSource, st.just("limit"), st.integers(2, 20), D=st.floats(0.5, 3.0)),
 )
 levels = st.lists(st.floats(0.0, 3.0), max_size=4)
-requests = st.builds(SampleRequest, sources, st.integers(1, 5 * SCHEDULER_CHUNK),
+trial_counts = st.integers(1, 5 * SCHEDULER_CHUNK)
+requests = st.builds(SampleRequest, sources, trial_counts,
                      st.one_of(st.none(), st.integers(0, 1000)), levels.map(tuple),
                      levels.map(sorted).map(tuple))
 
@@ -318,15 +343,18 @@ requests = st.builds(SampleRequest, sources, st.integers(1, 5 * SCHEDULER_CHUNK)
        workers=st.sampled_from([1, 2]), data=st.data())
 def test_summarize_many_equals_one_request_at_a_time(batch, seed, workers, data):
     # a request's law may come back at another D (limit only) or scale, with
-    # other points; the batch draws each law once, in any request order
+    # other points and, maybe, other trials; the batch draws each law once,
+    # in any request order, at its longest request's trials
     for request in list(batch):
         if data.draw(st.booleans(), label="repeat"):
             D = data.draw(st.floats(0.5, 3.0), label="D") if request.source.n is None else 1.0
             source = replace(request.source, D=D, scale=data.draw(st.floats(0.25, 4.0)))
-            batch.append(request._replace(source=source, thresholds=data.draw(levels.map(tuple)),
+            trials = data.draw(st.one_of(st.just(request.trials), trial_counts), label="trials")
+            batch.append(request._replace(source=source, trials=trials,
+                                          thresholds=data.draw(levels.map(tuple)),
                                           grid=data.draw(levels.map(sorted).map(tuple))))
     batch = data.draw(st.permutations(batch), label="batch")
-    laws = {(r.source.family, r.source.S, r.source.n, r.trials, r.stream) for r in batch}
+    laws = {(r.source.family, r.source.S, r.source.n, r.stream) for r in batch}
     drawn = []
 
     def recording(fn, requests, master_seed, workers):

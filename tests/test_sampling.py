@@ -177,8 +177,8 @@ class TestStreamKey:
         with pytest.raises(ValidationError, match="law"):
             StreamKey(0, 0, 0, 0, 2**64)
 
-    # the runner's law word: family code 1-3 above 62 bits of trials
-    LAW = 1 << 62 | 2000
+    # the runner's law word: family code 1-3 above 62 zero bits
+    LAW = 1 << 62
 
     def test_handles_are_counter_segments_of_one_keyed_stream(self):
         for law in (0, self.LAW):
@@ -192,15 +192,28 @@ class TestStreamKey:
                                   StreamKey(SEED, 7, 3, 2, law).generator().standard_normal(5))
 
     def test_adjacent_handles_share_no_raw_value(self):
-        def raw(stream, row, chunk, law=self.LAW):
-            gen = StreamKey(SEED, stream, row, chunk, law).generator()
+        def raw(stream, row, chunk, law=self.LAW, segment=0):
+            gen = StreamKey(SEED, stream, row, chunk, law).generator(segment)
             return gen.bit_generator.random_raw(10**5)
         base = raw(5, 5, 5)
-        # neighbouring counter words, a neighbouring trials count, a
-        # neighbouring family, and the public stream= layout's key word 0
-        for neighbour in ((5, 5, 6), (5, 6, 5), (6, 5, 5), (5, 5, 5, self.LAW + 1),
-                          (5, 5, 5, self.LAW + (1 << 62)), (5, 5, 5, 0)):
+        # neighbouring counter words, a neighbouring family, the public
+        # stream= layout's key word 0, and the handle's next segment
+        for neighbour in ((5, 5, 6), (5, 6, 5), (6, 5, 5), (5, 5, 5, self.LAW + (1 << 62)),
+                          (5, 5, 5, 0), (5, 5, 5, self.LAW, 1)):
             assert np.intersect1d(base, raw(*neighbour)).size == 0
+
+    def test_segment_starts_the_low_counter_word(self):
+        # segment i of a handle is its stream advanced by i·2^32 blocks
+        key = StreamKey(SEED, 7, 3, 2, self.LAW)
+        state = key.generator(5).bit_generator.state["state"]
+        assert state["counter"].tolist() == [5 << 32, 7, 3, 2]
+        whole = key.generator().bit_generator
+        whole.advance(5 << 32)
+        assert np.array_equal(np.random.Generator(whole).standard_normal(5),
+                              key.generator(5).standard_normal(5))
+        for segment in (-1, 2**32):
+            with pytest.raises(ValidationError, match="segment"):
+                key.generator(segment)
 
     def test_row_4096_has_its_own_counter_word(self):
         # a 12-bit row field once gave row 4096 of stream 0 the stream of row 0
