@@ -1,7 +1,7 @@
 """Numerical verification of l1 concentration bounds for multinomial and
 Dirichlet distributions, including the asymptotic limit law under uniform p."""
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .errors import CapacityError, ConfigError, ValidationError
 from .sampling import StreamKey

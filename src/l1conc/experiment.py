@@ -387,8 +387,8 @@ def _task_cells(task: TaskConfig, seed: int) -> list:
     has a cell per S; only asymptotic-mean tasks sweep S, so every other task
     is one cell, and its thresholds (a falsify task's epsilons), grid points
     or deltas are all counted on that one sample.  A request names the law
-    alone (no ``stream``), so its draws do not depend on the task's place in
-    the config.  A mean cell asks for the law at D = 1 and ``_cell_rows``
+    at its default stream 0, so its draws do not depend on the task's place
+    in the config.  A mean cell asks for the law at D = 1 and ``_cell_rows``
     multiplies its moments by D, so its variance never holds D²."""
     cells = []
     for S in task.S_values:

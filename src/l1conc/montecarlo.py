@@ -2,47 +2,32 @@
 intervals, a small-instance exact oracle, and bound falsification.
 
 Trials are drawn in fixed-size chunks, each from its own Philox counter
-segment (see ``StreamKey``).  A law is a family, S, n and a stream; D and
-``scale`` only multiply its sample, which is drawn at unit scale.  With no
-``stream`` (the default), chunk ``chunk`` of a law draws from
-``StreamKey(master_seed, S, n or 0, chunk, family_code << 62)``,
-``family_code`` being 1 + the family's index in ``SOURCE_FAMILIES``, so
-distinct laws never share a draw and a law's sample does not depend on what
-else is drawn; an explicit ``stream=`` draws from ``StreamKey(master_seed,
-stream, 0, chunk)`` instead.  Every chunk method is prefix-consistent: a
-chunk of m rows is the first m rows of the same chunk drawn at
-``CHUNK_SIZE`` rows, so a law's first ``trials`` draws do not depend on how
-many more are drawn.  Estimators reduce each chunk to exceedance counts,
-at-most counts and moments where it is drawn, so memory does not grow with
-``trials``.  ``summarize_many`` draws each law of its requests once, at its
-longest request's trials, and counts every request's thresholds and grid
-points on that request's own prefix, divided by its D·``scale``, so an API
-call for a report cell reads the sample its rows read, whatever trial counts
-other cells of its law ask for.  It schedules the chunks of every law
-together, largest first, on at most one thread pool in this process, of no
-more threads than the CPUs it may run on, which it shuts down before
-returning; NumPy releases the GIL while it draws, sorts and reduces, so the
-chunks overlap.  A finite-n chunk is drawn a block of rows or a column at a
-time, so its memory does not grow with S either.  A uniform multinomial
-chunk takes one of three methods (Devroye 1986).  The first two run where
-the chain of S − 1 conditional binomials is slower, since NumPy's binomial
-sampler redoes its set-up for every row and, while n/S < 30, inverts with a
-loop of about n/S steps a variate:
-
-- n <= 5·S: a row tallies n uniform categories, the direct method;
-- 5·S < n <= 10·S² with S >= 3: Poissonization.  S i.i.d. Poisson(μ)
-  counts with total T are, given T = t, Multinomial(t, 1/S), so a row of
-  Poisson counts, read off one CDF table through a guide table (Chen &
-  Asau 1974), topped up with n − T uniform categories is Multinomial(n,
-  1/S) exactly.  μ = (n − ⌈1.5·√n⌉)/S; blocks of rows are drawn whole,
-  and a row with T > n, an event of T alone, is dropped;
-- elsewhere a chunk adds one binomial count column at a time, each column
-  from its own counter segment.
-
-A Dirichlet chunk draws blocks of gamma rows.  Which method a chunk takes
-depends on (S, n) alone, chunk boundaries do not depend on the worker count,
-and chunk results are merged in index order, so every estimate is
-bit-identical whether it ran on 1 worker or 64.
+segment (see ``StreamKey``).  A law is a family, S and n; D and ``scale``
+only multiply its sample, which is drawn at unit scale.  Chunk ``chunk`` of
+a law at replicate ``stream`` draws from ``StreamKey(master_seed, S, n or 0,
+chunk, family_code << 62 | stream)``, ``family_code`` being 1 + the family's
+index in ``SOURCE_FAMILIES``; replicate 0, the default, is the law's own
+sample, the one the runner reads.  So distinct laws or replicates never
+share a draw, and a law's sample does not depend on what else is drawn.
+Every chunk method is prefix-consistent: a chunk of m rows is the first m
+rows of the same chunk drawn at ``CHUNK_SIZE`` rows, so a law's first
+``trials`` draws do not depend on how many more are drawn.  Estimators
+reduce each chunk to exceedance counts, at-most counts and moments where it
+is drawn, so memory does not grow with ``trials``.  ``summarize_many`` draws
+each law and replicate of its requests once, at its longest request's
+trials, and counts every request's thresholds and grid points on that
+request's own prefix, divided by its D·``scale``, so an API call for a
+report cell reads the sample its rows read, whatever trial counts other
+cells of its law ask for.  It schedules the chunks of every law together,
+largest first, on at most one thread pool in this process, of no more
+threads than the CPUs it may run on, which it shuts down before returning;
+NumPy releases the GIL while it draws, sorts and reduces, so the chunks
+overlap.  A finite-n chunk is drawn a block of rows or a column at a time,
+so its memory does not grow with S either: a uniform multinomial chunk by
+one of three methods chosen by (S, n) alone (see ``_multinomial_L``), a
+Dirichlet chunk in blocks of gamma rows.  Chunk boundaries do not depend on
+the worker count, and chunk results are merged in index order, so every
+estimate is bit-identical whether it ran on 1 worker or 64.
 
 Multinomial counts c are scored on the integer lattice: under uniform p the
 l1 deviation is L / (n·S) with L = sum |S·c_i - n|, summed in int64 and
@@ -72,35 +57,25 @@ import numpy as np
 from .asymptotic import _BLOCK_ELEMS, sample_Z_batch
 from .bounds import BoundEvaluation, BoundSpec, evaluate_bound
 from .errors import CapacityError, ValidationError
-from .sampling import StreamKey, _multinomial_columns, as_simplex
+from .sampling import StreamKey, as_simplex
 
 CHUNK_SIZE = 1 << 14
 
-# a uniform multinomial chunk with n <= _COUNTING_RATIO·S tallies n category
-# draws a row; in a sweep of 16,384-row chunks at S = 3-200 and n = 2-8·S
-# (BENCH_25.json) it beat the Poissonized method at 2·S and 3·S for every S
-# up to 50, and lost to it from 4·S at S >= 20, from 6·S at S = 10, from
-# 7·S at S = 5 and at 8·S for S = 3: 5·S keeps the small-S cells counted
+# a chunk with n <= _COUNTING_RATIO·S tallies categories, which beat
+# Poissonization at 2·S and 3·S for every S <= 50 in BENCH_25.json's sweep
 _COUNTING_RATIO = 5
-# above that, one with S >= _POISSON_MIN_S and n <= _POISSON_MAX_RATIO·S² is
-# Poissonized; in a sweep of 16,384-row chunks at S = 3-200 (BENCH_23.json)
-# that beat the chain by 1.08-6.6x at every such cell but (3, 27), a tie
-# (0.93x), and beat counting by 1.1-4.2x at n = 9·S and 16·S at every S; the
-# chain caught up at 10.7·S² for S = 3, 16·S² for S = 4 and 5 and 20-25·S²
-# for S = 10-200, since a row's top-up of about 1.5·√n categories grows
-# against the chain's S − 1 binomials
+# above that, a chunk with S >= _POISSON_MIN_S and n <= _POISSON_MAX_RATIO·S²
+# is Poissonized, which beat the chain at every such cell of BENCH_23.json's
+# sweep but (3, 27), a tie, the chain catching up at 10.7-25·S²
 _POISSON_MIN_S = 3
 _POISSON_MAX_RATIO = 10
-# a Poissonized row's counts have mean total n − ⌈_TOP_UP·√n⌉, so up to 6.7%
-# of rows are dropped; over seven cells of the sweep, margins of 1.0-1.5
-# took 118 ms in all, 2.0 took 129 ms and 3.0 took 159 ms
+# a Poissonized row's counts total n − ⌈_TOP_UP·√n⌉ on average, a margin
+# that ran as fast as 1.0 and 1.25 in BENCH_23.json's sweep and dropped up to
+# 6.7% of rows
 _TOP_UP = 1.5
-# a Poissonized block holds about this many uniforms and top-up categories;
-# two pool threads overlap a chunk only while it is a few large NumPy
-# calls: at (50, 10^3) two threads drew 0.68x as fast as one with 2^13 per
-# block, 1.06x with 2^15, 1.29x with 2^16 and 1.64x with 2^17, but 2^17
-# raised falsify-grid's peak RSS by 1.85 MB, near its 5% bound, and 2^16 by
-# 0.18 MB
+# a Poissonized block holds about this many uniforms and top-up categories,
+# where two pool threads drew (50, 10^3) 1.29x as fast as one and 2^17 would
+# have added 1.85 MB to falsify-grid's peak RSS (BENCH_23.json)
 _POISSON_BLOCK_ELEMS = 1 << 16
 
 # the one pool class _map_requests starts; bench/spans.py patches this name to
@@ -108,7 +83,9 @@ _POISSON_BLOCK_ELEMS = 1 << 16
 ProcessPoolExecutor = ThreadPoolExecutor
 
 # cap on the exact oracle's convolution multiply-adds (M + 2·log2 S)·(n+1)²:
-# admits (S, n) = (50, 10^4), about 1.2 s on one core; rejects (200, 10^4)
+# admits (S, n) = (50, 10^4), 1.1-1.4 s on a 2-core x86_64 (2.1-2.6 s of CPU
+# while OpenBLAS runs the convolutions' dot products on both cores, 1.35 s on
+# one); rejects (200, 10^4)
 MAX_EXACT_WORK = 10**10
 
 SOURCE_FAMILIES = ("multinomial", "dirichlet", "limit")
@@ -156,13 +133,13 @@ class DeviationSource:
 
 class SampleRequest(NamedTuple):
     """``trials`` deviation samples of ``source`` drawn from the Philox
-    segments of its law, or of ``stream`` if one is given, summarized at
+    segments of its law at replicate ``stream``, summarized at
     ``thresholds`` (counts of samples >= t) and on ``grid`` (counts of
     samples <= g)."""
 
     source: DeviationSource
     trials: int
-    stream: int | None = None
+    stream: int = 0
     thresholds: tuple = ()
     grid: tuple = ()
 
@@ -246,19 +223,28 @@ def _poissonized_L(rng: np.random.Generator, S: int, n: int, L: np.ndarray) -> N
 
 
 def _chained_L(key: StreamKey, S: int, n: int, L: np.ndarray) -> None:
-    columns = map(key.generator, range(S - 1))  # column i from segment i
-    term = np.empty_like(L)  # one buffer for every column's |S·c − n|
-    for c in _multinomial_columns(columns, np.full(S, 1.0 / S), n, L.size):
-        np.multiply(c, S, out=term)
-        term -= n
-        L += np.abs(term, out=term)
+    q, tail = 1.0 / S, 1.0
+    remaining = np.full(L.size, n, dtype=np.int64)
+    for i in range(S):  # column i from segment i; the last holds what is left
+        if i < S - 1:
+            c = key.generator(i).binomial(remaining, q / tail)
+            remaining -= c
+            tail -= q
+        else:
+            c = remaining
+        c *= S
+        c -= n
+        L += np.abs(c, out=c)
 
 
 def _multinomial_L(key: StreamKey, S: int, n: int, count: int) -> np.ndarray:
     """L = sum_i |S·c_i − n| for ``count`` Multinomial(n, 1/S) rows, in int64,
-    by one of three methods, chosen by (S, n) alone.  Each method's first m
-    rows are the rows it draws for any ``count`` >= m, so a shorter chunk is
-    a prefix of a longer one:
+    by one of three methods (Devroye 1986), chosen by (S, n) alone.  The
+    first two run where the chain of S − 1 conditional binomials is slower,
+    since NumPy's binomial sampler redoes its set-up for every row and, while
+    n/S < 30, inverts with a loop of about n/S steps a variate.  Each
+    method's first m rows are the rows it draws for any ``count`` >= m, so a
+    shorter chunk is a prefix of a longer one:
 
     - n <= ``_COUNTING_RATIO``·S, ``_counted_L``: a row's counts are the
       tally of n uniform categories, drawn ``_BLOCK_ELEMS // (n + S)`` rows
@@ -268,26 +254,27 @@ def _multinomial_L(key: StreamKey, S: int, n: int, count: int) -> np.ndarray:
       in order, so a short last block draws the first rows of a full one.
     - n <= ``_POISSON_MAX_RATIO``·S² and S >= ``_POISSON_MIN_S``,
       ``_poissonized_L``: if X_1..X_S are i.i.d. Poisson(μ) with total T,
-      then X given T = t is Multinomial(t, 1/S) (Devroye 1986), so adding
-      n − t uniform categories gives Multinomial(n, 1/S) exactly.  With
+      then X given T = t is Multinomial(t, 1/S), so adding n − t uniform
+      categories gives Multinomial(n, 1/S) exactly.  With
       μ = (n − ⌈1.5·√n⌉)/S, T > n has probability below 6.7% (4.9% at
       n = 100, 5.9% at 1000); such a row is dropped, which does not bias
       the rows kept, because that event depends on T alone.  Blocks are
       always drawn whole and their kept rows fill L in order until it is
       full, so the rows do not depend on ``count``.  A row's S uniforms
-      are read off one Poisson(μ) CDF table through its guide table
-      (``_poisson_counts``), and the block's top-up categories are drawn
-      in one ``integers`` call, offset by row and tallied by one
+      are read off one Poisson(μ) CDF table through its guide table (Chen
+      & Asau 1974, ``_poisson_counts``), and the block's top-up categories
+      are drawn in one ``integers`` call, offset by row and tallied by one
       ``bincount``.  A block holds
       ``_POISSON_BLOCK_ELEMS // (S + ⌈1.5·√n⌉)`` rows, so about
       ``_POISSON_BLOCK_ELEMS`` uniforms and top-up categories: few enough
       NumPy calls a chunk that two pool threads overlap (each call
       releases the GIL, and every return has to win it back), at under
       1 MiB a block.
-    - otherwise, ``_chained_L``: the chain of S − 1 conditional binomials
-      adds one count column at a time, column i drawn from counter segment
-      i of ``key``, so that its rows do not depend on how many rows the
-      column before it drew.
+    - otherwise, ``_chained_L``: with q = 1/S and ``tail`` the probability
+      not yet drawn, column i < S − 1 is Binomial(remaining, q/tail), drawn
+      from counter segment i of ``key`` so that its rows do not depend on
+      how many rows the column before it drew, and the last column holds
+      what is left.
 
     Each way, memory stays at one block or column, whatever S is."""
     L = np.zeros(count, dtype=np.int64)
@@ -301,17 +288,14 @@ def _multinomial_L(key: StreamKey, S: int, n: int, count: int) -> np.ndarray:
 
 
 def _draw_chunk(request, master_seed: int, chunk: int, count: int) -> np.ndarray:
-    """The first ``count`` draws of chunk ``chunk`` of the request's law (or
-    of its ``stream``), at unit scale; they are the first ``count`` of any
-    longer draw of that chunk."""
+    """The first ``count`` draws of chunk ``chunk`` of the request's law at
+    its ``stream``, at unit scale; they are the first ``count`` of any longer
+    draw of that chunk."""
     source = request.source
-    if request.stream is None:  # the law's own segments
-        law = (1 + SOURCE_FAMILIES.index(source.family)) << 62
-        key = StreamKey(master_seed, source.S, source.n or 0, chunk, law)
-    else:
-        key = StreamKey(master_seed, request.stream, 0, chunk)
+    law = (1 + SOURCE_FAMILIES.index(source.family)) << 62 | request.stream
+    key = StreamKey(master_seed, source.S, source.n or 0, chunk, law)
     if source.family == "limit":
-        return sample_Z_batch(source.S, 1.0, count, key)
+        return sample_Z_batch(source.S, count, key)
     # memory stays at a few rows or columns of the chunk, whatever S is
     S, n = source.S, source.n
     if source.family == "multinomial":
@@ -336,11 +320,14 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _check_trials(trials) -> None:
-    # a bound far above any job list that fits in memory, so that such a
-    # request fails before any draw
-    if not (isinstance(trials, numbers.Integral) and 1 <= trials < 2**62):
+def _check_request(request) -> None:
+    # trials: a bound far above any job list that fits in memory, so that
+    # such a request fails before any draw; stream: the bits of the key word
+    # below the family code
+    if not (isinstance(request.trials, numbers.Integral) and 1 <= request.trials < 2**62):
         raise ValidationError("trials must be an integer >= 1 and < 2^62")
+    if not (isinstance(request.stream, numbers.Integral) and 0 <= request.stream < 2**62):
+        raise ValidationError("stream must be an integer >= 0 and < 2^62")
 
 
 def _map_requests(fn, requests: list, master_seed: int, workers: int) -> list[list]:
@@ -352,7 +339,7 @@ def _map_requests(fn, requests: list, master_seed: int, workers: int) -> list[li
     first, by rows·S, so that a large chunk does not start last and leave
     the other threads idle; results come back in job order."""
     for request in requests:
-        _check_trials(request.trials)
+        _check_request(request)
     if not (isinstance(workers, numbers.Integral) and workers >= 1):
         raise ValidationError("workers must be an integer >= 1")
     jobs = [(request, master_seed, start // CHUNK_SIZE, min(CHUNK_SIZE, request.trials - start))
@@ -369,7 +356,7 @@ def _map_requests(fn, requests: list, master_seed: int, workers: int) -> list[li
 
 
 def draw_samples(source: DeviationSource, trials: int, master_seed: int, *,
-                 stream: int | None = None, workers: int = 1) -> np.ndarray:
+                 stream: int = 0, workers: int = 1) -> np.ndarray:
     """Draw ``trials`` deviation samples, reproducible and worker-independent:
     D·``scale`` times the sample of the law, which is drawn at unit scale."""
     [chunks] = _map_requests(_draw_chunk, [SampleRequest(source, trials, stream)],
@@ -418,7 +405,7 @@ class _Law(NamedTuple):
     count, longest first; the law is drawn once, at the longest's trials."""
 
     source: DeviationSource
-    stream: int | None
+    stream: int
     readings: tuple
 
     @property
@@ -449,9 +436,9 @@ def _reduce_chunk(law: _Law, master_seed: int, chunk: int, count: int) -> list[S
 
 
 def summarize_many(requests, master_seed: int, workers: int = 1) -> list[SampleSummary]:
-    """The ``SampleSummary`` of every request, in request order.  A law is a
-    family, S, n and stream; its sample does not depend on its length, so
-    requests of one law read one sample, drawn once at the longest request's
+    """The ``SampleSummary`` of every request, in request order.  A sample
+    is a law's (family, S, n) at one ``stream``; it does not depend on its
+    length, so requests of one law and stream read one sample, drawn once at the longest request's
     trials, and a request of ``trials`` reads its first ``trials`` draws.
     Each request counts its points divided by its D·``scale`` and has its
     moments multiplied back, so its summary is bit for bit the one it gets
@@ -459,7 +446,7 @@ def summarize_many(requests, master_seed: int, workers: int = 1) -> list[SampleS
     them all."""
     laws, cells = {}, []  # law -> trials -> unit-scale points; (law, trials, scale, slices)
     for request in requests:
-        _check_trials(request.trials)
+        _check_request(request)
         if not all(np.isfinite(np.asarray(values, dtype=float)).all()
                    for values in (request.thresholds, request.grid)):
             raise ValidationError("thresholds and grid points must be finite")
@@ -655,7 +642,7 @@ def tail_estimate_from_count(threshold: float, k: int, trials: int,
 
 def estimate_tail_probability(source: DeviationSource, threshold: float, trials: int,
                               master_seed: int, *, ci_level: float = 0.95,
-                              stream: int | None = None, workers: int = 1) -> TailEstimate:
+                              stream: int = 0, workers: int = 1) -> TailEstimate:
     """Monte Carlo estimate of P(statistic >= threshold) with a Clopper-Pearson
     interval, deterministic given the master seed."""
     _check_level(ci_level, "ci_level")
@@ -744,7 +731,7 @@ def dkw_halfwidth(trials: int, band_level: float) -> float:
 
 
 def estimate_quantile_curve(source: DeviationSource, grid, trials: int, master_seed: int, *,
-                            band_level: float = 0.05, stream: int | None = None,
+                            band_level: float = 0.05, stream: int = 0,
                             workers: int = 1) -> QuantileCurve:
     """Empirical CDF of the deviation statistic on an ascending grid."""
     half = dkw_halfwidth(trials, band_level)  # checks band_level before any drawing
@@ -793,7 +780,7 @@ def classify_verdict(estimate: TailEstimate, claimed_delta: float) -> str:
 
 def falsify_bound(spec: BoundSpec, trials: int, master_seed: int, *,
                   family: str = "multinomial", ci_level: float = 0.95,
-                  stream: int | None = None, workers: int = 1) -> Verdict:
+                  stream: int = 0, workers: int = 1) -> Verdict:
     """Estimate the exceedance probability at the bound's own threshold (uniform
     p) and classify the claim as Violated / Consistent / Inconclusive."""
     if trials < 100:

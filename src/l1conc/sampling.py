@@ -5,9 +5,9 @@ master seed, each named by a :class:`StreamKey`, so any draw is reproducible
 from its key alone, independently of scheduling or worker count.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -20,12 +20,12 @@ SIMPLEX_SUM_TOL = 1e-12
 
 def as_simplex(p) -> np.ndarray:
     """``p`` as a float array, checked to be a probability vector: 1-d,
-    nonnegative, summing to 1 within ``SIMPLEX_SUM_TOL``."""
+    finite, nonnegative, summing to 1 within ``SIMPLEX_SUM_TOL``."""
     e = np.asarray(p, dtype=float)
     if e.ndim != 1 or e.size < 1:
         raise ValidationError("simplex vector must be a 1-d array with at least one entry")
-    if np.any(e < 0):
-        raise ValidationError("simplex vector has a negative entry")
+    if not (np.isfinite(e).all() and np.all(e >= 0)):
+        raise ValidationError("simplex vector entries must be finite and >= 0")
     if abs(float(e.sum()) - 1.0) > SIMPLEX_SUM_TOL:
         raise ValidationError(
             f"simplex vector entries sum to {e.sum()!r}, not 1 within {SIMPLEX_SUM_TOL}"
@@ -43,9 +43,9 @@ class StreamKey:
     (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
     ``generator(segment)`` starts the low word at ``segment``·2^32, so a
     handle's segments own disjoint stretches of 2^32 blocks (2^34 64-bit
-    draws) each.  A law is named by its key word ``law``, its family code
-    above 62 zero bits, and its counter words (see ``montecarlo._draw_chunk``);
-    ``law = 0`` is the layout of an explicit ``stream=``.
+    draws) each.  The engine names a law's replicate by the key word ``law``,
+    its family code above a 62-bit replicate number, and the law itself by
+    the counter words (see ``montecarlo._draw_chunk``).
     """
 
     master_seed: int
@@ -68,25 +68,6 @@ class StreamKey:
         return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
-def _multinomial_columns(rngs, p: np.ndarray, n: int, size: int):
-    """Yield the count columns of ``size`` Multinomial(n, p) rows, one per
-    category in order, by sequential conditional binomials vectorized across
-    rows, column i drawn from the i-th generator of ``rngs``.  Stable for
-    large n and any dimension; a consumer that reduces each column as it
-    comes never holds the ``size × p.size`` counts.
-    """
-    remaining = np.full(size, n, dtype=np.int64)
-    tail = 1.0
-    for rng, q in zip(rngs, map(float, p[:-1])):
-        # once the rest of p sums to 0 its columns are empty and nothing more is drawn
-        c = (rng.binomial(remaining, min(max(q / tail, 0.0), 1.0)) if tail > 0.0
-             else np.zeros_like(remaining))
-        yield c
-        remaining -= c
-        tail -= q
-    yield remaining
-
-
 def sample_multinomial_batch(p, n: int, size: int, key: StreamKey) -> np.ndarray:
     """Draw ``size`` independent Multinomial(n, p) rows from one stream."""
     p = as_simplex(p)
@@ -94,20 +75,22 @@ def sample_multinomial_batch(p, n: int, size: int, key: StreamKey) -> np.ndarray
         raise ValidationError("trial count n must be an integer >= 0")
     if size < 1:
         raise ValidationError("batch size must be >= 1")
-    return np.column_stack(list(_multinomial_columns(repeat(key.generator()), p, n, size)))
+    return key.generator().multinomial(n, p, size=size)
 
 
 def sample_dirichlet_batch(alpha, size: int, key: StreamKey) -> np.ndarray:
     """Draw ``size`` Dirichlet(alpha) rows from one stream.  ``alpha`` must
-    sum to at least 1: a row's gammas then all underflow to 0 with
-    probability below about 1e-300, so no row has a zero sum."""
+    be positive with a finite sum of at least 1: a row's gammas then all
+    underflow to 0 with probability below about 1e-300, so no row has a
+    zero sum."""
     alpha = np.asarray(alpha, dtype=float)
     if alpha.ndim != 1 or alpha.size < 1:
         raise ValidationError("alpha must be a 1-d array with at least one entry")
-    if np.any(alpha <= 0):
-        raise ValidationError("alpha entries must be > 0")
-    if not alpha.sum() >= 1 - SIMPLEX_SUM_TOL:  # n·p at n = 1 may sum to 1 - 1 ulp
-        raise ValidationError("alpha must sum to >= 1")
+    with np.errstate(over="ignore"):  # a sum that overflows is inf, refused below
+        total = alpha.sum()
+    # n·p at n = 1 may sum to 1 - 1 ulp; NaN fails every comparison
+    if not (np.all(alpha > 0) and math.isfinite(total) and total >= 1 - SIMPLEX_SUM_TOL):
+        raise ValidationError("alpha entries must be > 0, with a finite sum >= 1")
     if size < 1:
         raise ValidationError("batch size must be >= 1")
     rng = key.generator()

@@ -17,7 +17,7 @@ from l1conc.asymptotic import (
     sample_Z_batch,
 )
 from l1conc.errors import ValidationError
-from l1conc.montecarlo import CHUNK_SIZE
+from l1conc.montecarlo import CHUNK_SIZE, DeviationSource, draw_samples
 from l1conc.sampling import StreamKey
 
 SEED = 555
@@ -128,25 +128,26 @@ class TestLimitSampling:
 
     def test_scalar_api_deterministic(self):
         # single draws (size 1) replay exactly from the key
-        assert sample_Z_batch(7, 2.0, 1, KEY)[0] == sample_Z_batch(7, 2.0, 1, KEY)[0]
+        assert sample_Z_batch(7, 1, KEY)[0] == sample_Z_batch(7, 1, KEY)[0]
 
     def test_z_scales_with_D(self):
-        a = sample_Z_batch(9, 1.0, 100, StreamKey(SEED, 4))
-        b = sample_Z_batch(9, 3.0, 100, StreamKey(SEED, 4))
+        # the sampler draws at D = 1, and a source's D multiplies that sample
+        a = draw_samples(DeviationSource("limit", 9), 100, SEED)
+        b = draw_samples(DeviationSource("limit", 9, D=3.0), 100, SEED)
         assert np.allclose(3 * a, b, rtol=1e-12)
 
     def test_mean_matches_closed_form(self):
         N = 10**6
-        z = sample_Z_batch(10, 1.0, N, StreamKey(SEED, 5))
+        z = sample_Z_batch(10, N, StreamKey(SEED, 5))
         se = z.std(ddof=1) / math.sqrt(N)
         assert abs(z.mean() - 1.196827) <= 3 * se
 
 
-def unblocked_Z(S: int, D: float, size: int, key: StreamKey) -> np.ndarray:
-    """Reference: D/sqrt(S) · sum of positive parts of centred normals, over
+def unblocked_Z(S: int, size: int, key: StreamKey) -> np.ndarray:
+    """Reference: 1/sqrt(S) · sum of positive parts of centred normals, over
     one whole (size, S) batch of the key's stream."""
     G = key.generator().standard_normal((size, S))
-    return D / math.sqrt(S) * np.clip(G - G.mean(-1, keepdims=True), 0.0, None).sum(-1)
+    return 1 / math.sqrt(S) * np.clip(G - G.mean(-1, keepdims=True), 0.0, None).sum(-1)
 
 
 def block_sizes(S: int) -> list[int]:
@@ -161,28 +162,26 @@ class TestBlockedSampler:
     def test_bit_identical_to_unblocked(self, S):
         # blocks of one row at S = 40000; partial last blocks at rows +- 1
         for size in block_sizes(S):
-            for D in (1.0, 2.0):
-                key = StreamKey(2024, S * 100_000 + size)
-                got = sample_Z_batch(S, D, size, key)
-                want = unblocked_Z(S, D, size, key)
-                assert got.shape == (size,)
-                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (S, size, D)
+            key = StreamKey(2024, S * 100_000 + size)
+            got = sample_Z_batch(S, size, key)
+            want = unblocked_Z(S, size, key)
+            assert got.shape == (size,)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (S, size)
 
     @pytest.mark.parametrize("S", [200, 1000])
     def test_chunk_memory_independent_of_S(self, S):
         tracemalloc.start()
         try:
-            sample_Z_batch(S, 2.0, CHUNK_SIZE, KEY)
+            sample_Z_batch(S, CHUNK_SIZE, KEY)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
     def test_rejects_bad_arguments(self):
-        for S, D, size in ((1, 1.0, 10), (5, 0.0, 10), (5, -1.0, 10), (5, math.nan, 3),
-                           (5, math.inf, 3), (5, 1.0, 0)):
+        for S, size in ((1, 10), (5, 0)):
             with pytest.raises(ValidationError):
-                sample_Z_batch(S, D, size, KEY)
+                sample_Z_batch(S, size, KEY)
 
 
 class TestRepresentationEquivalence:
@@ -206,7 +205,7 @@ class TestRepresentationEquivalence:
         Y = limit_Y_from_W(W)
         centred = math.sqrt(S / (S - 1)) * (G - G.mean(-1, keepdims=True))
         assert np.abs(centred - Y).max() < 1e-12
-        assert np.allclose(sample_Z_batch(S, 2.0, 50, key), limit_Z_from_Y(Y, 2.0),
+        assert np.allclose(2.0 * sample_Z_batch(S, 50, key), limit_Z_from_Y(Y, 2.0),
                            rtol=1e-12, atol=0.0)
 
     def test_functional_is_lipschitz(self):
@@ -241,6 +240,6 @@ class TestClosedForms:
         # the threshold lives on the l1-deviation scale, i.e. D = 2
         N = 200_000
         for S, delta in [(10, 0.1), (50, 0.05), (200, 0.01)]:
-            z = sample_Z_batch(S, 2.0, N, StreamKey(SEED, 100 + S))
+            z = 2.0 * sample_Z_batch(S, N, StreamKey(SEED, 100 + S))
             frac = float((z >= anticoncentration_threshold(S, delta)).mean())
             assert frac >= 1 - delta - 3 * math.sqrt(delta * (1 - delta) / N)

@@ -248,7 +248,7 @@ class TestFalsifySweep:
         laws, _ = _laws_drawn(monkeypatch, self.TEXT)
         [falsify] = [law for law in laws if law.source.n == 100]
         [request] = falsify.readings
-        assert len(request.thresholds) == 3 and falsify.stream is None
+        assert len(request.thresholds) == 3 and falsify.stream == 0
 
     def test_counts_non_increasing_in_epsilon(self):
         rows = [row for row in run_experiment(parse_config(self.TEXT)).rows
@@ -305,7 +305,7 @@ class TestSharedLaw:
     def test_tasks_of_one_law_send_one_request(self, monkeypatch):
         [law], report = _laws_drawn(monkeypatch, self.TEXT)
         [request] = law.readings
-        assert request.stream is None
+        assert request.stream == 0
         epsilons = [row["epsilon"] for row in report.rows if row["kind"] == "falsify"]
         assert request.thresholds == (*epsilons, 0.15, 0.3)
         assert request.grid == (0.1, 0.2)
@@ -351,10 +351,10 @@ class TestSharedLaw:
         # task 4 (D = 2, 700 trials) and the mean sweep's S = 5 cells read
         # the S = 5 limit sample, drawn at 700 trials; its S = 10 is new
         assert [(law.source.family, law.source.S, law.source.D, law.trials, law.stream)
-                for law in laws] == [("multinomial", 5, 1.0, 20000, None),
-                                     ("dirichlet", 5, 1.0, 20000, None),
-                                     ("limit", 5, 1.0, 700, None),
-                                     ("limit", 10, 1.0, 500, None)]
+                for law in laws] == [("multinomial", 5, 1.0, 20000, 0),
+                                     ("dirichlet", 5, 1.0, 20000, 0),
+                                     ("limit", 5, 1.0, 700, 0),
+                                     ("limit", 10, 1.0, 500, 0)]
         assert [[(r.trials, len(r.thresholds)) for r in law.readings] for law in laws] == [
             [(20000, 2), (3000, 2)], [(20000, 2)], [(700, 1), (500, 1)], [(500, 0)]]
         assert [r.thresholds for r in laws[2].readings] == [(0.5,), (1.0,)]
@@ -407,7 +407,7 @@ class TestLimitLaw:
     def test_every_D_sends_one_request(self, monkeypatch):
         [law], _ = _laws_drawn(monkeypatch, self.TEXT)
         [request] = law.readings
-        assert (request.source.D, request.stream) == (1.0, None)
+        assert (request.source.D, request.stream) == (1.0, 0)
         assert request.thresholds == (2.5, 3.25)
         assert request.grid == (2.5, 3.0, 3.5)
 

@@ -1,7 +1,7 @@
 """Pinned reports: a fixed config must keep producing the same bytes.
 
-``data/golden.ini`` covers every task kind and every source family, with
-multinomial thresholds on the l1 lattice.  Its JSON and CSV reports are
+``data/golden.ini`` covers every task kind, every source family and every
+multinomial chunk method, with multinomial thresholds on the l1 lattice.  Its JSON and CSV reports are
 stored beside it; regenerate them only when a change is meant to alter the
 draws or the report format.  Each row depends on its own task and the master
 seed alone, so it replays from its task's echo, and moving tasks about
@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from l1conc import montecarlo
 from l1conc.bounds import BoundSpec
 from l1conc.experiment import (
     TASK_KEYS,
@@ -45,10 +46,22 @@ def test_report_bytes_match_golden(config, workers):
     assert emit_report(report, "csv") == (DATA / "golden.csv").read_bytes()
 
 
+def _chunk_method(S: int, n: int) -> str:
+    if n <= montecarlo._COUNTING_RATIO * S:
+        return "counted"
+    if S >= montecarlo._POISSON_MIN_S and n <= montecarlo._POISSON_MAX_RATIO * S * S:
+        return "poissonized"
+    return "chained"
+
+
 def test_golden_covers_every_kind_and_family(config):
     assert {t.kind for t in config.tasks} == {"tail", "quantiles", "falsify",
                                                "asymptotic-mean"}
     assert {t.family for t in config.tasks} == {"multinomial", "dirichlet", "limit"}
+    # and one multinomial law of each chunk method, read from its cutoffs
+    methods = [_chunk_method(S, t.n) for t in config.tasks if t.family == "multinomial"
+               for S in t.S_values]
+    assert set(methods) == {"counted", "poissonized", "chained"}, methods
 
 
 def test_rows_hold_plain_python_values(config):
@@ -126,4 +139,4 @@ def test_every_tail_quantiles_and_falsify_row_replays_from_the_api():
         want = [(r["point"], r["ci_low"], r["ci_high"]) for r in by_task[task["id"]]]
         assert got == want, task["id"]
         replayed += len(got)
-    assert replayed == 16
+    assert replayed == 17

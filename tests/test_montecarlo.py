@@ -33,7 +33,6 @@ from l1conc.montecarlo import (
 from l1conc.deviation import l1_deviation
 from l1conc.sampling import (
     StreamKey,
-    _multinomial_columns,
     sample_dirichlet_batch,
     sample_multinomial_batch,
 )
@@ -161,11 +160,41 @@ class TestDeviationSource:
                 DeviationSource(family, 5, n=n, scale=bad)
 
     def test_neighbouring_laws_draw_apart_by_default(self):
-        # the default stream is the law's key, so (10, 100) and (10, 101) are
-        # not one sample (a shared stream=0 correlated them at 0.987)
+        # the default stream is the law's own sample, so (10, 100) and
+        # (10, 101) are not one sample (a key without the law would correlate
+        # them at 0.987)
         a, b = (draw_samples(DeviationSource("multinomial", 10, n=n), 20_000, 7)
                 for n in (100, 101))
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.05
+
+    def test_neighbouring_laws_draw_apart_at_one_stream(self):
+        # a replicate keys the law too, so (50, 10^4) and (50, 10^4 + 1) at
+        # stream=1 are not one sample (a key without the law would correlate
+        # them at 0.999)
+        a, b = (draw_samples(DeviationSource("dirichlet", 50, n=n), 20_000, 7, stream=1)
+                for n in (10**4, 10**4 + 1))
+        assert abs(np.corrcoef(a, b)[0, 1]) < 0.05
+
+    def test_stream_0_is_the_law_sample(self):
+        source = DeviationSource("multinomial", 10, n=100)
+        default = draw_samples(source, 3000, SEED)
+        assert np.array_equal(draw_samples(source, 3000, SEED, stream=0), default)
+        assert abs(np.corrcoef(draw_samples(source, 3000, SEED, stream=1), default)[0, 1]) < 0.1
+
+    @pytest.mark.parametrize("stream", [2**62, -1, 1.5, None])
+    def test_stream_outside_the_key_rejected_before_drawing(self, stream, monkeypatch):
+        def draw(*args, **kwargs):
+            pytest.fail("samples drawn before the stream was checked")
+
+        monkeypatch.setattr(montecarlo, "_draw_chunk", draw)
+        monkeypatch.setattr(montecarlo, "_reduce_chunk", draw)
+        source = DeviationSource("multinomial", 3, n=10)
+        for call in (lambda: draw_samples(source, 100, SEED, stream=stream),
+                     lambda: estimate_tail_probability(source, 0.5, 100, SEED, stream=stream),
+                     lambda: summarize_many([SampleRequest(source, 100),
+                                             SampleRequest(source, 100, stream)], SEED)):
+            with pytest.raises(ValidationError, match="stream must be an integer"):
+                call()
 
     def test_draws_deterministic_and_worker_independent(self):
         source = DeviationSource("limit", 10)
@@ -232,13 +261,17 @@ class TestBoundedChunks:
     # n > 10·S², so each chunk takes the binomial chain
     @pytest.mark.parametrize("S, n, count", [(5, 1000, 3000), (50, 10**5, 500), (500, 10**7, 40)])
     def test_streamed_multinomial_matches_counts(self, S, n, count):
-        # a request with no stream draws from its law's key, (multinomial) and
-        # S, n, whatever its trials; column i of the chain from segment i
+        # a request at the default stream draws from its law's key,
+        # (multinomial) and S, n, whatever its trials; column i of the chain
+        # is Binomial(remaining, q / tail) from segment i
         request = SampleRequest(DeviationSource("multinomial", S, n=n), count)
         got = montecarlo._draw_chunk(request, SEED, 3, count)
         key = StreamKey(SEED, S, n, 3, 1 << 62)
-        columns = map(key.generator, range(S - 1))
-        counts = np.column_stack(list(_multinomial_columns(columns, np.full(S, 1 / S), n, count)))
+        remaining, tail, columns = np.full(count, n), 1.0, []
+        for i in range(S - 1):
+            columns.append(key.generator(i).binomial(remaining, (1 / S) / tail))
+            remaining, tail = remaining - columns[-1], tail - 1 / S
+        counts = np.column_stack(columns + [remaining])
         assert np.all(counts.sum(-1) == n)
         assert got.tobytes() == (np.abs(S * counts - n).sum(-1) / (n * S)).tobytes()
 
@@ -249,7 +282,8 @@ class TestBoundedChunks:
         request = SampleRequest(DeviationSource("dirichlet", S, n=n), count, stream=1)
         got = montecarlo._draw_chunk(request, SEED, 2, count)
         p = np.full(S, 1 / S)
-        whole = sample_dirichlet_batch(n * p, count, StreamKey(SEED, 1, 0, 2))
+        # (dirichlet) at replicate 1 and S, n
+        whole = sample_dirichlet_batch(n * p, count, StreamKey(SEED, S, n, 2, 2 << 62 | 1))
         assert got.tobytes() == l1_deviation(whole, p).tobytes()
 
     # 256 rows at S = 20000 are 39 MiB of counts or gammas as one array; at

@@ -303,7 +303,7 @@ def chunk_sources(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(source=chunk_sources(), seed=words, chunk=words,
-       stream=st.one_of(st.none(), words), m=st.integers(1, montecarlo.CHUNK_SIZE))
+       stream=st.integers(0, 2**62 - 1), m=st.integers(1, montecarlo.CHUNK_SIZE))
 def test_chunk_is_a_prefix_of_the_full_chunk(source, seed, chunk, stream, m):
     # a chunk of m rows is the first m rows of the same chunk drawn whole,
     # so requests of one law with other trial counts can read one sample
@@ -316,12 +316,15 @@ def test_chunk_is_a_prefix_of_the_full_chunk(source, seed, chunk, stream, m):
 @given(S=st.integers(2, 300), size=st.integers(1, 200), key=keys, j=st.integers(-30, 30),
        D=st.floats(1e-9, 1e9))
 def test_limit_draws_scale_with_D(S, size, key, j, D):
-    # the runner draws a limit law at D = 1 and reads every D off that sample
-    z = sample_Z_batch(S, 1.0, size, key)
-    assert np.array_equal(sample_Z_batch(S, 2.0**j, size, key), 2.0**j * z)
+    # the runner draws a limit law at D = 1 and reads every D off that sample:
+    # D times a draw is the draw at D, exactly for a power of two
+    G = key.generator().standard_normal((size, S))
+    total = np.clip(G - G.mean(-1, keepdims=True), 0.0, None).sum(-1)
+    z = sample_Z_batch(S, size, key)
+    assert np.array_equal(2.0**j * z, total * (2.0**j / math.sqrt(S)))
     # sum·(D/sqrt(S)) and D·(sum·(1/sqrt(S))) differ by five roundings, so by at most 5 ulp
-    want = D * z
-    assert np.all(np.abs(sample_Z_batch(S, D, size, key) - want) <= 5 * np.spacing(want))
+    want = total * (D / math.sqrt(S))
+    assert np.all(np.abs(D * z - want) <= 5 * np.spacing(want))
 
 
 SCHEDULER_CHUNK = 16  # small chunks, so cheap requests still span several
@@ -334,7 +337,7 @@ sources = st.one_of(
 levels = st.lists(st.floats(0.0, 3.0), max_size=4)
 trial_counts = st.integers(1, 5 * SCHEDULER_CHUNK)
 requests = st.builds(SampleRequest, sources, trial_counts,
-                     st.one_of(st.none(), st.integers(0, 1000)), levels.map(tuple),
+                     st.integers(0, 1000), levels.map(tuple),
                      levels.map(sorted).map(tuple))
 
 

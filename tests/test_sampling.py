@@ -34,6 +34,16 @@ class TestSimplexVector:
             with pytest.raises(ValidationError):
                 as_simplex(bad)
 
+    @pytest.mark.parametrize("p", [[0.5, math.nan], [math.nan, 0.5, 0.5], [math.inf, 0.5],
+                                   [0.5, 0.5, -math.inf]])
+    def test_non_finite_entry_rejected(self, p):
+        # NaN compares false against every bound, so the sign and sum checks
+        # alone would let [0.5, nan] draw Binomial(10, 1/2) rows
+        with pytest.raises(ValidationError, match="finite"):
+            as_simplex(p)
+        with pytest.raises(ValidationError, match="finite"):
+            sample_multinomial_batch(p, 10, 3, KEY)
+
     def test_uniform(self):
         # every sampler call passes the uniform p; its rounded sum stays
         # inside the tolerance up to a million categories
@@ -132,6 +142,12 @@ class TestDirichlet:
             sample_dirichlet_batch([[1.0, 2.0]], 1, KEY)
         with pytest.raises(ValidationError):
             sample_dirichlet_batch([1.0, 2.0], 0, KEY)
+
+    # an infinite alpha would give NaN rows, and one whose sum overflows rows of zeros
+    @pytest.mark.parametrize("alpha", [[math.inf, 1.0], [1e308, 1e308], [2.0, math.nan]])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValidationError, match="finite"):
+            sample_dirichlet_batch(alpha, 2, KEY)
 
     @pytest.mark.parametrize("alpha", [[1e-5, 1e-5], [0.3, 0.3, 0.3], [math.nan, 2.0]])
     def test_alpha_summing_below_one_rejected(self, alpha):
