@@ -31,10 +31,11 @@ class BoundSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", BoundFamily(self.family))
-        if not (isinstance(self.n, numbers.Integral) and self.n >= 1):
-            raise ValidationError("n must be an integer >= 1")
-        if not (isinstance(self.S, numbers.Integral) and self.S >= 2):
-            raise ValidationError("S must be an integer >= 2")
+        # below 2^64, n and S convert to floats in every formula
+        if not (isinstance(self.n, numbers.Integral) and 1 <= self.n < 2**64):
+            raise ValidationError("n must be an integer >= 1 and < 2^64")
+        if not (isinstance(self.S, numbers.Integral) and 2 <= self.S < 2**64):
+            raise ValidationError("S must be an integer >= 2 and < 2^64")
         if not (0.0 < self.delta <= 1.0):
             raise ValidationError("delta must lie in (0, 1]")
 

@@ -114,7 +114,11 @@ def _run(args) -> int:
             raise ConfigError("; ".join(errors))
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            config = parse_config(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{args.config}: not a UTF-8 config ({exc})")
+        config = parse_config(text)
         if args.workers is not None:
             config.workers = args.workers
         if args.seed is not None:

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .asymptotic import expected_Z
 from .bounds import BoundFamily, BoundSpec, evaluate_bound
-from .errors import ConfigError
+from .errors import CapacityError, ConfigError
 from .montecarlo import (
     SOURCE_FAMILIES,
     DeviationSource,
@@ -152,6 +152,8 @@ def _parse_grid(text, path, errors):
         if not math.isfinite(hi - lo):
             errors.append(f"{path}: must be finite")
             return []
+        if count >= 2**60:  # 2^63 bytes of float64, NumPy's array size limit
+            raise CapacityError(f"{path}: {count} grid points exceed any array")
         return [float(x) for x in np.linspace(lo, hi, count)]
     return _parse_list(_parse_finite, text, path, errors)
 
@@ -237,8 +239,9 @@ def build_task(index: int, raw: dict, errors: list) -> TaskConfig:
         errors.append(f"{path}.family: asymptotic-mean tasks use the limit family")
     if kind == "falsify" and task.family == "limit":
         errors.append(f"{path}.family: falsify tasks need a finite-n family")
-    if any(s < 2 for s in task.S_values):
-        errors.append(f"{path}.S: every value must be >= 2")
+    S_ok = all(2 <= s < 2**64 for s in task.S_values)  # S is a counter word
+    if not S_ok:
+        errors.append(f"{path}.S: every value must be >= 2 and < 2^64")
     elif len(task.S_values) > 1 and kind != "asymptotic-mean":
         errors.append(f"{path}.S: only asymptotic-mean tasks accept an S sweep")
     if task.n is not None and task.n < 1:
@@ -256,7 +259,7 @@ def build_task(index: int, raw: dict, errors: list) -> TaskConfig:
         errors.append(f"{path}.trials: asymptotic-mean tasks need >= 2 trials")
     if task.D <= 0:
         errors.append(f"{path}.D: must be > 0")
-    elif kind == "asymptotic-mean" and task.S_values and min(task.S_values) >= 2:
+    elif kind == "asymptotic-mean" and task.S_values and S_ok:
         # a mean row holds D times the sample mean, its interval and E[Z];
         # each stays below 2^9·D·E[Z], since a draw at D = 1 is below
         # 14·sqrt(S) < 50·E[Z] (NumPy's normals are below 14 in magnitude)
@@ -275,7 +278,8 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate the flat key-value config format.
 
     Syntax errors and repeated keys report a line number; semantic errors
-    report every invalid field path at once.
+    report every invalid field path at once.  A grid of more points than
+    any array holds raises ``CapacityError``.
     """
     globals_: dict = {}
     raw_tasks: list[dict] = []
@@ -357,8 +361,8 @@ def _cell_rows(task: TaskConfig, seed: int, S: int, thresholds, evaluations,
     """The report rows of one cell of ``task`` at dimension ``S``, read from
     the summary of its sample: a mean row, one CDF row per grid point, or one
     tail row per threshold.  A falsify cell is a tail cell at its bounds'
-    epsilons, each row then classified against its delta.  A mean cell's
-    sample is at D = 1, so its moments are multiplied by ``task.D`` here."""
+    epsilons, each row then classified against its delta.  A summary's
+    moments are the law's, so a mean row multiplies them by ``task.D``."""
     if task.kind == "asymptotic-mean":
         z_crit = NormalDist().inv_cdf(0.5 + task.ci_level / 2.0)
         mean = task.D * float(summary.mean)
@@ -388,16 +392,16 @@ def _task_cells(task: TaskConfig, seed: int) -> list:
     is one cell, and its thresholds (a falsify task's epsilons), grid points
     or deltas are all counted on that one sample.  A request names the law
     at its default stream 0, so its draws do not depend on the task's place
-    in the config.  A mean cell asks for the law at D = 1 and ``_cell_rows``
-    multiplies its moments by D, so its variance never holds D²."""
+    in the config.  Every cell is sent at its task's own D: its points are
+    counted divided by D, and its summary's moments are the law's, so its
+    variance never holds D²."""
     cells = []
     for S in task.S_values:
         # the parser leaves deltas empty, so evaluations too, unless falsify
         evaluations = [evaluate_bound(BoundSpec(task.bound, task.n, S, delta))
                        for delta in task.deltas]
         thresholds = tuple(e.epsilon for e in evaluations) or tuple(task.thresholds)
-        D = 1.0 if task.kind == "asymptotic-mean" else task.D
-        request = SampleRequest(DeviationSource(task.family, S, n=task.n, D=D), task.trials,
+        request = SampleRequest(DeviationSource(task.family, S, n=task.n, D=task.D), task.trials,
                                 thresholds=thresholds, grid=tuple(task.grid))
         cells.append((request, partial(_cell_rows, task, seed, S, thresholds, evaluations)))
     return cells
@@ -407,10 +411,11 @@ def run_experiment(config: ExperimentConfig) -> Report:
     """Execute every task and aggregate results into a Report.
 
     The master seed is checked before any draw.  Every cell of every task is
-    one request to one ``summarize_many`` call, which draws each law once,
-    whatever the D of its cells, so a run starts at most one thread pool.  A
-    row depends only on its own task and the master seed, never on the other
-    tasks, the worker count or scheduling.
+    one request to one ``summarize_many`` call, so a run starts at most one
+    thread pool; it draws each law once, whatever the D of its cells, and
+    each cell's summary holds the law's own moments.  A row depends only on
+    its own task and the master seed, never on the other tasks, the worker
+    count or scheduling.
     """
     seed = config.master_seed
     if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):

@@ -47,9 +47,9 @@ import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
-from itertools import starmap
+from itertools import groupby, starmap
 from typing import NamedTuple
 
 import numpy as np
@@ -125,10 +125,9 @@ class DeviationSource:
                 raise ValidationError("D applies to the limit family only")
         elif self.n is not None:
             raise ValidationError("n applies to finite-n families only")
-        if not (math.isfinite(self.D) and math.isfinite(self.scale)):
-            raise ValidationError("D and scale must be finite")
-        if self.D <= 0 or self.scale <= 0:
-            raise ValidationError("D and scale must be > 0")
+        if not (0.0 < self.D < math.inf and 0.0 < self.scale < math.inf
+                and 0.0 < self.D * self.scale < math.inf):  # points are divided by D·scale
+            raise ValidationError("D and scale must be > 0 and finite, and so must D·scale")
 
 
 class SampleRequest(NamedTuple):
@@ -370,7 +369,8 @@ class SampleSummary:
 
     ``at_least[i]`` counts samples >= ``thresholds[i]`` and ``at_most[j]``
     counts samples <= ``grid[j]``; ``mean`` and ``m2`` (the centred sum of
-    squares) are the moments of all ``count`` samples.
+    squares) are the moments of all ``count`` draws of the law, at unit
+    scale, so D·``scale`` times ``mean`` is the samples' mean.
     """
 
     at_least: np.ndarray
@@ -401,77 +401,65 @@ class SampleSummary:
 
 
 class _Law(NamedTuple):
-    """The unit-scale requests that read one law's sample, one per trial
-    count, longest first; the law is drawn once, at the longest's trials."""
+    """The caller's requests that read one law's sample, longest first; the
+    law is drawn once, at the longest's trials."""
 
     source: DeviationSource
     stream: int
-    readings: tuple
+    requests: tuple
 
     @property
     def trials(self) -> int:
-        return self.readings[0].trials
-
-
-def _summary(x: np.ndarray, request: SampleRequest) -> SampleSummary:
-    ordered = np.sort(x)
-    mean = x.mean()
-    return SampleSummary(
-        at_least=x.size - np.searchsorted(ordered, np.asarray(request.thresholds, dtype=float),
-                                          side="left"),
-        at_most=np.searchsorted(ordered, np.asarray(request.grid, dtype=float), side="right"),
-        count=x.size,
-        mean=mean,
-        m2=np.square(x - mean).sum(),
-    )
+        return self.requests[0].trials
 
 
 def _reduce_chunk(law: _Law, master_seed: int, chunk: int, count: int) -> list[SampleSummary]:
     """The summaries of chunk ``chunk`` for the law's requests that reach it,
-    longest first.  The chunk is drawn once, at ``count`` rows, and each
-    request reduces its own first rows, which are the rows it draws alone."""
+    longest first.  The chunk is drawn once, at ``count`` rows; requests that
+    read the same first rows of it share their sort and moments, and each
+    counts its own points on them, divided by its D·``scale``."""
     x = _draw_chunk(law, master_seed, chunk, count)
-    start = chunk * CHUNK_SIZE
-    return [_summary(x[:r.trials - start], r) for r in law.readings if r.trials > start]
+    summaries = []
+    for size, group in groupby(law.requests, lambda r: min(r.trials - chunk * CHUNK_SIZE, count)):
+        if size <= 0:
+            break
+        rows = x[:size]
+        ordered, mean = np.sort(rows), rows.mean()
+        m2 = np.square(rows - mean).sum()
+        for r in group:
+            # divided as Python floats, which overflow to inf at a tiny D without a warning
+            c = r.source.D * r.source.scale
+            thresholds, grid = ([v / c for v in values] for values in (r.thresholds, r.grid))
+            at_least = np.searchsorted(ordered, np.asarray(thresholds, dtype=float), side="left")
+            at_most = np.searchsorted(ordered, np.asarray(grid, dtype=float), side="right")
+            summaries.append(SampleSummary(size - at_least, at_most, size, mean, m2))
+    return summaries
 
 
 def summarize_many(requests, master_seed: int, workers: int = 1) -> list[SampleSummary]:
     """The ``SampleSummary`` of every request, in request order.  A sample
     is a law's (family, S, n) at one ``stream``; it does not depend on its
-    length, so requests of one law and stream read one sample, drawn once at the longest request's
-    trials, and a request of ``trials`` reads its first ``trials`` draws.
-    Each request counts its points divided by its D·``scale`` and has its
-    moments multiplied back, so its summary is bit for bit the one it gets
-    alone.  The chunks of every law share one schedule, so one pool serves
-    them all."""
-    laws, cells = {}, []  # law -> trials -> unit-scale points; (law, trials, scale, slices)
-    for request in requests:
+    length, so requests of one law and stream read one sample, drawn once at
+    the longest request's trials, and a request of ``trials`` reads its first
+    ``trials`` draws.  Each request counts its points divided by its
+    D·``scale``, and its moments are the law's, so its summary is bit for bit
+    the one it gets alone.  The chunks of every law share one schedule, so
+    one pool serves them all."""
+    laws = {}  # (family, S, n, stream) -> positions in requests
+    for i, request in enumerate(requests):
         _check_request(request)
         if not all(np.isfinite(np.asarray(values, dtype=float)).all()
                    for values in (request.thresholds, request.grid)):
             raise ValidationError("thresholds and grid points must be finite")
-        c = request.source.D * request.source.scale
-        law = (replace(request.source, D=1.0, scale=1.0), request.stream)
-        thresholds, grid = laws.setdefault(law, {}).setdefault(request.trials, ([], []))
-        cells.append((law, request.trials, c,
-                      slice(len(thresholds), len(thresholds) + len(request.thresholds)),
-                      slice(len(grid), len(grid) + len(request.grid))))
-        thresholds += [t / c for t in request.thresholds]
-        grid += [g / c for g in request.grid]
-    drawn = [_Law(source, stream, tuple(SampleRequest(source, trials, stream, tuple(t), tuple(g))
-                                        for trials, (t, g) in sorted(counts.items(), reverse=True)))
-             for (source, stream), counts in laws.items()]
-    summaries = {}
-    for law, chunks in zip(drawn, _map_requests(_reduce_chunk, drawn, master_seed, workers)):
-        for i, reading in enumerate(law.readings):  # a chunk holds the readings that reach it
-            summaries[(law.source, law.stream), reading.trials] = reduce(
-                SampleSummary.merge, (parts[i] for parts in chunks if i < len(parts)))
-    out = []
-    for law, trials, c, at_least, at_most in cells:
-        summary = summaries[law, trials]
-        out.append(replace(summary, at_least=summary.at_least[at_least],
-                           at_most=summary.at_most[at_most], mean=c * summary.mean,
-                           m2=c * c * summary.m2))
+        source = request.source
+        laws.setdefault((source.family, source.S, source.n, request.stream), []).append(i)
+    orders = [sorted(positions, key=lambda i: -requests[i].trials) for positions in laws.values()]
+    drawn = [_Law(requests[order[0]].source, requests[order[0]].stream,
+                  tuple(requests[i] for i in order)) for order in orders]
+    out = [None] * len(requests)
+    for order, chunks in zip(orders, _map_requests(_reduce_chunk, drawn, master_seed, workers)):
+        for k, i in enumerate(order):  # a chunk holds the requests that reach it
+            out[i] = reduce(SampleSummary.merge, (parts[k] for parts in chunks if k < len(parts)))
     return out
 
 

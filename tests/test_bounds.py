@@ -120,6 +120,15 @@ class TestBoundSpecEvaluation:
         with pytest.raises(ValidationError, match="integer"):
             BoundSpec(BoundFamily.AGRAWAL, n, S, 0.1)
 
+    @pytest.mark.parametrize("n,S", [(2**64, 5), (100, 2**64), (10**400, 5), (100, 10**400)],
+                             ids=["n-2^64", "S-2^64", "n-10^400", "S-10^400"])
+    def test_n_and_S_from_2_64_rejected(self, n, S):
+        # every formula converts n and S to floats, which 10^400 overflows
+        for family in BoundFamily:
+            with pytest.raises(ValidationError, match="< 2\\^64"):
+                BoundSpec(family, n, S, 0.1)
+        evaluate_bound(BoundSpec(BoundFamily.DEVROYE, min(n, 2**64 - 1), min(S, 2**64 - 1), 0.1))
+
     def test_numpy_integers_accepted(self):
         spec = BoundSpec(BoundFamily.WEISSMAN_UNION, np.int64(100), np.int32(5), 0.1)
         assert evaluate_bound(spec).epsilon == evaluate_bound(

@@ -232,6 +232,7 @@ class TestReportCommand:
             assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+BIG = str(10**400)
 TAIL = ("tail", "--seed", "4", "--S", "3", "--n", "50", "--threshold", "0.2", "--trials", "200")
 
 
@@ -402,13 +403,34 @@ class TestUsageErrors:
         self.assert_usage_error(capsys, ["tail", "--seed", "1", "--S", "3", "--n", str(10**21),
                                          "--threshold", "0.5", "--trials", "10"], "2·S·n")
 
+    @pytest.mark.parametrize("argv, needle", [
+        (["falsify", "--bound", "devroye", "--S", BIG, "--n", "100"], "task[0].S"),
+        (["falsify", "--bound", "weissman-union", "--S", BIG, "--n", "100"], "task[0].S"),
+        (["falsify", "--bound", "weissman-exact", "--S", str(2**64), "--n", "100"], "task[0].S"),
+        (["falsify", "--bound", "agrawal", "--S", "5", "--n", BIG], "n must be"),
+        (["asymptotic-mean", "--S", f"5,{BIG}"], "task[0].S"),
+    ], ids=["devroye-S", "weissman-union-S", "weissman-exact-S", "agrawal-n", "mean-S"])
+    def test_integer_beyond_a_float_rejected(self, capsys, argv, needle):
+        # each value overflows a float in its bound or E[Z] formula, so the
+        # task or its BoundSpec refuses it before any draw
+        delta = ["--delta", "0.1"] if argv[0] == "falsify" else []
+        self.assert_usage_error(capsys, [*argv, *delta, "--seed", "1", "--trials", "100"], needle)
+
+    def test_non_utf8_config_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_bytes(b"master_seed = 1\n[task]\nkind = tail\nS = 3\nn = 5\n"
+                        b"threshold = 0.1\xff\n")
+        self.assert_usage_error(capsys, ["tail", "--config", str(cfg)], str(cfg), "UTF-8")
+
 
 def test_oversized_grid_is_capacity_error(capsys):
-    # 8·10^18 bytes exceed any address space, so the allocation fails at once
-    code, out, err = run_cli(capsys, "quantiles", "--seed", "1", "--family", "limit", "--S", "5",
-                             "--grid", f"0:1:{10**18}", "--trials", "10")
-    assert (code, out) == (EXIT_CAPACITY, "")
-    assert err.startswith("error:") and len(err.splitlines()) == 1
+    # 8·10^18 bytes exceed any address space, so the allocation fails at once;
+    # from 2^60 points on, NumPy could not even size the array
+    for count in (10**18, 2**60, 2**64, 10**400):
+        code, out, err = run_cli(capsys, "quantiles", "--seed", "1", "--family", "limit",
+                                 "--S", "5", "--grid", f"0:1:{count}", "--trials", "10")
+        assert (code, out) == (EXIT_CAPACITY, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 # The runtime needs NumPy alone: with SciPy made unimportable, the console

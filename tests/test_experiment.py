@@ -247,7 +247,7 @@ class TestFalsifySweep:
     def test_one_request_per_task(self, monkeypatch):
         laws, _ = _laws_drawn(monkeypatch, self.TEXT)
         [falsify] = [law for law in laws if law.source.n == 100]
-        [request] = falsify.readings
+        [request] = falsify.requests
         assert len(request.thresholds) == 3 and falsify.stream == 0
 
     def test_counts_non_increasing_in_epsilon(self):
@@ -303,12 +303,13 @@ class TestSharedLaw:
             "[task]\nkind = quantiles\nS = 5\nn = 100\ngrid = 0.1,0.2\ntrials = 20000\n")
 
     def test_tasks_of_one_law_send_one_request(self, monkeypatch):
+        # one law is drawn, holding each task's own request in config order
         [law], report = _laws_drawn(monkeypatch, self.TEXT)
-        [request] = law.readings
-        assert request.stream == 0
-        epsilons = [row["epsilon"] for row in report.rows if row["kind"] == "falsify"]
-        assert request.thresholds == (*epsilons, 0.15, 0.3)
-        assert request.grid == (0.1, 0.2)
+        assert (law.trials, law.stream) == (20000, 0)
+        epsilons = tuple(row["epsilon"] for row in report.rows if row["kind"] == "falsify")
+        assert [(r.trials, r.thresholds, r.grid) for r in law.requests] == [
+            (20000, epsilons[:2], ()), (20000, epsilons[2:], ()), (20000, (0.15, 0.3), ()),
+            (20000, (), (0.1, 0.2))]
 
     def test_first_task_rows_unchanged(self):
         alone = run_experiment(parse_config("master_seed = 19\n" + self.FIRST)).rows
@@ -350,14 +351,18 @@ class TestSharedLaw:
         # reads the first 3000 draws of the 20000-trial multinomial sample,
         # task 4 (D = 2, 700 trials) and the mean sweep's S = 5 cells read
         # the S = 5 limit sample, drawn at 700 trials; its S = 10 is new
-        assert [(law.source.family, law.source.S, law.source.D, law.trials, law.stream)
-                for law in laws] == [("multinomial", 5, 1.0, 20000, 0),
-                                     ("dirichlet", 5, 1.0, 20000, 0),
-                                     ("limit", 5, 1.0, 700, 0),
-                                     ("limit", 10, 1.0, 500, 0)]
-        assert [[(r.trials, len(r.thresholds)) for r in law.readings] for law in laws] == [
-            [(20000, 2), (3000, 2)], [(20000, 2)], [(700, 1), (500, 1)], [(500, 0)]]
-        assert [r.thresholds for r in laws[2].readings] == [(0.5,), (1.0,)]
+        assert [(law.source.family, law.source.S, law.trials, law.stream)
+                for law in laws] == [("multinomial", 5, 20000, 0),
+                                     ("dirichlet", 5, 20000, 0),
+                                     ("limit", 5, 700, 0),
+                                     ("limit", 10, 500, 0)]
+        # each law holds its cells' own requests, longest first, at their own
+        # D and thresholds
+        assert [[(r.trials, r.source.D, len(r.thresholds)) for r in law.requests]
+                for law in laws] == [
+            [(20000, 1.0, 2), (3000, 1.0, 2)], [(20000, 1.0, 2)],
+            [(700, 2.0, 1), (500, 1.0, 1), (500, 1.0, 0), (500, 1.0, 0)], [(500, 1.0, 0)]]
+        assert [r.thresholds for r in laws[2].requests[:2]] == [(1.0,), (1.0,)]
 
     def test_worker_count_invariance(self):
         outputs = []
@@ -405,11 +410,12 @@ class TestLimitLaw:
             "trials = 20000\n" + MEAN_AT_2)
 
     def test_every_D_sends_one_request(self, monkeypatch):
+        # one law is drawn, holding every cell's own request at its task's D,
+        # the mean cell at D = 2 too
         [law], _ = _laws_drawn(monkeypatch, self.TEXT)
-        [request] = law.readings
-        assert (request.source.D, request.stream) == (1.0, 0)
-        assert request.thresholds == (2.5, 3.25)
-        assert request.grid == (2.5, 3.0, 3.5)
+        assert (law.trials, law.stream) == (20000, 0)
+        assert [(r.source.D, r.thresholds, r.grid) for r in law.requests] == [
+            (1.0, (), ()), (2.0, (5.0, 6.5), ()), (2.0, (), (5.0, 6.0, 7.0)), (2.0, (), ())]
 
     def test_first_task_rows_unchanged(self):
         alone = run_experiment(parse_config("master_seed = 23\n" + self.FIRST)).rows
@@ -436,8 +442,8 @@ class TestLimitLaw:
         assert {**later, "task_id": "task0"} == alone[0]
 
     def test_worker_count_invariance_at_other_D(self):
-        # at D = 1.5 the thresholds, grid points and moments are rescaled by
-        # 1.5 in the calling process, never in a worker
+        # at D = 1.5 the thresholds and grid points are divided by 1.5 where
+        # each chunk is reduced, and the mean row multiplies the moments by it
         text = self.TEXT.replace("D = 2", "D = 1.5")
         outputs = []
         for workers in (1, 2):

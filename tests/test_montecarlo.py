@@ -137,6 +137,11 @@ class TestDeviationSource:
         for scale in (-1.0, 0.0):
             with pytest.raises(ValidationError, match="scale must be > 0"):
                 DeviationSource("multinomial", 3, n=10, scale=scale)
+        # points are divided by D·scale, so it must neither underflow to 0
+        # nor overflow
+        for D, scale in ((1e-200, 1e-200), (1e200, 1e200)):
+            with pytest.raises(ValidationError, match="D·scale"):
+                DeviationSource("limit", 3, D=D, scale=scale)
 
     def test_non_integral_counts_rejected(self):
         # n = 2.5 used to draw counts at n = 2 and score them at n = 2.5
@@ -218,8 +223,8 @@ class TestSummarizeSamples:
         (DeviationSource("multinomial", 3, n=6), [0.0, 1 / 3, 2 / 3, 1.0, 4 / 3],
          [0.0, 1 / 3, 2 / 3, 1.0, 4 / 3]),
         (DeviationSource("limit", 10), [1.2, 0.5, 2.0], np.linspace(0.0, 3.0, 13)),
-        # the law is drawn at unit scale: points are divided by D·scale = 2 and
-        # the moments multiplied back, exactly, as 2 is a power of two
+        # the law is drawn at unit scale: points are divided by D·scale = 2,
+        # and the moments are the law's, half those of the draws
         (DeviationSource("limit", 10, D=4.0, scale=0.5), [2.4, 1.0, 4.0],
          np.linspace(0.0, 6.0, 13)),
     ], ids=["multinomial-lattice", "limit", "limit-at-D-4-scale-half"])
@@ -231,8 +236,9 @@ class TestSummarizeSamples:
         assert got.count == trials
         assert got.at_least.tolist() == [int(np.count_nonzero(x >= t)) for t in thresholds]
         assert got.at_most.tolist() == [int(np.count_nonzero(x <= g)) for g in grid]
-        assert got.mean == pytest.approx(np.mean(x), rel=1e-12)
-        assert got.variance == pytest.approx(np.var(x, ddof=1), rel=1e-12)
+        c = source.D * source.scale  # a summary's moments are the law's, at unit scale
+        assert c * got.mean == pytest.approx(np.mean(x), rel=1e-12)
+        assert c * c * got.variance == pytest.approx(np.var(x, ddof=1), rel=1e-12)
 
     def test_variance_needs_two_samples(self):
         [one] = summarize_many([SampleRequest(DeviationSource("limit", 5), 1)], SEED)

@@ -1,6 +1,6 @@
-"""Property-based tests of the config parser, the report round trip, the
-batch samplers, the multinomial chunks of each method, the chunk scheduler,
-the exact oracle and the Clopper-Pearson interval."""
+"""Property-based tests of the config parser and cell builder, the report
+round trip, the batch samplers, the multinomial chunks of each method, the
+chunk scheduler, the exact oracle and the Clopper-Pearson interval."""
 
 import itertools
 import json
@@ -28,6 +28,8 @@ from l1conc.experiment import (
     TASK_KEYS,
     TASK_KINDS,
     Report,
+    _task_cells,
+    build_task,
     emit_report,
     parse_config,
     report_to_dict,
@@ -153,6 +155,54 @@ def test_unused_key_is_config_error(kind, family, key, data):
     task[key] = data.draw(value_text(kind, key))
     with pytest.raises(ConfigError, match=rf"task\[0\]\.{key}: not used by"):
         parse_config(config_text(1, [task]))
+
+
+# integers at and beyond every limit a task meets: 2^62 (trials), 2^63 (the
+# int64 lattice), 2^64 (a counter word) and the range of a float
+huge = st.one_of(st.integers(-3, 2**66), st.integers(-10**400, 10**400),
+                 st.sampled_from([2**62, 2**63, 2**64 - 1, 2**64, 10**308, 10**400]))
+
+
+def wild_text(kind: str, key: str):
+    """Text of any value of ``key``: a valid one, huge integers or any float."""
+    wild = st.one_of(huge.map(str), st.floats().map(repr))
+    if key == "S" and kind == "asymptotic-mean":
+        wild = comma_list(huge.map(str))
+    elif key in ("delta", "threshold"):
+        wild = st.one_of(wild, comma_list(st.floats().map(repr)))
+    return st.one_of(value_text(kind, key), wild)
+
+
+@st.composite
+def wild_tasks(draw):
+    """A ``key -> (lineno, text)`` block of the keys a task uses, and maybe
+    one more, each maybe holding a value out of its range."""
+    kind = draw(st.sampled_from(TASK_KINDS))
+    family = draw(st.sampled_from(FAMILIES_OF[kind]))
+    task = {"kind": (0, kind), "family": (0, family)}
+    required = set(REQUIRED_KEYS[kind]) | ({"n"} if family in FINITE_N else set())
+    for key in TASK_KEYS:
+        if key != "family" and used(kind, family, key) and (
+                key in required or draw(st.booleans())):
+            task[key] = (0, draw(wild_text(kind, key)))
+    if draw(st.booleans()):  # any key, maybe one the task does not use
+        key = draw(st.sampled_from([key for key in TASK_KEYS if key != "family"]))
+        task[key] = (0, draw(wild_text(kind, key)))
+    return task
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=wild_tasks())
+def test_task_parser_and_cells_raise_only_documented_errors(raw):
+    # a block is parsed, and one that parses is turned into its cells'
+    # requests and bound evaluations; nothing is drawn
+    errors = []
+    try:
+        task = build_task(0, raw, errors)
+        if not errors:
+            _task_cells(task, 1)
+    except (ConfigError, ValidationError):
+        pass
 
 
 cells = st.one_of(st.none(), st.integers(-2**62, 2**62), st.text(max_size=8),
