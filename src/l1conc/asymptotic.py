@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DOMAINS, ValidationError, integer
 from .sampling import StreamKey
 
 # float64 elements per row block of the limit sampler's buffer (256 KiB)
@@ -33,8 +33,7 @@ class LimitCovariance:
 
 
 def limit_covariance(S: int) -> LimitCovariance:
-    if S < 2:
-        raise ValidationError("S must be >= 2")
+    S = integer(S, "S")
     m = np.full((S, S), -1.0 / (S - 1))
     np.fill_diagonal(m, 1.0)
     return LimitCovariance(S=S, matrix=m)
@@ -47,8 +46,7 @@ def helmert_matrix(S: int) -> np.ndarray:
     entry k+1 equal to -k/sqrt(k(k+1)) and zeros after; the last row is the
     normalized all-ones vector.  Rows are orthonormal by construction.
     """
-    if S < 2:
-        raise ValidationError("S must be >= 2")
+    S = integer(S, "S")
     U = np.zeros((S, S))
     for k in range(1, S):
         h = 1.0 / math.sqrt(k * (k + 1))
@@ -92,10 +90,7 @@ def sample_Z_batch(S: int, size: int, key: StreamKey) -> np.ndarray:
     normal stream and rows reduce on their own, so the draws equal those of
     one whole batch of G bit for bit, while memory stays at one block
     whatever S is.  A draw at scale D is D times these."""
-    if S < 2:
-        raise ValidationError("S must be >= 2")
-    if size < 1:
-        raise ValidationError("batch size must be >= 1")
+    S, size = integer(S, "S"), integer(size, "size", DOMAINS["trials"])
     rng = key.generator()
     rows = max(1, _BLOCK_ELEMS // S)
     g = np.empty((min(rows, size), S))
@@ -121,8 +116,7 @@ def positive_part_functional(w: np.ndarray) -> np.ndarray:
 
 def expected_Z(S: int) -> float:
     """Closed-form mean sqrt((S-1)/(2 pi)) of the limit variable at D = 1."""
-    if S < 2:
-        raise ValidationError("S must be >= 2")
+    S = integer(S, "S")
     return math.sqrt((S - 1.0) / (2.0 * math.pi))
 
 
@@ -134,8 +128,7 @@ def anticoncentration_threshold(S: int, delta: float) -> float:
     i.e. the D = 2 box scale where the box maximum equals ||phat - p||_1.
     Compare against limit samples drawn with D = 2.
     """
-    if S < 2:
-        raise ValidationError("S must be >= 2")
+    S = integer(S, "S")
     if not (0.0 < delta < 1.0):
         raise ValidationError("delta must lie in (0, 1)")
     return math.sqrt(2.0 * (S - 1.0) / math.pi) - math.sqrt(2.0 * math.log(2.0 / delta))

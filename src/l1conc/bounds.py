@@ -4,10 +4,9 @@ families from the literature: Weissman (union and exact-cover forms), Devroye
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, integer
 
 # Deviations above the l1 diameter of the simplex can never occur.
 L1_DIAMETER = 2.0
@@ -31,11 +30,8 @@ class BoundSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", BoundFamily(self.family))
-        # below 2^64, n and S convert to floats in every formula
-        if not (isinstance(self.n, numbers.Integral) and 1 <= self.n < 2**64):
-            raise ValidationError("n must be an integer >= 1 and < 2^64")
-        if not (isinstance(self.S, numbers.Integral) and 2 <= self.S < 2**64):
-            raise ValidationError("S must be an integer >= 2 and < 2^64")
+        object.__setattr__(self, "n", integer(self.n, "n"))
+        object.__setattr__(self, "S", integer(self.S, "S"))
         if not (0.0 < self.delta <= 1.0):
             raise ValidationError("delta must lie in (0, 1]")
 
@@ -64,8 +60,7 @@ def _log_2S_minus_2(S: int) -> float:
 def devroye_valid(S: int, delta: float) -> bool:
     """Whether delta lies in the regime 0 <= delta <= 3·exp(-4S/5) where the
     Devroye bound is stated."""
-    if S < 2:
-        raise ValidationError("S must be >= 2")
+    S = integer(S, "S")
     if delta < 0:
         raise ValidationError("delta must be >= 0")
     return delta <= 3.0 * math.exp(-4.0 * S / 5.0)
@@ -73,8 +68,7 @@ def devroye_valid(S: int, delta: float) -> bool:
 
 def agrawal_epsilon(n: int, delta: float) -> float:
     """The disputed dimension-free threshold sqrt(2 ln(1/d)/n)."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    n = integer(n, "n")
     if delta <= 0:
         raise ValidationError("delta must be > 0")
     if delta > 1:

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all l1conc modules."""
+"""Exception hierarchy shared by all l1conc modules, and the one check of an
+integer input against its domain."""
+
+import numbers
 
 
 class ValidationError(ValueError):
@@ -12,3 +15,38 @@ class CapacityError(RuntimeError):
 
 class ConfigError(ValueError):
     """An experiment configuration is syntactically or semantically invalid."""
+
+
+# the integers [lo, hi) of each integer quantity, hi None for no upper end.
+# S and n are counter words of a law's key and below 2^64 convert to floats
+# in every formula; a trial count from 2^62 fails before any draw, though
+# its job list could not fit in memory long before; stream is the law
+# word's bits below the family code; a word is one 64-bit word of a Philox
+# key or counter
+DOMAINS = {
+    "S": (2, 2**64),
+    "n": (1, 2**64),
+    "trials": (1, 2**62),
+    "stream": (0, 2**62),
+    "workers": (1, None),
+    "word": (0, 2**64),
+}
+
+
+def _bound(b: int) -> str:
+    # a large power of two as 2^k, anything else in decimal
+    return f"2^{b.bit_length() - 1}" if b >= 2**32 and b & (b - 1) == 0 else str(b)
+
+
+def integer(value, name: str, domain: tuple | None = None, error=ValidationError) -> int:
+    """``value`` as a Python int if it is an integer in [lo, hi) of
+    ``domain``, by default ``DOMAINS[name]``; otherwise ``error`` (a
+    ``ValidationError`` unless given) naming ``name``.  Arithmetic on the
+    Python int is exact where that on a NumPy integer would wrap."""
+    lo, hi = DOMAINS[name] if domain is None else domain
+    if isinstance(value, numbers.Integral):
+        value = int(value)
+        if lo <= value and (hi is None or value < hi):
+            return value
+    above = "" if hi is None else f" and < {_bound(hi)}"
+    raise error(f"{name} must be an integer >= {lo}{above}")

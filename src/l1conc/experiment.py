@@ -10,7 +10,6 @@ import csv
 import io
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 from functools import partial
@@ -22,7 +21,7 @@ import numpy as np
 from . import __version__
 from .asymptotic import expected_Z
 from .bounds import BoundFamily, BoundSpec, evaluate_bound
-from .errors import CapacityError, ConfigError
+from .errors import DOMAINS, CapacityError, ConfigError, ValidationError, integer
 from .montecarlo import (
     SOURCE_FAMILIES,
     DeviationSource,
@@ -117,6 +116,15 @@ def _parse_scalar(kind, text, path, errors):
         return None
 
 
+def _parse_integer(name, text, path, errors):
+    # an integer of the domain of the quantity ``name`` (see errors.DOMAINS)
+    value = _parse_scalar(int, text, path, errors)
+    try:
+        return None if value is None else integer(value, path, DOMAINS[name])
+    except ValidationError as exc:
+        errors.append(f"{exc}, got {text!r}")
+
+
 def _parse_finite(text, path, errors):
     value = _parse_scalar(float, text, path, errors)
     if value is not None and not math.isfinite(value):
@@ -181,12 +189,12 @@ class TaskKey(NamedTuple):
 TASK_KEYS = {
     "family": TaskKey("family", lambda text, path, errors: text),
     "bound": TaskKey("bound", _parse_bound, ("falsify",)),
-    "S": TaskKey("S_values", partial(_parse_list, partial(_parse_scalar, int))),
-    "n": TaskKey("n", partial(_parse_scalar, int), families=FINITE_N),
+    "S": TaskKey("S_values", partial(_parse_list, partial(_parse_integer, "S"))),
+    "n": TaskKey("n", partial(_parse_integer, "n"), families=FINITE_N),
     "delta": TaskKey("deltas", partial(_parse_list, _parse_finite), ("falsify",)),
     "threshold": TaskKey("thresholds", partial(_parse_list, _parse_finite), ("tail",)),
     "grid": TaskKey("grid", _parse_grid, ("quantiles",)),
-    "trials": TaskKey("trials", partial(_parse_scalar, int)),
+    "trials": TaskKey("trials", partial(_parse_integer, "trials")),
     "D": TaskKey("D", _parse_finite, families=("limit",)),
     "ci_level": TaskKey("ci_level", _parse_finite, ("falsify", "tail", "asymptotic-mean")),
     "band_level": TaskKey("band_level", _parse_finite, ("quantiles",)),
@@ -239,27 +247,20 @@ def build_task(index: int, raw: dict, errors: list) -> TaskConfig:
         errors.append(f"{path}.family: asymptotic-mean tasks use the limit family")
     if kind == "falsify" and task.family == "limit":
         errors.append(f"{path}.family: falsify tasks need a finite-n family")
-    S_ok = all(2 <= s < 2**64 for s in task.S_values)  # S is a counter word
-    if not S_ok:
-        errors.append(f"{path}.S: every value must be >= 2 and < 2^64")
-    elif len(task.S_values) > 1 and kind != "asymptotic-mean":
+    if len(task.S_values) > 1 and kind != "asymptotic-mean":
         errors.append(f"{path}.S: only asymptotic-mean tasks accept an S sweep")
-    if task.n is not None and task.n < 1:
-        errors.append(f"{path}.n: must be >= 1")
     for d in task.deltas:
         if not (0.0 < d <= 1.0):
             errors.append(f"{path}.delta: value {d} outside (0, 1]")
     if task.grid and any(b <= a for a, b in zip(task.grid, task.grid[1:])):
         errors.append(f"{path}.grid: must be strictly ascending")
-    if task.trials < 1:
-        errors.append(f"{path}.trials: must be >= 1")
     if kind == "falsify" and task.trials < 100:
         errors.append(f"{path}.trials: falsify tasks need >= 100 trials")
     if kind == "asymptotic-mean" and task.trials < 2:
         errors.append(f"{path}.trials: asymptotic-mean tasks need >= 2 trials")
     if task.D <= 0:
         errors.append(f"{path}.D: must be > 0")
-    elif kind == "asymptotic-mean" and task.S_values and S_ok:
+    elif kind == "asymptotic-mean" and task.S_values:
         # a mean row holds D times the sample mean, its interval and E[Z];
         # each stays below 2^9·D·E[Z], since a draw at D = 1 is below
         # 14·sqrt(S) < 50·E[Z] (NumPy's normals are below 14 in magnitude)
@@ -324,23 +325,18 @@ def _parse_workers(text, path, errors):
     # an integer >= 1, or 'auto' for the CPUs this process may run on
     if text == "auto":
         return _usable_cpus()
-    workers = _parse_scalar(int, text, path, errors)
-    if workers is not None and workers < 1:
-        errors.append(f"{path}: must be >= 1 or 'auto', got {text!r}")
-        return None
-    return workers
+    return _parse_integer("workers", text, path, errors)
 
 
 def resolve_workers(config: ExperimentConfig) -> int:
     """Config (or ``--workers``) value wins; otherwise the environment
     override, parsed as the config key is; otherwise 1.  A count below 1
     from any source is an error."""
-    workers, errors = config.workers, []
-    if workers is None:
-        text = os.environ.get(WORKERS_ENV_VAR)
-        workers = _parse_workers(text, WORKERS_ENV_VAR, errors) if text else 1
-    elif workers < 1:
-        errors.append(f"workers (config or --workers): must be >= 1, got {workers}")
+    if config.workers is not None:
+        return integer(config.workers, "workers (config or --workers)", DOMAINS["workers"],
+                       ConfigError)
+    text, errors = os.environ.get(WORKERS_ENV_VAR), []
+    workers = _parse_workers(text, WORKERS_ENV_VAR, errors) if text else 1
     if errors:
         raise ConfigError("; ".join(errors))
     return workers
@@ -417,9 +413,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
     its own task and the master seed, never on the other tasks, the worker
     count or scheduling.
     """
-    seed = config.master_seed
-    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
-        raise ConfigError(f"master_seed: must be an integer in [0, 2^64), got {seed!r}")
+    seed = integer(config.master_seed, "master_seed", DOMAINS["word"], ConfigError)
     workers = resolve_workers(config)
     cells = [cell for task in config.tasks for cell in _task_cells(task, seed)]
     summaries = summarize_many([request for request, _ in cells], seed, workers)

@@ -44,7 +44,6 @@ precision at any N, and each endpoint is moved outward by the relative
 """
 
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -56,7 +55,7 @@ import numpy as np
 
 from .asymptotic import _BLOCK_ELEMS, sample_Z_batch
 from .bounds import BoundEvaluation, BoundSpec, evaluate_bound
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, integer
 from .sampling import StreamKey, as_simplex
 
 CHUNK_SIZE = 1 << 14
@@ -114,11 +113,9 @@ class DeviationSource:
     def __post_init__(self):
         if self.family not in SOURCE_FAMILIES:
             raise ValidationError(f"unknown source family {self.family!r}")
-        if not (isinstance(self.S, numbers.Integral) and 2 <= self.S < 2**64):  # a counter word
-            raise ValidationError("S must be an integer >= 2 and < 2^64")
+        object.__setattr__(self, "S", integer(self.S, "S"))
         if self.family != "limit":
-            if not isinstance(self.n, numbers.Integral) or self.n < 1:
-                raise ValidationError("finite-n sources require an integer n >= 1")
+            object.__setattr__(self, "n", integer(self.n, "n"))
             if 2 * self.S * self.n >= 2**63:  # every |S·c_i - n| and their sum fit in int64
                 raise ValidationError("finite-n sources require 2·S·n < 2^63")
             if self.D != 1.0:
@@ -319,14 +316,10 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _check_request(request) -> None:
-    # trials: a bound far above any job list that fits in memory, so that
-    # such a request fails before any draw; stream: the bits of the key word
-    # below the family code
-    if not (isinstance(request.trials, numbers.Integral) and 1 <= request.trials < 2**62):
-        raise ValidationError("trials must be an integer >= 1 and < 2^62")
-    if not (isinstance(request.stream, numbers.Integral) and 0 <= request.stream < 2**62):
-        raise ValidationError("stream must be an integer >= 0 and < 2^62")
+def _checked(request: SampleRequest) -> SampleRequest:
+    # the request with its trials and stream checked, as Python ints
+    return request._replace(trials=integer(request.trials, "trials"),
+                            stream=integer(request.stream, "stream"))
 
 
 def _map_requests(fn, requests: list, master_seed: int, workers: int) -> list[list]:
@@ -337,10 +330,7 @@ def _map_requests(fn, requests: list, master_seed: int, workers: int) -> list[li
     threads joined) before this returns.  The pool takes the jobs largest
     first, by rows·S, so that a large chunk does not start last and leave
     the other threads idle; results come back in job order."""
-    for request in requests:
-        _check_request(request)
-    if not (isinstance(workers, numbers.Integral) and workers >= 1):
-        raise ValidationError("workers must be an integer >= 1")
+    workers = integer(workers, "workers")
     jobs = [(request, master_seed, start // CHUNK_SIZE, min(CHUNK_SIZE, request.trials - start))
             for request in requests for start in range(0, request.trials, CHUNK_SIZE)]
     threads = min(workers, len(jobs), _usable_cpus())
@@ -358,7 +348,7 @@ def draw_samples(source: DeviationSource, trials: int, master_seed: int, *,
                  stream: int = 0, workers: int = 1) -> np.ndarray:
     """Draw ``trials`` deviation samples, reproducible and worker-independent:
     D·``scale`` times the sample of the law, which is drawn at unit scale."""
-    [chunks] = _map_requests(_draw_chunk, [SampleRequest(source, trials, stream)],
+    [chunks] = _map_requests(_draw_chunk, [_checked(SampleRequest(source, trials, stream))],
                              master_seed, workers)
     return source.D * source.scale * np.concatenate(chunks)
 
@@ -445,9 +435,9 @@ def summarize_many(requests, master_seed: int, workers: int = 1) -> list[SampleS
     D·``scale``, and its moments are the law's, so its summary is bit for bit
     the one it gets alone.  The chunks of every law share one schedule, so
     one pool serves them all."""
+    requests = [_checked(request) for request in requests]
     laws = {}  # (family, S, n, stream) -> positions in requests
     for i, request in enumerate(requests):
-        _check_request(request)
         if not all(np.isfinite(np.asarray(values, dtype=float)).all()
                    for values in (request.thresholds, request.grid)):
             raise ValidationError("thresholds and grid points must be finite")
@@ -572,14 +562,9 @@ def clopper_pearson(successes: int, trials: int, level: float = 0.95) -> tuple[f
     """Exact two-sided binomial confidence interval: the beta quantiles
     I^-1_{alpha/2}(k, N−k+1) and I^-1_{1−alpha/2}(k+1, N−k), in closed form
     at k = 0 and k = N, each moved outward by the relative ``CP_MARGIN``."""
-    if not (isinstance(successes, numbers.Integral) and isinstance(trials, numbers.Integral)):
-        raise ValidationError("successes and trials must be integers")
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    n = integer(trials, "trials")
+    k = integer(successes, "successes", (0, n + 1))
     _check_level(level, "level")
-    if not (0 <= successes <= trials):
-        raise ValidationError("successes must lie in [0, trials]")
-    k, n = int(successes), int(trials)
     half = (1.0 - level) / 2
     # I^-1_{1−alpha/2} with 1 − alpha/2 rounded (SciPy's betaincinv form) has
     # the upper tail 1 − (1 − alpha/2); solving for the smaller of that and
@@ -636,7 +621,7 @@ def estimate_tail_probability(source: DeviationSource, threshold: float, trials:
     _check_level(ci_level, "ci_level")
     request = SampleRequest(source, trials, stream, thresholds=(threshold,))
     [summary] = summarize_many([request], master_seed, workers)
-    return tail_estimate_from_count(threshold, int(summary.at_least[0]), trials, ci_level)
+    return tail_estimate_from_count(threshold, int(summary.at_least[0]), summary.count, ci_level)
 
 
 def _poisson_pmf(k, mu: float):
@@ -676,11 +661,9 @@ def exact_tail_small(p, n: int, threshold: float) -> float:
     S = p.size
     if np.any(p != p[0]):
         raise ValidationError("the exact oracle needs a uniform p")
-    if not isinstance(n, numbers.Integral) or n < 1:
-        raise ValidationError("n must be an integer >= 1")
+    n = integer(n, "n")
     if not math.isfinite(threshold):
         raise ValidationError("threshold must be finite")
-    n = int(n)
     M = n // (n // S + 1)  # at most M categories lie above the mean
     work = (M + 2 * S.bit_length()) * (n + 1) ** 2
     if work > MAX_EXACT_WORK:
@@ -712,8 +695,7 @@ class QuantileCurve:
 
 def dkw_halfwidth(trials: int, band_level: float) -> float:
     """Uniform empirical-CDF half-width sqrt(ln(2/a)/(2·trials))."""
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    trials = integer(trials, "trials")
     _check_level(band_level, "band level")
     return math.sqrt(math.log(2.0 / band_level) / (2.0 * trials))
 
@@ -728,13 +710,14 @@ def estimate_quantile_curve(source: DeviationSource, grid, trials: int, master_s
         raise ValidationError("grid must be a nonempty 1-d array")
     if np.any(grid[1:] <= grid[:-1]):
         raise ValidationError("grid must be strictly ascending")
-    [summary] = summarize_many([SampleRequest(source, trials, stream, grid=grid)],
+    # Python floats, which _reduce_chunk divides by D·scale without a warning
+    [summary] = summarize_many([SampleRequest(source, trials, stream, grid=grid.tolist())],
                                master_seed, workers)
     return QuantileCurve(
         grid=grid,
-        cdf_estimates=summary.at_most / float(trials),
+        cdf_estimates=summary.at_most / float(summary.count),
         dkw_halfwidth=half,
-        trials=trials,
+        trials=summary.count,
         band_level=band_level,
     )
 
@@ -771,6 +754,7 @@ def falsify_bound(spec: BoundSpec, trials: int, master_seed: int, *,
                   stream: int = 0, workers: int = 1) -> Verdict:
     """Estimate the exceedance probability at the bound's own threshold (uniform
     p) and classify the claim as Violated / Consistent / Inconclusive."""
+    trials = integer(trials, "trials")
     if trials < 100:
         raise ValidationError("falsification requires trials >= 100")
     if family not in ("multinomial", "dirichlet"):

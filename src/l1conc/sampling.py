@@ -6,12 +6,11 @@ from its key alone, independently of scheduling or worker count.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DOMAINS, ValidationError, integer
 
 # Absolute tolerance on the simplex sum; leaves double-precision headroom
 # for dimensions up to ~1e6.
@@ -56,13 +55,10 @@ class StreamKey:
 
     def __post_init__(self):
         for name in ("master_seed", "stream", "row", "chunk", "law"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and 0 <= value < 2**64):
-                raise ValidationError(f"{name} must be an integer that fits in 64 unsigned bits")
+            object.__setattr__(self, name, integer(getattr(self, name), name, DOMAINS["word"]))
 
     def generator(self, segment: int = 0) -> np.random.Generator:
-        if not 0 <= segment < 2**32:
-            raise ValidationError("segment must be an integer in [0, 2^32)")
+        segment = integer(segment, "segment", (0, 2**32))
         counter = np.array([segment << 32, self.stream, self.row, self.chunk], dtype=np.uint64)
         key = np.array([self.master_seed, self.law], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(counter=counter, key=key))
@@ -70,11 +66,8 @@ class StreamKey:
 
 def sample_multinomial_batch(p, n: int, size: int, key: StreamKey) -> np.ndarray:
     """Draw ``size`` independent Multinomial(n, p) rows from one stream."""
-    p = as_simplex(p)
-    if not isinstance(n, numbers.Integral) or n < 0:
-        raise ValidationError("trial count n must be an integer >= 0")
-    if size < 1:
-        raise ValidationError("batch size must be >= 1")
+    p, size = as_simplex(p), integer(size, "size", DOMAINS["trials"])
+    n = integer(n, "n", (0, 2**63))  # NumPy takes n as an int64
     return key.generator().multinomial(n, p, size=size)
 
 
@@ -91,8 +84,6 @@ def sample_dirichlet_batch(alpha, size: int, key: StreamKey) -> np.ndarray:
     # n·p at n = 1 may sum to 1 - 1 ulp; NaN fails every comparison
     if not (np.all(alpha > 0) and math.isfinite(total) and total >= 1 - SIMPLEX_SUM_TOL):
         raise ValidationError("alpha entries must be > 0, with a finite sum >= 1")
-    if size < 1:
-        raise ValidationError("batch size must be >= 1")
-    rng = key.generator()
-    g = rng.standard_gamma(alpha, size=(size, alpha.size))
+    size = integer(size, "size", DOMAINS["trials"])
+    g = key.generator().standard_gamma(alpha, size=(size, alpha.size))
     return g / g.sum(-1, keepdims=True)

@@ -72,7 +72,7 @@ class TestClopperPearson:
 
     def test_non_integer_counts_rejected(self):
         for successes, trials in [(1.5, 10), (1, 10.0), (np.float64(3.0), 10)]:
-            with pytest.raises(ValidationError, match="integers"):
+            with pytest.raises(ValidationError, match="(successes|trials) must be an integer"):
                 clopper_pearson(successes, trials)
         assert clopper_pearson(np.int64(3), np.int64(10)) == clopper_pearson(3, 10)
 
@@ -128,8 +128,10 @@ class TestDeviationSource:
             DeviationSource("limit", 5, n=10)
         # L = sum |S·c_i - n| is summed in int64, so 2·S·n must stay below 2^63
         for family in ("multinomial", "dirichlet"):
-            with pytest.raises(ValidationError, match="2·S·n < 2"):
+            with pytest.raises(ValidationError, match="n must be an integer >= 1 and < 2\\^64"):
                 DeviationSource(family, 3, n=10**21)
+            with pytest.raises(ValidationError, match="2·S·n < 2"):
+                DeviationSource(family, 3, n=2**62)
             with pytest.raises(ValidationError, match="2·S·n < 2"):
                 DeviationSource(family, 4, n=2**60)
             DeviationSource(family, 4, n=2**60 - 1)
@@ -155,6 +157,15 @@ class TestDeviationSource:
         with pytest.raises(ValidationError, match="integer"):
             exact_tail_small([0.5, 0.5], 4.0, 0.5)
         assert exact_tail_small([0.5, 0.5], np.int64(4), 0.5) == exact_tail_small([0.5, 0.5], 4, 0.5)
+
+    def test_numpy_integers_do_not_wrap_past_the_lattice_guard(self):
+        # 2·S·n of NumPy integers wraps (to 2^81 mod 2^64 and to 0); the
+        # source keeps S and n as Python ints, whose product does not
+        for S, n in ((np.int64(2**40), np.int64(2**40)), (np.uint64(2**63), 1)):
+            with pytest.raises(ValidationError, match="2·S·n"):
+                DeviationSource("multinomial", S, n=n)
+        source = DeviationSource("multinomial", np.int64(3), n=np.uint64(10))
+        assert (type(source.S), type(source.n)) == (int, int)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
@@ -566,6 +577,12 @@ class TestTailEstimation:
         with pytest.raises(ValidationError, match="integer"):
             estimate_tail_probability(source, 0.5, 100.0, SEED)
 
+    def test_numpy_trials_come_back_as_a_python_int(self):
+        source = DeviationSource("multinomial", 3, n=10)
+        est = estimate_tail_probability(source, 0.5, np.int64(100), SEED)
+        assert type(est.trials) is int
+        assert est == estimate_tail_probability(source, 0.5, 100, SEED)
+
     @pytest.mark.parametrize("workers", [2.5, "2", 0, -3])
     def test_bad_worker_counts_rejected(self, workers, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -749,6 +766,14 @@ class TestQuantileCurve:
         source = DeviationSource("limit", 5)
         curve = estimate_quantile_curve(source, np.array([-1.0]), 1000, SEED)
         assert curve.cdf_estimates[0] == 0.0
+
+    def test_grid_over_a_subnormal_scale_counts_without_a_warning(self):
+        # each point is divided by D as a Python float, so 0.5 / 1e-320
+        # overflows to inf silently, as a threshold does, and every draw lies
+        # below it (the suite turns a RuntimeWarning into an error)
+        curve = estimate_quantile_curve(DeviationSource("limit", 5, D=1e-320), [0.5, 1.0], 10,
+                                        SEED)
+        assert curve.cdf_estimates.tolist() == [1.0, 1.0]
 
     def test_unsorted_grid_rejected(self):
         source = DeviationSource("limit", 5)

@@ -1,14 +1,17 @@
 """Property-based tests of the config parser and cell builder, the report
 round trip, the batch samplers, the multinomial chunks of each method, the
-chunk scheduler, the exact oracle and the Clopper-Pearson interval."""
+chunk scheduler, the exact oracle, the Clopper-Pearson interval and the
+domain of every public integer argument."""
 
 import itertools
 import json
 import math
+import numbers
 import tempfile
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -18,9 +21,10 @@ from scipy.special import betaincinv
 from scipy.stats import binom
 
 from l1conc import montecarlo
-from l1conc.asymptotic import sample_Z_batch
+from l1conc.asymptotic import anticoncentration_threshold, expected_Z, sample_Z_batch
+from l1conc.bounds import BoundFamily, BoundSpec, agrawal_epsilon, devroye_valid, evaluate_bound
 from l1conc.cli import main
-from l1conc.errors import ConfigError, ValidationError
+from l1conc.errors import CapacityError, ConfigError, ValidationError
 from l1conc.experiment import (
     CSV_COLUMNS,
     FINITE_N,
@@ -39,7 +43,12 @@ from l1conc.montecarlo import (
     DeviationSource,
     SampleRequest,
     clopper_pearson,
+    dkw_halfwidth,
+    draw_samples,
+    estimate_quantile_curve,
+    estimate_tail_probability,
     exact_tail_small,
+    falsify_bound,
     summarize_many,
 )
 from l1conc.sampling import (
@@ -463,3 +472,125 @@ def test_clopper_pearson_contains_scipy_and_is_monotone(trials, level, data):
         assert hi >= betaincinv(k + 1, trials - k, 1 - alpha / 2)
         next_lo, next_hi = clopper_pearson(k + 1, trials, level)
         assert next_lo >= lo and next_hi >= hi
+
+
+class Drawn(Exception):
+    """Raised in place of the first draw, or the first stream set up."""
+
+
+def _drawn(*args, **kwargs):
+    raise Drawn
+
+
+_GENERATOR = StreamKey.generator
+_SOURCE = DeviationSource("multinomial", 3, n=10)
+_SPEC = BoundSpec(BoundFamily.AGRAWAL, 100, 5, 0.1)
+
+
+class IntegerArgument(NamedTuple):
+    """A public integer argument: ``call(value)`` passes ``value`` for it and
+    valid values for every other argument, and it admits the integers
+    [lo, hi), hi None for no upper end."""
+
+    name: str
+    lo: int
+    hi: int | None
+    call: Callable
+
+
+INTEGER_ARGUMENTS = [
+    # a finite-n source also needs 2·S·n < 2^63, so its domains here are
+    # what that leaves at n = 1, S = 2 and S = n
+    IntegerArgument("source-limit-S", 2, 2**64, lambda v: DeviationSource("limit", v)),
+    IntegerArgument("source-S", 2, 2**62, lambda v: DeviationSource("multinomial", v, n=1)),
+    IntegerArgument("source-n", 1, 2**61, lambda v: DeviationSource("dirichlet", 2, n=v)),
+    IntegerArgument("source-S-is-n", 2, 2**31, lambda v: DeviationSource("multinomial", v, n=v)),
+    *(IntegerArgument(f"bound-{name}", lo, 2**64, lambda v, name=name: [
+        evaluate_bound(BoundSpec(family, **{"n": 100, "S": 5, name: v}, delta=0.1))
+        for family in BoundFamily]) for name, lo in (("n", 1), ("S", 2))),
+    *(IntegerArgument(f"key-{name}", 0, 2**64, lambda v, name=name: StreamKey(
+        **{"master_seed": 1, name: v})) for name in ("master_seed", "stream", "row", "chunk",
+                                                      "law")),
+    IntegerArgument("key-segment", 0, 2**32, lambda v: _GENERATOR(StreamKey(1), v)),
+    IntegerArgument("summarize-trials", 1, 2**62,
+                    lambda v: summarize_many([SampleRequest(_SOURCE, v)], 1)),
+    IntegerArgument("summarize-stream", 0, 2**62,
+                    lambda v: summarize_many([SampleRequest(_SOURCE, 10, v)], 1)),
+    IntegerArgument("draw-trials", 1, 2**62, lambda v: draw_samples(_SOURCE, v, 1)),
+    IntegerArgument("draw-stream", 0, 2**62, lambda v: draw_samples(_SOURCE, 10, 1, stream=v)),
+    IntegerArgument("draw-workers", 1, None, lambda v: draw_samples(_SOURCE, 10, 1, workers=v)),
+    IntegerArgument("tail-trials", 1, 2**62,
+                    lambda v: estimate_tail_probability(_SOURCE, 0.5, v, 1)),
+    IntegerArgument("tail-stream", 0, 2**62,
+                    lambda v: estimate_tail_probability(_SOURCE, 0.5, 10, 1, stream=v)),
+    IntegerArgument("curve-trials", 1, 2**62,
+                    lambda v: estimate_quantile_curve(_SOURCE, [0.5], v, 1)),
+    IntegerArgument("curve-workers", 1, None,
+                    lambda v: estimate_quantile_curve(_SOURCE, [0.5], 10, 1, workers=v)),
+    IntegerArgument("falsify-trials", 100, 2**62, lambda v: falsify_bound(_SPEC, v, 1)),
+    IntegerArgument("falsify-stream", 0, 2**62,
+                    lambda v: falsify_bound(_SPEC, 100, 1, stream=v)),
+    IntegerArgument("clopper-pearson-trials", 1, 2**62, lambda v: clopper_pearson(0, v)),
+    IntegerArgument("clopper-pearson-successes", 0, 11, lambda v: clopper_pearson(v, 10)),
+    IntegerArgument("dkw-trials", 1, 2**62, lambda v: dkw_halfwidth(v, 0.05)),
+    IntegerArgument("exact-n", 1, 2**64, lambda v: exact_tail_small([0.5, 0.5], v, 0.5)),
+    IntegerArgument("agrawal-n", 1, 2**64, lambda v: agrawal_epsilon(v, 0.1)),
+    IntegerArgument("devroye-S", 2, 2**64, lambda v: devroye_valid(v, 0.1)),
+    IntegerArgument("expected-Z-S", 2, 2**64, expected_Z),
+    IntegerArgument("anticoncentration-S", 2, 2**64,
+                    lambda v: anticoncentration_threshold(v, 0.1)),
+    IntegerArgument("limit-batch-S", 2, 2**64, lambda v: sample_Z_batch(v, 1, StreamKey(1))),
+    IntegerArgument("limit-batch-size", 1, 2**62, lambda v: sample_Z_batch(5, v, StreamKey(1))),
+    IntegerArgument("multinomial-batch-n", 0, 2**63,
+                    lambda v: sample_multinomial_batch([0.5, 0.5], v, 1, StreamKey(1))),
+    IntegerArgument("multinomial-batch-size", 1, 2**62,
+                    lambda v: sample_multinomial_batch([0.5, 0.5], 1, v, StreamKey(1))),
+    IntegerArgument("dirichlet-batch-size", 1, 2**62,
+                    lambda v: sample_dirichlet_batch([0.5, 0.5], v, StreamKey(1))),
+]
+
+
+def integer_values(lo: int, hi: int | None):
+    """Values at and one past each end of [lo, hi), ±10^400, NumPy integers
+    at those ends and whose products wrap, floats and None."""
+    ends = [lo - 1, lo] + ([] if hi is None else [hi - 1, hi])
+    numpy_ends = [kind(v) for v in ends for kind in (np.int64, np.uint64)
+                  if np.iinfo(kind).min <= v <= np.iinfo(kind).max]
+    wrapping = [np.int64(2**40), np.int64(2**62), np.uint64(2**63), np.uint64(2**64 - 1)]
+    return st.one_of(st.sampled_from(ends + [10**400, -10**400]),
+                     st.sampled_from(numpy_ends + wrapping), st.integers(lo - 3, lo + 3),
+                     st.floats(), st.just(float(lo)), st.none())
+
+
+def _accepted(arg: IntegerArgument, value) -> bool:
+    # True once the value passes every check: the call returns, reaches a
+    # draw or a stream set-up, or meets the exact oracle's cap
+    try:
+        arg.call(value)
+    except (Drawn, CapacityError):
+        return True
+    except ValidationError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("arg", INTEGER_ARGUMENTS, ids=[a.name for a in INTEGER_ARGUMENTS])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_integer_arguments_admit_their_domain_alone(arg, data):
+    # every draw and stream set-up raises Drawn, one chunk covers any trial
+    # count, and the exact oracle's cap is small, so an accepted value
+    # returns at once; a refused value must raise ValidationError before it
+    # draws, and no other exception may escape
+    value = data.draw(integer_values(arg.lo, arg.hi), label="value")
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_draw_chunk", "_reduce_chunk"):
+            mp.setattr(montecarlo, name, _drawn)
+        mp.setattr(montecarlo, "CHUNK_SIZE", 2**62)
+        mp.setattr(montecarlo, "MAX_EXACT_WORK", 10**6)
+        mp.setattr(StreamKey, "generator", _drawn)
+        for edge in [arg.lo] + ([] if arg.hi is None else [arg.hi - 1]):
+            assert _accepted(arg, edge), edge
+        admitted = (isinstance(value, numbers.Integral) and arg.lo <= int(value)
+                    and (arg.hi is None or int(value) < arg.hi))
+        assert _accepted(arg, value) == admitted
