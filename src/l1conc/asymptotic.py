@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DOMAINS, ValidationError, integer
+from .errors import DOMAINS, CapacityError, ValidationError, integer
 from .sampling import StreamKey
 
 # float64 elements per row block of the limit sampler's buffer (256 KiB)
@@ -32,8 +32,16 @@ class LimitCovariance:
     matrix: np.ndarray
 
 
-def limit_covariance(S: int) -> LimitCovariance:
+def _matrix_side(S) -> int:
+    # S as a Python int, refused before any allocation if S x S floats exceed any array
     S = integer(S, "S")
+    if S * S >= 2**60:  # 2^63 bytes of float64, NumPy's array size limit
+        raise CapacityError(f"an S x S matrix at S = {S} exceeds any array")
+    return S
+
+
+def limit_covariance(S: int) -> LimitCovariance:
+    S = _matrix_side(S)
     m = np.full((S, S), -1.0 / (S - 1))
     np.fill_diagonal(m, 1.0)
     return LimitCovariance(S=S, matrix=m)
@@ -46,7 +54,7 @@ def helmert_matrix(S: int) -> np.ndarray:
     entry k+1 equal to -k/sqrt(k(k+1)) and zeros after; the last row is the
     normalized all-ones vector.  Rows are orthonormal by construction.
     """
-    S = integer(S, "S")
+    S = _matrix_side(S)
     U = np.zeros((S, S))
     for k in range(1, S):
         h = 1.0 / math.sqrt(k * (k + 1))

@@ -13,7 +13,7 @@ from .errors import CapacityError, ConfigError, ValidationError
 from .experiment import (
     TASK_KINDS,
     ExperimentConfig,
-    _parse_workers,
+    _parse_integer,
     build_task,
     emit_plot_data,
     emit_report,
@@ -56,8 +56,8 @@ def _add_run_flags(sub):
     sub.add_argument("--seed", type=int, help="master seed (mandatory, never auto-generated)")
     for name, text in TASK_FLAGS.items():
         sub.add_argument(f"--{name}", help=text)
-    sub.add_argument("--workers", help="parallel workers, an integer >= 1 or 'auto' "
-                     "(default 1 or env)")
+    sub.add_argument("--workers", help="parallel workers, an integer >= 1 "
+                     "(default: every usable CPU)")
     sub.add_argument("--format", choices=["csv", "json"], default="json")
     sub.add_argument("--out", help="report output path (default stdout)")
     sub.add_argument("--plot-out", help="also write plot data for the task here")
@@ -107,9 +107,9 @@ def _run(args) -> int:
     flags = {key: (0, value) for key in TASK_FLAGS if (value := getattr(args, key)) is not None}
     if args.config and flags:
         raise ConfigError(f"--config cannot be combined with task flags: --{', --'.join(flags)}")
-    if args.workers is not None:  # parsed as the config key and L1CONC_WORKERS are
+    if args.workers is not None:  # refused before any draw, like a task key
         errors: list[str] = []
-        args.workers = _parse_workers(args.workers, "--workers", errors)
+        args.workers = _parse_integer("workers", args.workers, "--workers", errors)
         if errors:
             raise ConfigError("; ".join(errors))
     if args.config:
@@ -119,8 +119,7 @@ def _run(args) -> int:
             except UnicodeDecodeError as exc:
                 raise ConfigError(f"{args.config}: not a UTF-8 config ({exc})")
         config = parse_config(text)
-        if args.workers is not None:
-            config.workers = args.workers
+        config.workers = args.workers
         if args.seed is not None:
             config.master_seed = args.seed
     else:

@@ -10,7 +10,6 @@ import csv
 import io
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from functools import partial
 from statistics import NormalDist
@@ -51,8 +50,6 @@ _BOUND_ALIASES = {
     **{family.value.lower(): family for family in BoundFamily},
 }
 
-WORKERS_ENV_VAR = "L1CONC_WORKERS"
-
 
 @dataclass
 class TaskConfig:
@@ -84,7 +81,7 @@ class TaskConfig:
 class ExperimentConfig:
     master_seed: int
     tasks: list[TaskConfig]
-    workers: int | None = None  # None = resolve from environment, default 1
+    workers: int | None = None  # a cap on the threads; None = every usable CPU
 
 
 @dataclass
@@ -304,42 +301,18 @@ def parse_config(text: str) -> ExperimentConfig:
 
     errors: list[str] = []
     for key in globals_:
-        if key not in ("master_seed", "workers"):
+        if key != "master_seed":
             errors.append(f"{key}: unknown top-level key")
     if "master_seed" not in globals_:
         errors.append("master_seed: required (seeds are never auto-generated)")
         master_seed = 0
     else:
         master_seed = _parse_scalar(int, globals_["master_seed"][1], "master_seed", errors) or 0
-    workers = None
-    if "workers" in globals_:
-        workers = _parse_workers(globals_["workers"][1], "workers", errors)
 
     tasks = [build_task(i, raw, errors) for i, raw in enumerate(raw_tasks)]
     if errors:
         raise ConfigError("; ".join(errors))
-    return ExperimentConfig(master_seed=master_seed, tasks=tasks, workers=workers)
-
-
-def _parse_workers(text, path, errors):
-    # an integer >= 1, or 'auto' for the CPUs this process may run on
-    if text == "auto":
-        return _usable_cpus()
-    return _parse_integer("workers", text, path, errors)
-
-
-def resolve_workers(config: ExperimentConfig) -> int:
-    """Config (or ``--workers``) value wins; otherwise the environment
-    override, parsed as the config key is; otherwise 1.  A count below 1
-    from any source is an error."""
-    if config.workers is not None:
-        return integer(config.workers, "workers (config or --workers)", DOMAINS["workers"],
-                       ConfigError)
-    text, errors = os.environ.get(WORKERS_ENV_VAR), []
-    workers = _parse_workers(text, WORKERS_ENV_VAR, errors) if text else 1
-    if errors:
-        raise ConfigError("; ".join(errors))
-    return workers
+    return ExperimentConfig(master_seed=master_seed, tasks=tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -408,13 +381,14 @@ def run_experiment(config: ExperimentConfig) -> Report:
 
     The master seed is checked before any draw.  Every cell of every task is
     one request to one ``summarize_many`` call, so a run starts at most one
-    thread pool; it draws each law once, whatever the D of its cells, and
+    thread pool, of at most ``config.workers`` threads, by default every
+    usable CPU; it draws each law once, whatever the D of its cells, and
     each cell's summary holds the law's own moments.  A row depends only on
     its own task and the master seed, never on the other tasks, the worker
     count or scheduling.
     """
     seed = integer(config.master_seed, "master_seed", DOMAINS["word"], ConfigError)
-    workers = resolve_workers(config)
+    workers = _usable_cpus() if config.workers is None else config.workers
     cells = [cell for task in config.tasks for cell in _task_cells(task, seed)]
     summaries = summarize_many([request for request, _ in cells], seed, workers)
     return Report(

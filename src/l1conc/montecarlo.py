@@ -16,18 +16,19 @@ reduce each chunk to exceedance counts, at-most counts and moments where it
 is drawn, so memory does not grow with ``trials``.  ``summarize_many`` draws
 each law and replicate of its requests once, at its longest request's
 trials, and counts every request's thresholds and grid points on that
-request's own prefix, divided by its D·``scale``, so an API call for a
-report cell reads the sample its rows read, whatever trial counts other
-cells of its law ask for.  It schedules the chunks of every law together,
-largest first, on at most one thread pool in this process, of no more
-threads than the CPUs it may run on, which it shuts down before returning;
-NumPy releases the GIL while it draws, sorts and reduces, so the chunks
-overlap.  A finite-n chunk is drawn a block of rows or a column at a time,
-so its memory does not grow with S either: a uniform multinomial chunk by
-one of three methods chosen by (S, n) alone (see ``_multinomial_L``), a
-Dirichlet chunk in blocks of gamma rows.  Chunk boundaries do not depend on
-the worker count, and chunk results are merged in index order, so every
-estimate is bit-identical whether it ran on 1 worker or 64.
+request's own prefix times its D·``scale``, as ``draw_samples`` returns it,
+so an API call for a report cell reads the sample its rows read, whatever
+trial counts other cells of its law ask for.  It schedules the chunks of
+every law together, largest first, on at most one thread pool in this
+process, of no more threads than the CPUs it may run on, which it shuts
+down before returning; NumPy releases the GIL while it draws, sorts and
+reduces, so the chunks overlap.  A finite-n chunk is drawn a block of rows
+or a column at a time, so its memory does not grow with S either: a uniform
+multinomial chunk by one of three methods chosen by (S, n) alone (see
+``_multinomial_L``), a Dirichlet chunk in blocks of gamma rows.  Chunk
+boundaries do not depend on the worker count, and chunk results are merged
+in index order, so every estimate is bit-identical whether it ran on 1
+worker or 64.
 
 Multinomial counts c are scored on the integer lattice: under uniform p the
 l1 deviation is L / (n·S) with L = sum |S·c_i - n|, summed in int64 and
@@ -123,7 +124,7 @@ class DeviationSource:
         elif self.n is not None:
             raise ValidationError("n applies to finite-n families only")
         if not (0.0 < self.D < math.inf and 0.0 < self.scale < math.inf
-                and 0.0 < self.D * self.scale < math.inf):  # points are divided by D·scale
+                and 0.0 < self.D * self.scale < math.inf):  # samples are D·scale times the law's
             raise ValidationError("D and scale must be > 0 and finite, and so must D·scale")
 
 
@@ -407,7 +408,7 @@ def _reduce_chunk(law: _Law, master_seed: int, chunk: int, count: int) -> list[S
     """The summaries of chunk ``chunk`` for the law's requests that reach it,
     longest first.  The chunk is drawn once, at ``count`` rows; requests that
     read the same first rows of it share their sort and moments, and each
-    counts its own points on them, divided by its D·``scale``."""
+    counts its own points on D·``scale`` times them."""
     x = _draw_chunk(law, master_seed, chunk, count)
     summaries = []
     for size, group in groupby(law.requests, lambda r: min(r.trials - chunk * CHUNK_SIZE, count)):
@@ -417,11 +418,11 @@ def _reduce_chunk(law: _Law, master_seed: int, chunk: int, count: int) -> list[S
         ordered, mean = np.sort(rows), rows.mean()
         m2 = np.square(rows - mean).sum()
         for r in group:
-            # divided as Python floats, which overflow to inf at a tiny D without a warning
-            c = r.source.D * r.source.scale
-            thresholds, grid = ([v / c for v in values] for values in (r.thresholds, r.grid))
-            at_least = np.searchsorted(ordered, np.asarray(thresholds, dtype=float), side="left")
-            at_most = np.searchsorted(ordered, np.asarray(grid, dtype=float), side="right")
+            # draw_samples' values, still sorted as D·scale > 0, and inf where they are
+            with np.errstate(over="ignore"):
+                scaled = ordered * (r.source.D * r.source.scale)
+            at_least = np.searchsorted(scaled, np.asarray(r.thresholds, dtype=float), side="left")
+            at_most = np.searchsorted(scaled, np.asarray(r.grid, dtype=float), side="right")
             summaries.append(SampleSummary(size - at_least, at_most, size, mean, m2))
     return summaries
 
@@ -431,8 +432,8 @@ def summarize_many(requests, master_seed: int, workers: int = 1) -> list[SampleS
     is a law's (family, S, n) at one ``stream``; it does not depend on its
     length, so requests of one law and stream read one sample, drawn once at
     the longest request's trials, and a request of ``trials`` reads its first
-    ``trials`` draws.  Each request counts its points divided by its
-    D·``scale``, and its moments are the law's, so its summary is bit for bit
+    ``trials`` draws.  Each request counts its points on D·``scale`` times
+    them, and its moments are the law's, so its summary is bit for bit
     the one it gets alone.  The chunks of every law share one schedule, so
     one pool serves them all."""
     requests = [_checked(request) for request in requests]
@@ -710,8 +711,7 @@ def estimate_quantile_curve(source: DeviationSource, grid, trials: int, master_s
         raise ValidationError("grid must be a nonempty 1-d array")
     if np.any(grid[1:] <= grid[:-1]):
         raise ValidationError("grid must be strictly ascending")
-    # Python floats, which _reduce_chunk divides by D·scale without a warning
-    [summary] = summarize_many([SampleRequest(source, trials, stream, grid=grid.tolist())],
+    [summary] = summarize_many([SampleRequest(source, trials, stream, grid=grid)],
                                master_seed, workers)
     return QuantileCurve(
         grid=grid,

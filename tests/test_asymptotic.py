@@ -16,7 +16,7 @@ from l1conc.asymptotic import (
     positive_part_functional,
     sample_Z_batch,
 )
-from l1conc.errors import ValidationError
+from l1conc.errors import CapacityError, ValidationError
 from l1conc.montecarlo import CHUNK_SIZE, DeviationSource, draw_samples
 from l1conc.sampling import StreamKey
 
@@ -57,6 +57,13 @@ class TestLimitCovariance:
     def test_rejects_small_S(self):
         with pytest.raises(ValidationError):
             limit_covariance(1)
+
+    @pytest.mark.parametrize("fn", [limit_covariance, helmert_matrix])
+    @pytest.mark.parametrize("S", [2**30, 2**40])
+    def test_matrix_beyond_any_array_is_capacity_error(self, fn, S):
+        # S·S >= 2^60 floats is past NumPy's array size; refused before allocating
+        with pytest.raises(CapacityError, match="exceeds any array"):
+            fn(S)
 
 
 class TestHelmert:

@@ -323,61 +323,59 @@ class TestUsageErrors:
     def test_workers_flag_not_a_count_rejected(self, capsys, workers):
         self.assert_usage_error(capsys, [*TAIL, "--workers", workers], "--workers", workers)
 
-    def test_workers_flag_auto_uses_affinity(self, capsys, monkeypatch):
-        # the flag takes 'auto' as the config key and the environment do
+    @staticmethod
+    def record_workers(monkeypatch):
+        # the worker counts run_experiment hands to summarize_many
+        seen = []
+
+        def summarize_many(requests, master_seed, workers=1):
+            seen.append(workers)
+            return montecarlo.summarize_many(requests, master_seed, workers)
+
+        monkeypatch.setattr(experiment, "summarize_many", summarize_many)
+        return seen
+
+    def test_workers_default_uses_affinity(self, capsys, monkeypatch):
+        # with no --workers a run uses every CPU this process may run on
         code, one, err = run_cli(capsys, *TAIL, "--workers", "1")
         assert (code, err) == (EXIT_OK, "")
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 2})
-        seen = []
-
-        def summarize_many(requests, master_seed, workers=1):
-            seen.append(workers)
-            return montecarlo.summarize_many(requests, master_seed, workers)
-
-        monkeypatch.setattr(experiment, "summarize_many", summarize_many)
-        assert run_cli(capsys, *TAIL, "--workers", "auto") == (EXIT_OK, one, "")
+        seen = self.record_workers(monkeypatch)
+        assert run_cli(capsys, *TAIL) == (EXIT_OK, one, "")
         assert seen == [2]
 
-    def test_workers_env_below_one_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("L1CONC_WORKERS", "0")
-        self.assert_usage_error(capsys, list(TAIL), "L1CONC_WORKERS")
-
-    def test_workers_env_auto_uses_affinity(self, capsys, monkeypatch):
-        # the environment override takes 'auto' as the config key does
-        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 2, 5})
-        monkeypatch.setenv("L1CONC_WORKERS", "auto")
-        seen = []
-
-        def summarize_many(requests, master_seed, workers=1):
-            seen.append(workers)
-            return montecarlo.summarize_many(requests, master_seed, workers)
-
-        monkeypatch.setattr(experiment, "summarize_many", summarize_many)
-        code, _, err = run_cli(capsys, *TAIL)
-        assert (code, err, seen) == (EXIT_OK, "", [3])
-
     @pytest.mark.parametrize("cpus, expected", [(5, 5), (None, 1)])
-    def test_workers_auto_without_affinity_call(self, capsys, monkeypatch, tmp_path, cpus,
-                                                expected):
-        # macOS and Windows have no os.sched_getaffinity: 'auto' counts every CPU,
-        # from the config key, the flag and the environment alike
+    def test_workers_default_without_affinity_call(self, capsys, monkeypatch, tmp_path, cpus,
+                                                   expected):
+        # macOS and Windows have no os.sched_getaffinity: the default counts
+        # every CPU, from flags and from a config alike
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        seen = []
-
-        def summarize_many(requests, master_seed, workers=1):
-            seen.append(workers)
-            return montecarlo.summarize_many(requests, master_seed, workers)
-
-        monkeypatch.setattr(experiment, "summarize_many", summarize_many)
+        seen = self.record_workers(monkeypatch)
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("master_seed = 4\nworkers = auto\n[task]\nkind = tail\nS = 3\nn = 50\n"
+        cfg.write_text("master_seed = 4\n[task]\nkind = tail\nS = 3\nn = 50\n"
                        "threshold = 0.2\ntrials = 200\n")
         assert run_cli(capsys, "tail", "--config", str(cfg))[::2] == (EXIT_OK, "")
-        assert run_cli(capsys, *TAIL, "--workers", "auto")[::2] == (EXIT_OK, "")
-        monkeypatch.setenv("L1CONC_WORKERS", "auto")
         assert run_cli(capsys, *TAIL)[::2] == (EXIT_OK, "")
-        assert seen == [expected] * 3
+        assert seen == [expected] * 2
+
+    def test_workers_flag_auto_rejected(self, capsys):
+        # the default already uses every usable CPU; --workers only caps it
+        self.assert_usage_error(capsys, [*TAIL, "--workers", "auto"], "--workers", "'auto'")
+
+    def test_workers_config_key_rejected(self, capsys, tmp_path):
+        # a run's worker count is capped by --workers, not by the config
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("master_seed = 4\nworkers = 2\n[task]\nkind = tail\nS = 3\nn = 50\n"
+                       "threshold = 0.2\ntrials = 200\n")
+        self.assert_usage_error(capsys, ["tail", "--config", str(cfg)],
+                                "workers: unknown top-level key")
+
+    def test_workers_env_not_read(self, capsys, monkeypatch):
+        code, one, err = run_cli(capsys, *TAIL)
+        assert (code, err) == (EXIT_OK, "")
+        monkeypatch.setenv("L1CONC_WORKERS", "0")
+        assert run_cli(capsys, *TAIL) == (EXIT_OK, one, "")
 
     def test_trials_from_2_62_rejected(self, capsys):
         # the job list for this many trials would never fit in memory, so

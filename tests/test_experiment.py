@@ -124,12 +124,6 @@ class TestParseConfig:
         for key in ("S", "n", "bound", "delta"):
             assert f"task[0].{key}: required" in str(exc.value)
 
-    def test_workers_auto_uses_affinity(self, monkeypatch):
-        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 2, 5})
-        monkeypatch.setattr("os.cpu_count", lambda: 64)
-        cfg = parse_config("master_seed = 1\nworkers = auto\n")
-        assert cfg.workers == 3
-
     def test_comments_and_grid(self):
         cfg = parse_config(
             "# experiment\nmaster_seed = 3\n[task]\nkind = quantiles\n"

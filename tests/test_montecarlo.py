@@ -238,10 +238,18 @@ class TestSummarizeSamples:
         # and the moments are the law's, half those of the draws
         (DeviationSource("limit", 10, D=4.0, scale=0.5), [2.4, 1.0, 4.0],
          np.linspace(0.0, 6.0, 13)),
-    ], ids=["multinomial-lattice", "limit", "limit-at-D-4-scale-half"])
+        # at a D·scale that is not a power of two, t/c and c·x can round
+        # apart; None takes the points from the draws, so every point ties
+        (DeviationSource("limit", 10, D=2.1), None, None),
+        (DeviationSource("multinomial", 50, n=1000, scale=0.3), None, None),
+        (DeviationSource("dirichlet", 5, n=20, scale=1.7), None, None),
+    ], ids=["multinomial-lattice", "limit", "limit-at-D-4-scale-half", "limit-at-D-2.1",
+            "multinomial-at-scale-0.3", "dirichlet-at-scale-1.7"])
     def test_matches_draw_samples(self, source, thresholds, grid, workers):
         trials = 40_000  # two full chunks and a partial one
         x = draw_samples(source, trials, SEED, stream=3)
+        if thresholds is None:  # every 200th draw
+            thresholds = grid = np.unique(x[::200]).tolist()
         [got] = summarize_many([SampleRequest(source, trials, 3, thresholds, grid)], SEED,
                                workers)
         assert got.count == trials
