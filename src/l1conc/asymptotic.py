@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DOMAINS, CapacityError, ValidationError, integer
+from .errors import DOMAINS, INTERVALS, CapacityError, ValidationError, integer, real
 from .sampling import StreamKey
 
 # float64 elements per row block of the limit sampler's buffer (256 KiB)
@@ -136,7 +136,5 @@ def anticoncentration_threshold(S: int, delta: float) -> float:
     i.e. the D = 2 box scale where the box maximum equals ||phat - p||_1.
     Compare against limit samples drawn with D = 2.
     """
-    S = integer(S, "S")
-    if not (0.0 < delta < 1.0):
-        raise ValidationError("delta must lie in (0, 1)")
+    S, delta = integer(S, "S"), real(delta, "delta", INTERVALS["level"])
     return math.sqrt(2.0 * (S - 1.0) / math.pi) - math.sqrt(2.0 * math.log(2.0 / delta))

@@ -6,7 +6,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError, integer
+from .errors import INTERVALS, ValidationError, integer, real
 
 # Deviations above the l1 diameter of the simplex can never occur.
 L1_DIAMETER = 2.0
@@ -29,11 +29,12 @@ class BoundSpec:
     delta: float
 
     def __post_init__(self):
+        if self.family not in tuple(BoundFamily):
+            raise ValidationError(f"unknown bound family {self.family!r}")
         object.__setattr__(self, "family", BoundFamily(self.family))
         object.__setattr__(self, "n", integer(self.n, "n"))
         object.__setattr__(self, "S", integer(self.S, "S"))
-        if not (0.0 < self.delta <= 1.0):
-            raise ValidationError("delta must lie in (0, 1]")
+        object.__setattr__(self, "delta", real(self.delta, "delta"))
 
 
 @dataclass(frozen=True)
@@ -61,18 +62,12 @@ def devroye_valid(S: int, delta: float) -> bool:
     """Whether delta lies in the regime 0 <= delta <= 3·exp(-4S/5) where the
     Devroye bound is stated."""
     S = integer(S, "S")
-    if delta < 0:
-        raise ValidationError("delta must be >= 0")
-    return delta <= 3.0 * math.exp(-4.0 * S / 5.0)
+    return real(delta, "delta", INTERVALS["regime"]) <= 3.0 * math.exp(-4.0 * S / 5.0)
 
 
 def agrawal_epsilon(n: int, delta: float) -> float:
     """The disputed dimension-free threshold sqrt(2 ln(1/d)/n)."""
-    n = integer(n, "n")
-    if delta <= 0:
-        raise ValidationError("delta must be > 0")
-    if delta > 1:
-        raise ValidationError("delta must be <= 1")
+    n, delta = integer(n, "n"), real(delta, "delta")
     return math.sqrt(2.0 * math.log(1.0 / delta) / n)
 
 

@@ -1,6 +1,7 @@
 """Exception hierarchy shared by all l1conc modules, and the one check of an
-integer input against its domain."""
+integer or real input against its domain."""
 
+import math
 import numbers
 
 
@@ -32,6 +33,12 @@ DOMAINS = {
     "word": (0, 2**64),
 }
 
+# the interval of each real quantity, as its message prints it: a bracket is
+# a closed end, a parenthesis an open one; README's domain table names the
+# inputs read against each
+INTERVALS = {"delta": "(0, 1]", "level": "(0, 1)", "D": "(0, inf)", "threshold": "(-inf, inf)",
+             "regime": "[0, inf)"}
+
 
 def _bound(b: int) -> str:
     # a large power of two as 2^k, anything else in decimal
@@ -50,3 +57,19 @@ def integer(value, name: str, domain: tuple | None = None, error=ValidationError
             return value
     above = "" if hi is None else f" and < {_bound(hi)}"
     raise error(f"{name} must be an integer >= {lo}{above}")
+
+
+def real(value, name: str, domain: str | None = None) -> float:
+    """``value`` as a Python float if it is a real number in the interval
+    ``domain``, by default ``INTERVALS[name]``; otherwise a ``ValidationError``
+    naming ``name``.  NaN, strings, ``None`` and integers beyond any float lie
+    in no interval."""
+    interval = INTERVALS[name] if domain is None else domain
+    lo, hi = map(float, interval[1:-1].split(","))
+    try:  # NaN fails every comparison below
+        x = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an integer beyond any float
+        x = math.nan
+    if (lo < x or interval[0] == "[" and x == lo) and (x < hi or interval[-1] == "]" and x == hi):
+        return x
+    raise ValidationError(f"{name} must be a finite real number in {interval}")

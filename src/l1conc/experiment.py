@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .asymptotic import expected_Z
 from .bounds import BoundFamily, BoundSpec, evaluate_bound
-from .errors import DOMAINS, CapacityError, ConfigError, ValidationError, integer
+from .errors import DOMAINS, INTERVALS, CapacityError, ConfigError, ValidationError, integer, real
 from .montecarlo import (
     SOURCE_FAMILIES,
     DeviationSource,
@@ -113,21 +113,18 @@ def _parse_scalar(kind, text, path, errors):
         return None
 
 
-def _parse_integer(name, text, path, errors):
-    # an integer of the domain of the quantity ``name`` (see errors.DOMAINS)
-    value = _parse_scalar(int, text, path, errors)
+def _parse_number(kind, check, domains, name, text, path, errors):
+    # a number of the domain of the quantity ``name`` in errors.DOMAINS or INTERVALS
+    value = _parse_scalar(kind, text, path, errors)
     try:
-        return None if value is None else integer(value, path, DOMAINS[name])
+        return None if value is None else check(value, path, domains[name])
     except ValidationError as exc:
         errors.append(f"{exc}, got {text!r}")
 
 
-def _parse_finite(text, path, errors):
-    value = _parse_scalar(float, text, path, errors)
-    if value is not None and not math.isfinite(value):
-        errors.append(f"{path}: must be finite")
-        return None
-    return value
+_parse_integer = partial(_parse_number, int, integer, DOMAINS)
+_parse_real = partial(_parse_number, float, real, INTERVALS)
+_parse_threshold = partial(_parse_real, "threshold")  # a threshold, or a grid point
 
 
 def _parse_list(parse, text, path, errors):
@@ -146,8 +143,7 @@ def _parse_grid(text, path, errors):
         if len(parts) != 3:
             errors.append(f"{path}: grid must be 'lo:hi:count' or a comma list")
             return []
-        lo = _parse_finite(parts[0], path, errors)
-        hi = _parse_finite(parts[1], path, errors)
+        lo, hi = (_parse_threshold(part, path, errors) for part in parts[:2])
         count = _parse_scalar(int, parts[2], path, errors)
         if None in (lo, hi, count):
             return []
@@ -160,7 +156,7 @@ def _parse_grid(text, path, errors):
         if count >= 2**60:  # 2^63 bytes of float64, NumPy's array size limit
             raise CapacityError(f"{path}: {count} grid points exceed any array")
         return [float(x) for x in np.linspace(lo, hi, count)]
-    return _parse_list(_parse_finite, text, path, errors)
+    return _parse_list(_parse_threshold, text, path, errors)
 
 
 def _parse_bound(text, path, errors):
@@ -188,13 +184,14 @@ TASK_KEYS = {
     "bound": TaskKey("bound", _parse_bound, ("falsify",)),
     "S": TaskKey("S_values", partial(_parse_list, partial(_parse_integer, "S"))),
     "n": TaskKey("n", partial(_parse_integer, "n"), families=FINITE_N),
-    "delta": TaskKey("deltas", partial(_parse_list, _parse_finite), ("falsify",)),
-    "threshold": TaskKey("thresholds", partial(_parse_list, _parse_finite), ("tail",)),
+    "delta": TaskKey("deltas", partial(_parse_list, partial(_parse_real, "delta")), ("falsify",)),
+    "threshold": TaskKey("thresholds", partial(_parse_list, _parse_threshold), ("tail",)),
     "grid": TaskKey("grid", _parse_grid, ("quantiles",)),
     "trials": TaskKey("trials", partial(_parse_integer, "trials")),
-    "D": TaskKey("D", _parse_finite, families=("limit",)),
-    "ci_level": TaskKey("ci_level", _parse_finite, ("falsify", "tail", "asymptotic-mean")),
-    "band_level": TaskKey("band_level", _parse_finite, ("quantiles",)),
+    "D": TaskKey("D", partial(_parse_real, "D"), families=("limit",)),
+    "ci_level": TaskKey("ci_level", partial(_parse_real, "level"),
+                        ("falsify", "tail", "asymptotic-mean")),
+    "band_level": TaskKey("band_level", partial(_parse_real, "level"), ("quantiles",)),
 }
 
 # keys each kind requires; finite-n families also require ``n``
@@ -246,18 +243,13 @@ def build_task(index: int, raw: dict, errors: list) -> TaskConfig:
         errors.append(f"{path}.family: falsify tasks need a finite-n family")
     if len(task.S_values) > 1 and kind != "asymptotic-mean":
         errors.append(f"{path}.S: only asymptotic-mean tasks accept an S sweep")
-    for d in task.deltas:
-        if not (0.0 < d <= 1.0):
-            errors.append(f"{path}.delta: value {d} outside (0, 1]")
     if task.grid and any(b <= a for a, b in zip(task.grid, task.grid[1:])):
         errors.append(f"{path}.grid: must be strictly ascending")
     if kind == "falsify" and task.trials < 100:
         errors.append(f"{path}.trials: falsify tasks need >= 100 trials")
     if kind == "asymptotic-mean" and task.trials < 2:
         errors.append(f"{path}.trials: asymptotic-mean tasks need >= 2 trials")
-    if task.D <= 0:
-        errors.append(f"{path}.D: must be > 0")
-    elif kind == "asymptotic-mean" and task.S_values:
+    if kind == "asymptotic-mean" and task.S_values:
         # a mean row holds D times the sample mean, its interval and E[Z];
         # each stays below 2^9·D·E[Z], since a draw at D = 1 is below
         # 14·sqrt(S) < 50·E[Z] (NumPy's normals are below 14 in magnitude)
@@ -266,9 +258,6 @@ def build_task(index: int, raw: dict, errors: list) -> TaskConfig:
         if not math.isfinite(2.0**10 * task.D * expected_Z(S)):
             errors.append(f"{path}.D: too large; the mean row at S = {S} could hold values "
                           "that are not finite")
-    for key in ("ci_level", "band_level"):
-        if not (0.0 < getattr(task, key) < 1.0):
-            errors.append(f"{path}.{key}: must lie in (0, 1)")
     return task
 
 

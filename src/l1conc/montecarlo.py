@@ -56,7 +56,7 @@ import numpy as np
 
 from .asymptotic import _BLOCK_ELEMS, sample_Z_batch
 from .bounds import BoundEvaluation, BoundSpec, evaluate_bound
-from .errors import CapacityError, ValidationError, integer
+from .errors import DOMAINS, INTERVALS, CapacityError, ValidationError, integer, real
 from .sampling import StreamKey, as_simplex
 
 CHUNK_SIZE = 1 << 14
@@ -115,6 +115,9 @@ class DeviationSource:
         if self.family not in SOURCE_FAMILIES:
             raise ValidationError(f"unknown source family {self.family!r}")
         object.__setattr__(self, "S", integer(self.S, "S"))
+        object.__setattr__(self, "D", real(self.D, "D"))
+        object.__setattr__(self, "scale", real(self.scale, "scale", INTERVALS["D"]))
+        real(self.D * self.scale, "D·scale", INTERVALS["D"])  # a sample is D·scale times the law's
         if self.family != "limit":
             object.__setattr__(self, "n", integer(self.n, "n"))
             if 2 * self.S * self.n >= 2**63:  # every |S·c_i - n| and their sum fit in int64
@@ -123,9 +126,6 @@ class DeviationSource:
                 raise ValidationError("D applies to the limit family only")
         elif self.n is not None:
             raise ValidationError("n applies to finite-n families only")
-        if not (0.0 < self.D < math.inf and 0.0 < self.scale < math.inf
-                and 0.0 < self.D * self.scale < math.inf):  # samples are D·scale times the law's
-            raise ValidationError("D and scale must be > 0 and finite, and so must D·scale")
 
 
 class SampleRequest(NamedTuple):
@@ -454,11 +454,6 @@ def summarize_many(requests, master_seed: int, workers: int = 1) -> list[SampleS
     return out
 
 
-def _check_level(level: float, name: str) -> None:
-    if not (0.0 < level < 1.0):
-        raise ValidationError(f"{name} must lie in (0, 1)")
-
-
 # Clopper-Pearson endpoints move outward by this relative margin, which is far
 # above the solver's error (about 1e-14 relative), so the interval contains the
 # exact one
@@ -565,7 +560,7 @@ def clopper_pearson(successes: int, trials: int, level: float = 0.95) -> tuple[f
     at k = 0 and k = N, each moved outward by the relative ``CP_MARGIN``."""
     n = integer(trials, "trials")
     k = integer(successes, "successes", (0, n + 1))
-    _check_level(level, "level")
+    level = real(level, "level")
     half = (1.0 - level) / 2
     # I^-1_{1−alpha/2} with 1 − alpha/2 rounded (SciPy's betaincinv form) has
     # the upper tail 1 − (1 − alpha/2); solving for the smaller of that and
@@ -619,7 +614,8 @@ def estimate_tail_probability(source: DeviationSource, threshold: float, trials:
                               stream: int = 0, workers: int = 1) -> TailEstimate:
     """Monte Carlo estimate of P(statistic >= threshold) with a Clopper-Pearson
     interval, deterministic given the master seed."""
-    _check_level(ci_level, "ci_level")
+    threshold = real(threshold, "threshold")
+    ci_level = real(ci_level, "ci_level", INTERVALS["level"])
     request = SampleRequest(source, trials, stream, thresholds=(threshold,))
     [summary] = summarize_many([request], master_seed, workers)
     return tail_estimate_from_count(threshold, int(summary.at_least[0]), summary.count, ci_level)
@@ -662,9 +658,7 @@ def exact_tail_small(p, n: int, threshold: float) -> float:
     S = p.size
     if np.any(p != p[0]):
         raise ValidationError("the exact oracle needs a uniform p")
-    n = integer(n, "n")
-    if not math.isfinite(threshold):
-        raise ValidationError("threshold must be finite")
+    n, threshold = integer(n, "n"), real(threshold, "threshold")
     M = n // (n // S + 1)  # at most M categories lie above the mean
     work = (M + 2 * S.bit_length()) * (n + 1) ** 2
     if work > MAX_EXACT_WORK:
@@ -697,7 +691,7 @@ class QuantileCurve:
 def dkw_halfwidth(trials: int, band_level: float) -> float:
     """Uniform empirical-CDF half-width sqrt(ln(2/a)/(2·trials))."""
     trials = integer(trials, "trials")
-    _check_level(band_level, "band level")
+    band_level = real(band_level, "band_level", INTERVALS["level"])
     return math.sqrt(math.log(2.0 / band_level) / (2.0 * trials))
 
 
@@ -754,9 +748,7 @@ def falsify_bound(spec: BoundSpec, trials: int, master_seed: int, *,
                   stream: int = 0, workers: int = 1) -> Verdict:
     """Estimate the exceedance probability at the bound's own threshold (uniform
     p) and classify the claim as Violated / Consistent / Inconclusive."""
-    trials = integer(trials, "trials")
-    if trials < 100:
-        raise ValidationError("falsification requires trials >= 100")
+    trials = integer(trials, "trials", (100, DOMAINS["trials"][1]))
     if family not in ("multinomial", "dirichlet"):
         raise ValidationError(f"unsupported distribution family {family!r}")
     evaluation = evaluate_bound(spec)

@@ -13,6 +13,29 @@ from l1conc.experiment import CSV_COLUMNS
 DATA = Path(__file__).resolve().parent / "data"
 
 
+# (argv, key, error): a non-finite value of a task key, and the error that
+# names it; the ends of a grid whose span overflows are finite, so only the
+# span is refused
+NON_FINITE_VALUES = [
+    (("tail", "--family", "limit", "--S", "5", "--D", "nan", "--threshold", "1"), "D",
+     "task[0].D must be a finite real number in (0, inf), got 'nan'"),
+    (("tail", "--family", "limit", "--S", "5", "--D", "inf", "--threshold", "1"), "D",
+     "task[0].D must be a finite real number in (0, inf), got 'inf'"),
+    (("tail", "--family", "limit", "--S", "5", "--threshold", "0.5,nan"), "threshold",
+     "task[0].threshold must be a finite real number in (-inf, inf), got 'nan'"),
+    (("tail", "--family", "limit", "--S", "5", "--threshold=-inf"), "threshold",
+     "task[0].threshold must be a finite real number in (-inf, inf), got '-inf'"),
+    (("quantiles", "--family", "limit", "--S", "5", "--grid", "0:inf:3"), "grid",
+     "task[0].grid must be a finite real number in (-inf, inf), got 'inf'"),
+    (("quantiles", "--family", "limit", "--S", "5", "--grid=-1e308:1e308:3"), "grid",
+     "task[0].grid: must be finite"),
+    (("quantiles", "--family", "limit", "--S", "5", "--grid", "0,nan"), "grid",
+     "task[0].grid must be a finite real number in (-inf, inf), got 'nan'"),
+    (("falsify", "--bound", "agrawal", "--S", "5", "--n", "10", "--delta", "nan"), "delta",
+     "task[0].delta must be a finite real number in (0, 1], got 'nan'"),
+]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -268,27 +291,20 @@ class TestUsageErrors:
         argv = ["tail", "--seed", "1", "--S", "3", "--threshold", "1", *extra]
         self.assert_usage_error(capsys, argv, f"task[0].{key}: cannot parse")
 
-    @pytest.mark.parametrize("argv,key", [
-        (("tail", "--family", "limit", "--S", "5", "--D", "nan", "--threshold", "1"), "D"),
-        (("tail", "--family", "limit", "--S", "5", "--D", "inf", "--threshold", "1"), "D"),
-        (("tail", "--family", "limit", "--S", "5", "--threshold", "0.5,nan"), "threshold"),
-        (("tail", "--family", "limit", "--S", "5", "--threshold=-inf"), "threshold"),
-        (("quantiles", "--family", "limit", "--S", "5", "--grid", "0:inf:3"), "grid"),
-        (("quantiles", "--family", "limit", "--S", "5", "--grid=-1e308:1e308:3"), "grid"),
-        (("quantiles", "--family", "limit", "--S", "5", "--grid", "0,nan"), "grid"),
-        (("falsify", "--bound", "agrawal", "--S", "5", "--n", "10", "--delta", "nan"), "delta"),
-    ])
-    def test_non_finite_value_is_config_error(self, capsys, argv, key):
-        # one error line, and no numeric warning leaks before it
-        self.assert_usage_error(capsys, [argv[0], "--seed", "1", *argv[1:]],
-                                f"task[0].{key}: must be finite")
+    @pytest.mark.parametrize("argv,message", [(case[0], case[2]) for case in NON_FINITE_VALUES],
+                             ids=[f"argv{i}-{case[1]}" for i, case in enumerate(NON_FINITE_VALUES)])
+    def test_non_finite_value_is_config_error(self, capsys, argv, message):
+        # one error line naming the key and its interval, and no numeric
+        # warning leaks before it
+        self.assert_usage_error(capsys, [argv[0], "--seed", "1", *argv[1:]], message)
 
     def test_non_finite_config_level_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("master_seed = 1\n[task]\nkind = quantiles\nfamily = limit\nS = 3\n"
                        "grid = 0:1:3\nband_level = nan\n")
         self.assert_usage_error(capsys, ["quantiles", "--config", str(cfg)],
-                                "task[0].band_level: must be finite")
+                                "task[0].band_level must be a finite real number in (0, 1), "
+                                "got 'nan'")
 
     @pytest.mark.parametrize("text,line,key", [
         ("master_seed = 1\n[task]\nkind = tail\nS = 3\nn = 5\nthreshold = 1\n"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -137,12 +138,13 @@ class TestDeviationSource:
             DeviationSource(family, 4, n=2**60 - 1)
         # a negative scale would flip every sample and count the wrong tail
         for scale in (-1.0, 0.0):
-            with pytest.raises(ValidationError, match="scale must be > 0"):
+            with pytest.raises(ValidationError,
+                               match=re.escape("scale must be a finite real number in (0, inf)")):
                 DeviationSource("multinomial", 3, n=10, scale=scale)
         # points are divided by D·scale, so it must neither underflow to 0
         # nor overflow
         for D, scale in ((1e-200, 1e-200), (1e200, 1e200)):
-            with pytest.raises(ValidationError, match="D·scale"):
+            with pytest.raises(ValidationError, match=re.escape("D·scale must be a finite real")):
                 DeviationSource("limit", 3, D=D, scale=scale)
 
     def test_non_integral_counts_rejected(self):
@@ -169,10 +171,12 @@ class TestDeviationSource:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
-        with pytest.raises(ValidationError, match="finite"):
+        with pytest.raises(ValidationError,
+                           match=re.escape("D must be a finite real number in (0, inf)")):
             DeviationSource("limit", 5, D=bad)
         for family, n in (("limit", None), ("multinomial", 10)):
-            with pytest.raises(ValidationError, match="finite"):
+            with pytest.raises(ValidationError,
+                               match=re.escape("scale must be a finite real number in (0, inf)")):
                 DeviationSource(family, 5, n=n, scale=bad)
 
     def test_neighbouring_laws_draw_apart_by_default(self):
@@ -695,7 +699,8 @@ class TestExactOracle:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_threshold_rejected(self, bad):
-        with pytest.raises(ValidationError, match="finite"):
+        message = "threshold must be a finite real number in (-inf, inf)"
+        with pytest.raises(ValidationError, match=re.escape(message)):
             exact_tail_small([0.5, 0.5], 4, bad)
 
     def test_capacity_error(self, monkeypatch):

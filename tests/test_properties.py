@@ -1,14 +1,18 @@
 """Property-based tests of the config parser and cell builder, the report
 round trip, the batch samplers, the multinomial chunks of each method, the
 chunk scheduler, the exact oracle, the Clopper-Pearson interval and the
-domain of every public integer argument."""
+domain of every public integer and real argument."""
 
+import contextlib
 import itertools
 import json
+import operator
+import re
 import math
 import numbers
 import tempfile
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -32,6 +36,7 @@ from l1conc.experiment import (
     TASK_KEYS,
     TASK_KINDS,
     Report,
+    TaskConfig,
     _task_cells,
     build_task,
     emit_report,
@@ -482,6 +487,19 @@ def _drawn(*args, **kwargs):
     raise Drawn
 
 
+@contextlib.contextmanager
+def _no_draws():
+    # every draw and stream set-up raises Drawn, one chunk covers any trial
+    # count, and the exact oracle's cap is small
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_draw_chunk", "_reduce_chunk"):
+            mp.setattr(montecarlo, name, _drawn)
+        mp.setattr(montecarlo, "CHUNK_SIZE", 2**62)
+        mp.setattr(montecarlo, "MAX_EXACT_WORK", 10**6)
+        mp.setattr(StreamKey, "generator", _drawn)
+        yield
+
+
 _GENERATOR = StreamKey.generator
 _SOURCE = DeviationSource("multinomial", 3, n=10)
 _SPEC = BoundSpec(BoundFamily.AGRAWAL, 100, 5, 0.1)
@@ -583,14 +601,177 @@ def test_integer_arguments_admit_their_domain_alone(arg, data):
     # returns at once; a refused value must raise ValidationError before it
     # draws, and no other exception may escape
     value = data.draw(integer_values(arg.lo, arg.hi), label="value")
-    with pytest.MonkeyPatch.context() as mp:
-        for name in ("_draw_chunk", "_reduce_chunk"):
-            mp.setattr(montecarlo, name, _drawn)
-        mp.setattr(montecarlo, "CHUNK_SIZE", 2**62)
-        mp.setattr(montecarlo, "MAX_EXACT_WORK", 10**6)
-        mp.setattr(StreamKey, "generator", _drawn)
+    with _no_draws():
         for edge in [arg.lo] + ([] if arg.hi is None else [arg.hi - 1]):
             assert _accepted(arg, edge), edge
         admitted = (isinstance(value, numbers.Integral) and arg.lo <= int(value)
                     and (arg.hi is None or int(value) < arg.hi))
         assert _accepted(arg, value) == admitted
+
+
+class RealArgument(NamedTuple):
+    """A public real argument: ``call(value)`` passes ``value`` for it and
+    valid values for every other argument, and it admits the floats of
+    ``interval``, written as its error message prints it."""
+
+    name: str
+    interval: str
+    call: Callable
+
+
+REAL_ARGUMENTS = [
+    *(RealArgument(f"bound-delta-{family.value}", "(0, 1]", lambda v, family=family:
+                   evaluate_bound(BoundSpec(family, 100, 5, v))) for family in BoundFamily),
+    RealArgument("agrawal-delta", "(0, 1]", lambda v: agrawal_epsilon(100, v)),
+    RealArgument("devroye-delta", "[0, inf)", lambda v: devroye_valid(5, v)),
+    RealArgument("anticoncentration-delta", "(0, 1)",
+                 lambda v: anticoncentration_threshold(50, v)),
+    RealArgument("source-D", "(0, inf)", lambda v: DeviationSource("limit", 5, D=v)),
+    *(RealArgument(f"source-scale-{family}", "(0, inf)", lambda v, family=family, n=n:
+                   DeviationSource(family, 5, n=n, scale=v))
+      for family, n in (("limit", None), ("multinomial", 10), ("dirichlet", 10))),
+    RealArgument("clopper-pearson-level", "(0, 1)", lambda v: clopper_pearson(1, 10, v)),
+    RealArgument("tail-threshold", "(-inf, inf)",
+                 lambda v: estimate_tail_probability(_SOURCE, v, 10, 1)),
+    RealArgument("tail-ci-level", "(0, 1)",
+                 lambda v: estimate_tail_probability(_SOURCE, 0.5, 10, 1, ci_level=v)),
+    RealArgument("curve-band-level", "(0, 1)",
+                 lambda v: estimate_quantile_curve(_SOURCE, [0.5], 10, 1, band_level=v)),
+    RealArgument("dkw-band-level", "(0, 1)", lambda v: dkw_halfwidth(10, v)),
+    RealArgument("falsify-ci-level", "(0, 1)", lambda v: falsify_bound(_SPEC, 100, 1, ci_level=v)),
+    RealArgument("exact-threshold", "(-inf, inf)",
+                 lambda v: exact_tail_small([0.5, 0.5], 4, v)),
+]
+
+# how an end compares with the values it admits: an open end is strictly
+# beyond them, a closed end may equal them
+_END = {"(": operator.lt, ")": operator.lt, "[": operator.le, "]": operator.le}
+
+
+def interval_ends(interval: str) -> tuple[float, float]:
+    return tuple(float(end) for end in interval[1:-1].split(","))
+
+
+def admitted_edges(interval: str) -> list[float]:
+    """The least and the greatest float of ``interval``."""
+    lo, hi = interval_ends(interval)
+    return [lo if interval[0] == "[" else math.nextafter(lo, hi),
+            hi if interval[-1] == "]" else math.nextafter(hi, lo)]
+
+
+def real_values(interval: str):
+    """Floats at and one step past each end of ``interval``, NaN, ±inf,
+    ±10^400, NumPy floats, fractions, decimals, integers, strings and None."""
+    lo, hi = interval_ends(interval)
+    ends = [x for end in (lo, hi) for x in (end, math.nextafter(end, -math.inf),
+                                            math.nextafter(end, math.inf))]
+    with np.errstate(over="ignore", under="ignore"):  # a double's end rounds in float32
+        numpy_ends = [kind(x) for x in ends for kind in (np.float64, np.float32)]
+    specials = [math.nan, math.inf, -math.inf, 10**400, -10**400, Fraction(1, 2),
+                Decimal("0.5"), "0.5", str(lo), None, True]
+    return st.one_of(st.sampled_from(ends + specials), st.sampled_from(numpy_ends),
+                     st.integers(-3, 3), st.floats())
+
+
+def _refusal(call, value) -> str | None:
+    # None once the value passes every check: the call returns, reaches a
+    # draw or a stream set-up, or meets the exact oracle's cap; else the
+    # ValidationError's text
+    try:
+        call(value)
+    except (Drawn, CapacityError):
+        return None
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("arg", REAL_ARGUMENTS, ids=[a.name for a in REAL_ARGUMENTS])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_real_arguments_admit_their_domain_alone(arg, data):
+    # an accepted value returns at once; a refused value must raise a
+    # ValidationError naming the interval before it draws, and no other
+    # exception may escape
+    value = data.draw(real_values(arg.interval), label="value")
+    lo, hi = interval_ends(arg.interval)
+    with _no_draws():
+        for edge in admitted_edges(arg.interval):
+            assert _refusal(arg.call, edge) is None, edge
+        try:
+            x = float(value) if isinstance(value, numbers.Real) else math.nan
+        except OverflowError:  # an integer beyond any float
+            x = math.nan
+        admitted = _END[arg.interval[0]](lo, x) and _END[arg.interval[-1]](x, hi)
+        refusal = _refusal(arg.call, value)
+        assert (refusal is None) == admitted
+        assert refusal is None or f"a finite real number in {arg.interval}" in refusal
+
+
+@pytest.mark.parametrize("call", [
+    lambda: agrawal_epsilon(100, math.nan),
+    lambda: devroye_valid(5, math.nan),
+    lambda: BoundSpec(BoundFamily.AGRAWAL, 10, 5, "0.1"),
+    lambda: DeviationSource("limit", 5, D="2"),
+    lambda: clopper_pearson(1, 10, None),
+    lambda: exact_tail_small([0.5, 0.5], 4, "0.1"),
+    lambda: BoundSpec("devroye", 10, 5, 0.1),
+], ids=["agrawal-nan", "devroye-nan", "bound-string-delta", "source-string-D",
+        "clopper-pearson-none", "exact-string-threshold", "bound-unknown-family"])
+def test_malformed_real_or_family_raises_validation_error(call):
+    # each once returned nan or False, or raised a bare TypeError or ValueError
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert type(exc.value) is ValidationError
+
+
+def test_tested_ends_of_delta_hold():
+    assert devroye_valid(2, 0.0) is True
+    assert agrawal_epsilon(100, 1.0) == 0.0
+    message = "delta must be a finite real number in (0, 1)"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        anticoncentration_threshold(50, 1.0)
+    with pytest.raises(ValidationError, match="unknown bound family 'devroye'"):
+        BoundSpec("devroye", 10, 5, 0.1)
+    assert BoundSpec("Devroye", 10, 5, 0.1).family is BoundFamily.DEVROYE
+
+
+# a task block per kind, and the real keys it reads: (kind, key, interval)
+REAL_TASKS = {
+    "falsify": {"kind": "falsify", "S": "5", "n": "100", "bound": "agrawal", "delta": "0.1"},
+    "tail": {"kind": "tail", "family": "limit", "S": "5", "threshold": "1"},
+    "quantiles": {"kind": "quantiles", "family": "limit", "S": "5", "grid": "0,1"},
+}
+REAL_KEYS = [("falsify", "delta", "(0, 1]"), ("falsify", "ci_level", "(0, 1)"),
+             ("tail", "threshold", "(-inf, inf)"), ("tail", "D", "(0, inf)"),
+             ("quantiles", "grid", "(-inf, inf)"), ("quantiles", "band_level", "(0, 1)")]
+
+
+def outside_edges(interval: str) -> list[float]:
+    """The floats nearest ``interval`` outside it."""
+    lo, hi = interval_ends(interval)
+    return [lo if interval[0] == "(" else math.nextafter(lo, -math.inf),
+            hi if interval[-1] == ")" else math.nextafter(hi, math.inf)]
+
+
+def _build_real(kind: str, key: str, value: float) -> tuple[TaskConfig, list]:
+    # the task of kind's block with key set to repr(value), and its errors
+    errors = []
+    raw = {k: (0, v) for k, v in {**REAL_TASKS[kind], key: repr(value)}.items()}
+    return build_task(0, raw, errors), errors
+
+
+@pytest.mark.parametrize("kind,key,interval", REAL_KEYS, ids=[key for _, key, _ in REAL_KEYS])
+def test_parser_reads_real_keys_in_their_domain_alone(kind, key, interval):
+    # the least and greatest floats of the interval parse to themselves;
+    # the nearest floats outside it, NaN and ±inf are refused, each by one
+    # error naming the key, its interval and its text
+    for edge in admitted_edges(interval):
+        task, errors = _build_real(kind, key, edge)
+        assert errors == [], edge
+        value = getattr(task, TASK_KEYS[key].attr)
+        assert value == ([edge] if isinstance(value, list) else edge)
+    for bad in outside_edges(interval) + [math.nan, math.inf, -math.inf]:
+        _, errors = _build_real(kind, key, bad)
+        assert errors == [f"task[0].{key} must be a finite real number in {interval}, "
+                          f"got {repr(bad)!r}"]
