@@ -20,10 +20,9 @@ class ConfigError(ValueError):
 
 # the integers [lo, hi) of each integer quantity, hi None for no upper end.
 # S and n are counter words of a law's key and below 2^64 convert to floats
-# in every formula; a trial count from 2^62 fails before any draw, though
-# its job list could not fit in memory long before; stream is the law
-# word's bits below the family code; a word is one 64-bit word of a Philox
-# key or counter
+# in every formula; a trial count from 2^62 fails before any draw; stream
+# is the law word's bits below the family code; a word is one 64-bit word of
+# a Philox key or counter
 DOMAINS = {
     "S": (2, 2**64),
     "n": (1, 2**64),

@@ -11,24 +11,24 @@ sample, the one the runner reads.  So distinct laws or replicates never
 share a draw, and a law's sample does not depend on what else is drawn.
 Every chunk method is prefix-consistent: a chunk of m rows is the first m
 rows of the same chunk drawn at ``CHUNK_SIZE`` rows, so a law's first
-``trials`` draws do not depend on how many more are drawn.  Estimators
-reduce each chunk to exceedance counts, at-most counts and moments where it
-is drawn, so memory does not grow with ``trials``.  ``summarize_many`` draws
-each law and replicate of its requests once, at its longest request's
-trials, and counts every request's thresholds and grid points on that
-request's own prefix times its D·``scale``, as ``draw_samples`` returns it,
-so an API call for a report cell reads the sample its rows read, whatever
-trial counts other cells of its law ask for.  It schedules the chunks of
-every law together, largest first, on at most one thread pool in this
-process, of no more threads than the CPUs it may run on, which it shuts
-down before returning; NumPy releases the GIL while it draws, sorts and
-reduces, so the chunks overlap.  A finite-n chunk is drawn a block of rows
-or a column at a time, so its memory does not grow with S either: a uniform
-multinomial chunk by one of three methods chosen by (S, n) alone (see
-``_multinomial_L``), a Dirichlet chunk in blocks of gamma rows.  Chunk
-boundaries do not depend on the worker count, and chunk results are merged
-in index order, so every estimate is bit-identical whether it ran on 1
-worker or 64.
+``trials`` draws do not depend on how many more are drawn.
+``summarize_many`` draws each law and replicate of its requests once, at its
+longest request's trials, and counts every request's thresholds and grid
+points on that request's own prefix times its D·``scale``, as
+``draw_samples`` returns it, so an API call for a report cell reads the
+sample its rows read, whatever trial counts other cells of its law ask for.
+It makes the chunks of every law as needed and runs them largest first, a
+few at a time, on at most one thread pool in this process, of no more
+threads than the CPUs it may run on, shut down before it returns; NumPy
+releases the GIL while it draws, sorts and reduces, so the chunks overlap.
+Each chunk is reduced to counts and moments where it is drawn, and merged
+into its requests' summaries as it finishes, so memory does not grow with
+``trials``.  A finite-n chunk is drawn a block of rows or a column at a
+time, so its memory does not grow with S either: a uniform multinomial chunk
+by one of three methods chosen by (S, n) alone (see ``_multinomial_L``), a
+Dirichlet chunk in blocks of gamma rows.  Chunk boundaries do not depend on
+the worker count, and chunk results are merged in chunk order, so every
+estimate is bit-identical whether it ran on 1 worker or 64.
 
 Multinomial counts c are scored on the integer lattice: under uniform p the
 l1 deviation is L / (n·S) with L = sum |S·c_i - n|, summed in int64 and
@@ -44,12 +44,13 @@ precision at any N, and each endpoint is moved outward by the relative
 ``CP_MARGIN`` so that the interval contains the exact one.
 """
 
+import heapq
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import reduce
-from itertools import groupby, starmap
+from itertools import groupby, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -78,9 +79,11 @@ _TOP_UP = 1.5
 # have added 1.85 MB to falsify-grid's peak RSS (BENCH_23.json)
 _POISSON_BLOCK_ELEMS = 1 << 16
 
-# the one pool class _map_requests starts; bench/spans.py patches this name to
+# the one pool class _map_chunks starts; bench/spans.py patches this name to
 # count pools, and ROADMAP item 3 renames it
 ProcessPoolExecutor = ThreadPoolExecutor
+# jobs a thread in a batch; the next batch waits for this one's last, smallest chunk
+_BATCH = 8
 
 # cap on the exact oracle's convolution multiply-adds (M + 2·log2 S)·(n+1)²:
 # admits (S, n) = (50, 10^4), 1.1-1.4 s on a 2-core x86_64 (2.1-2.6 s of CPU
@@ -318,40 +321,41 @@ def _usable_cpus() -> int:
 
 
 def _checked(request: SampleRequest) -> SampleRequest:
-    # the request with its trials and stream checked, as Python ints
+    # the request: trials and stream as Python ints, its points (or a lone one) as floats
+    points = {name: tuple(real(x, "threshold") for x in np.atleast_1d(getattr(request, name)))
+              for name in ("thresholds", "grid")}
     return request._replace(trials=integer(request.trials, "trials"),
-                            stream=integer(request.stream, "stream"))
+                            stream=integer(request.stream, "stream"), **points)
 
 
-def _map_requests(fn, requests: list, master_seed: int, workers: int) -> list[list]:
-    """``fn(request, master_seed, chunk, size)`` for every chunk of every
-    request, grouped by request in chunk order.  The chunks of all requests
-    form one job list, mapped on at most one thread pool of
-    min(``workers``, jobs, usable CPUs) threads, which is shut down (its
-    threads joined) before this returns.  The pool takes the jobs largest
-    first, by rows·S, so that a large chunk does not start last and leave
-    the other threads idle; results come back in job order."""
+def _chunks(law, master_seed: int):
+    # the law's jobs (law, master_seed, chunk, rows), in chunk order
+    for start in range(0, law.trials, CHUNK_SIZE):
+        yield law, master_seed, start // CHUNK_SIZE, min(CHUNK_SIZE, law.trials - start)
+
+
+def _map_chunks(fn, laws: list, master_seed: int, workers: int):
+    """``fn(law, master_seed, chunk, rows)`` for every chunk of every law,
+    made as needed and yielded largest first by rows·S, each law's in chunk
+    order.  ``_BATCH`` jobs a thread run at a time on min(``workers``,
+    chunks, usable CPUs) threads: this one alone, or one thread pool that is
+    shut down (its threads joined) when the last result is taken."""
     workers = integer(workers, "workers")
-    jobs = [(request, master_seed, start // CHUNK_SIZE, min(CHUNK_SIZE, request.trials - start))
-            for request in requests for start in range(0, request.trials, CHUNK_SIZE)]
-    threads = min(workers, len(jobs), _usable_cpus())
-    if threads > 1:
-        order = sorted(range(len(jobs)), key=lambda i: -jobs[i][3] * jobs[i][0].source.S)
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            done = dict(zip(order, pool.map(fn, *zip(*(jobs[i] for i in order)))))
-        results = (done[i] for i in range(len(jobs)))
-    else:
-        results = starmap(fn, jobs)
-    return [[next(results) for _ in range(0, request.trials, CHUNK_SIZE)] for request in requests]
+    threads = min(workers, sum(-(-law.trials // CHUNK_SIZE) for law in laws), _usable_cpus())
+    jobs = heapq.merge(*(_chunks(law, master_seed) for law in laws),
+                       key=lambda job: -job[3] * job[0].source.S)
+    with ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        while batch := list(islice(jobs, _BATCH * threads)):
+            yield from (pool.map if threads > 1 else map)(fn, *zip(*batch))
 
 
 def draw_samples(source: DeviationSource, trials: int, master_seed: int, *,
                  stream: int = 0, workers: int = 1) -> np.ndarray:
     """Draw ``trials`` deviation samples, reproducible and worker-independent:
     D·``scale`` times the sample of the law, which is drawn at unit scale."""
-    [chunks] = _map_requests(_draw_chunk, [_checked(SampleRequest(source, trials, stream))],
-                             master_seed, workers)
-    return source.D * source.scale * np.concatenate(chunks)
+    chunks = _map_chunks(_draw_chunk, [_checked(SampleRequest(source, trials, stream))],
+                         master_seed, workers)
+    return source.D * source.scale * np.concatenate(list(chunks))
 
 
 @dataclass(frozen=True)
@@ -392,38 +396,38 @@ class SampleSummary:
 
 
 class _Law(NamedTuple):
-    """The caller's requests that read one law's sample, longest first; the
-    law is drawn once, at the longest's trials."""
+    """The caller's requests that read one law's sample, longest first, and
+    their positions in the caller's list; the law is drawn once, at the
+    longest's source, trials and stream."""
 
     source: DeviationSource
+    trials: int
     stream: int
     requests: tuple
-
-    @property
-    def trials(self) -> int:
-        return self.requests[0].trials
+    positions: tuple
 
 
-def _reduce_chunk(law: _Law, master_seed: int, chunk: int, count: int) -> list[SampleSummary]:
-    """The summaries of chunk ``chunk`` for the law's requests that reach it,
-    longest first.  The chunk is drawn once, at ``count`` rows; requests that
-    read the same first rows of it share their sort and moments, and each
-    counts its own points on D·``scale`` times them."""
+def _reduce_chunk(law: _Law, master_seed: int, chunk: int, count: int) -> list[tuple]:
+    """(position, summary) of chunk ``chunk`` for each of the law's requests
+    that reach it, longest first.  The chunk is drawn once, at ``count``
+    rows; requests that read the same first rows of it share their sort and
+    moments, and each counts its own points on D·``scale`` times them."""
     x = _draw_chunk(law, master_seed, chunk, count)
     summaries = []
-    for size, group in groupby(law.requests, lambda r: min(r.trials - chunk * CHUNK_SIZE, count)):
+    for size, group in groupby(zip(law.positions, law.requests),
+                               lambda job: min(job[1].trials - chunk * CHUNK_SIZE, count)):
         if size <= 0:
             break
         rows = x[:size]
         ordered, mean = np.sort(rows), rows.mean()
         m2 = np.square(rows - mean).sum()
-        for r in group:
+        for i, r in group:
             # draw_samples' values, still sorted as D·scale > 0, and inf where they are
             with np.errstate(over="ignore"):
                 scaled = ordered * (r.source.D * r.source.scale)
             at_least = np.searchsorted(scaled, np.asarray(r.thresholds, dtype=float), side="left")
             at_most = np.searchsorted(scaled, np.asarray(r.grid, dtype=float), side="right")
-            summaries.append(SampleSummary(size - at_least, at_most, size, mean, m2))
+            summaries.append((i, SampleSummary(size - at_least, at_most, size, mean, m2)))
     return summaries
 
 
@@ -433,24 +437,21 @@ def summarize_many(requests, master_seed: int, workers: int = 1) -> list[SampleS
     length, so requests of one law and stream read one sample, drawn once at
     the longest request's trials, and a request of ``trials`` reads its first
     ``trials`` draws.  Each request counts its points on D·``scale`` times
-    them, and its moments are the law's, so its summary is bit for bit
-    the one it gets alone.  The chunks of every law share one schedule, so
-    one pool serves them all."""
+    them, and its moments are the law's, so its summary is bit for bit the
+    one it gets alone.  The chunks of every law share one schedule, so one
+    pool serves them all, and each is merged in as it comes."""
     requests = [_checked(request) for request in requests]
     laws = {}  # (family, S, n, stream) -> positions in requests
     for i, request in enumerate(requests):
-        if not all(np.isfinite(np.asarray(values, dtype=float)).all()
-                   for values in (request.thresholds, request.grid)):
-            raise ValidationError("thresholds and grid points must be finite")
         source = request.source
         laws.setdefault((source.family, source.S, source.n, request.stream), []).append(i)
     orders = [sorted(positions, key=lambda i: -requests[i].trials) for positions in laws.values()]
-    drawn = [_Law(requests[order[0]].source, requests[order[0]].stream,
-                  tuple(requests[i] for i in order)) for order in orders]
+    drawn = [_Law(*requests[order[0]][:3], tuple(requests[i] for i in order), tuple(order))
+             for order in orders]
     out = [None] * len(requests)
-    for order, chunks in zip(orders, _map_requests(_reduce_chunk, drawn, master_seed, workers)):
-        for k, i in enumerate(order):  # a chunk holds the requests that reach it
-            out[i] = reduce(SampleSummary.merge, (parts[k] for parts in chunks if k < len(parts)))
+    for parts in _map_chunks(_reduce_chunk, drawn, master_seed, workers):
+        for i, part in parts:
+            out[i] = part if out[i] is None else out[i].merge(part)
     return out
 
 
@@ -700,8 +701,8 @@ def estimate_quantile_curve(source: DeviationSource, grid, trials: int, master_s
                             workers: int = 1) -> QuantileCurve:
     """Empirical CDF of the deviation statistic on an ascending grid."""
     half = dkw_halfwidth(trials, band_level)  # checks band_level before any drawing
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1:
+    grid = np.array([real(g, "threshold") for g in grid] if np.ndim(grid) == 1 else [])
+    if grid.size < 1:
         raise ValidationError("grid must be a nonempty 1-d array")
     if np.any(grid[1:] <= grid[:-1]):
         raise ValidationError("grid must be strictly ascending")

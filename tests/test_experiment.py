@@ -210,9 +210,9 @@ def _law_tail(source, trials, seed, threshold, ci_level=0.95):
 
 def _law_draws(source, trials, seed):
     # the raw draws of the law's own sample, in chunk order
-    [chunks] = montecarlo._map_requests(montecarlo._draw_chunk, [SampleRequest(source, trials)],
-                                        seed, 1)
-    return np.concatenate(chunks)
+    chunks = montecarlo._map_chunks(montecarlo._draw_chunk, [SampleRequest(source, trials)],
+                                    seed, 1)
+    return np.concatenate(list(chunks))
 
 
 def _laws_drawn(monkeypatch, text):
@@ -222,10 +222,10 @@ def _laws_drawn(monkeypatch, text):
 
     def recording(fn, requests, master_seed, workers):
         seen.append(list(requests))
-        return map_requests(fn, requests, master_seed, workers)
+        return map_chunks(fn, requests, master_seed, workers)
 
-    map_requests = montecarlo._map_requests
-    monkeypatch.setattr(montecarlo, "_map_requests", recording)
+    map_chunks = montecarlo._map_chunks
+    monkeypatch.setattr(montecarlo, "_map_chunks", recording)
     report = run_experiment(parse_config(text))
     [requests] = seen
     return requests, report

@@ -510,13 +510,13 @@ class TestOneDrawPerLaw:
                     for trials in (10_000, 2 * montecarlo.CHUNK_SIZE + 7,
                                    montecarlo.CHUNK_SIZE + 1)]
         drawn = []
-        map_requests = montecarlo._map_requests
+        map_chunks = montecarlo._map_chunks
 
         def recording(fn, laws, master_seed, workers):
             drawn.extend(law.trials for law in laws)
-            return map_requests(fn, laws, master_seed, workers)
+            return map_chunks(fn, laws, master_seed, workers)
 
-        monkeypatch.setattr(montecarlo, "_map_requests", recording)
+        monkeypatch.setattr(montecarlo, "_map_chunks", recording)
         together = summarize_many(requests, SEED, workers)
         assert drawn == [2 * montecarlo.CHUNK_SIZE + 7]
         for request, got in zip(requests, together, strict=True):
@@ -559,6 +559,67 @@ class TestPoolSize:
         got = draw_samples(source, trials, SEED, workers=workers)
         assert sizes == expected
         assert got.tobytes() == draw_samples(source, trials, SEED).tobytes()
+
+
+class Reached(Exception):
+    """Raised in place of the first chunk's reduction."""
+
+
+class TestStreamingSchedule:
+    @staticmethod
+    def _peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memory_flat_in_trials(self, workers, monkeypatch):
+        # chunk summaries are merged as they finish, so 64 times the chunks
+        # hold no more memory; the draw is stubbed, since only the schedule
+        # and the fold are measured
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_draw_chunk",
+                            lambda law, master_seed, chunk, count: np.zeros(count))
+        source = DeviationSource("limit", 50)
+
+        def run(trials):
+            request = SampleRequest(source, trials, thresholds=(0.5, 1.5),
+                                    grid=tuple(np.linspace(0.0, 6.0, 121)))
+            [summary] = summarize_many([request], SEED, workers)
+            assert summary.count == trials and summary.at_most[0] == trials
+
+        small, large = self._peak(lambda: run(2**20)), self._peak(lambda: run(2**26))
+        assert large - small < 256 * 2**10, (small, large)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_job_list_before_the_first_chunk(self, workers, monkeypatch):
+        # 2^34 trials are 2^20 chunks; none is made before the first one runs
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_reduce_chunk", reached)
+        request = SampleRequest(DeviationSource("limit", 50), 2**34, thresholds=(0.5,))
+
+        def run():
+            with pytest.raises(Reached):
+                summarize_many([request], SEED, workers)
+
+        assert self._peak(run) < 256 * 2**10
+
+    def test_chunks_come_largest_first_each_law_in_chunk_order(self):
+        # rows·S orders the jobs; ties keep law order, a law keeps chunk order
+        size = montecarlo.CHUNK_SIZE
+        laws = [SampleRequest(DeviationSource("limit", 2), 2 * size + 5),
+                SampleRequest(DeviationSource("limit", 10), size + 3),
+                SampleRequest(DeviationSource("limit", 2), size)]
+        got = list(montecarlo._map_chunks(
+            lambda law, master_seed, chunk, rows: (laws.index(law), chunk, rows), laws, SEED, 1))
+        assert got == [(1, 0, size), (0, 0, size), (0, 1, size), (2, 0, size), (1, 1, 3),
+                       (0, 2, 5)]
 
 
 class TestTailEstimation:
@@ -618,6 +679,23 @@ class TestTailEstimation:
                         SampleRequest(source, 100, grid=(bad,))):
             with pytest.raises(ValidationError, match="finite"):
                 summarize_many([good, request], SEED)
+
+    @pytest.mark.parametrize("call", [
+        lambda source: estimate_quantile_curve(source, ["0.5"], 100, SEED),
+        lambda source: estimate_quantile_curve(source, ["abc"], 100, SEED),
+        lambda source: summarize_many([SampleRequest(source, 100, thresholds=("0.5",))], SEED),
+    ], ids=["numeric-text-grid", "text-grid", "text-threshold"])
+    def test_text_thresholds_and_grid_rejected(self, call):
+        # array inputs meet the same real-number check as a scalar threshold
+        with pytest.raises(ValidationError, match="threshold must be a finite real number"):
+            call(DeviationSource("limit", 5))
+
+    def test_lone_threshold_and_grid_point_read_as_one(self):
+        source = DeviationSource("limit", 5)
+        [lone] = summarize_many([SampleRequest(source, 100, thresholds=0.5, grid=1.0)], SEED)
+        [one] = summarize_many([SampleRequest(source, 100, thresholds=(0.5,), grid=(1.0,))], SEED)
+        assert lone.at_least.tolist() == one.at_least.tolist() and len(one.at_least) == 1
+        assert lone.at_most.tolist() == one.at_most.tolist() and len(one.at_most) == 1
 
 
 @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.5, math.nan])

@@ -426,12 +426,12 @@ def test_summarize_many_equals_one_request_at_a_time(batch, seed, workers, data)
 
     def recording(fn, requests, master_seed, workers):
         drawn.append(len(requests))
-        return map_requests(fn, requests, master_seed, workers)
+        return map_chunks(fn, requests, master_seed, workers)
 
-    map_requests = montecarlo._map_requests
+    map_chunks = montecarlo._map_chunks
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "CHUNK_SIZE", SCHEDULER_CHUNK)
-        mp.setattr(montecarlo, "_map_requests", recording)
+        mp.setattr(montecarlo, "_map_chunks", recording)
         got = summarize_many(batch, seed, workers)
         want = [summarize_many([r], seed)[0] for r in batch]
     assert drawn == [len(laws)] + [1] * len(batch)
