@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _log_over
 from .errors import DOMAINS, INTERVALS, CapacityError, ValidationError, integer, real
 from .sampling import StreamKey
 
@@ -137,4 +138,4 @@ def anticoncentration_threshold(S: int, delta: float) -> float:
     Compare against limit samples drawn with D = 2.
     """
     S, delta = integer(S, "S"), real(delta, "delta", INTERVALS["level"])
-    return math.sqrt(2.0 * (S - 1.0) / math.pi) - math.sqrt(2.0 * math.log(2.0 / delta))
+    return math.sqrt(2.0 * (S - 1.0) / math.pi) - math.sqrt(2.0 * _log_over(2.0, delta))

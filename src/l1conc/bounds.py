@@ -58,6 +58,13 @@ def _log_2S_minus_2(S: int) -> float:
     return S * math.log(2.0) + math.log1p(-(2.0 ** (1 - S)))
 
 
+def _log_over(c: float, delta: float) -> float:
+    # ln(c/delta); as ln(c) − ln(delta) only where c/delta overflows, at a
+    # subnormal delta, so that every other epsilon keeps its bits
+    ratio = c / delta
+    return math.log(ratio) if ratio < math.inf else math.log(c) - math.log(delta)
+
+
 def devroye_valid(S: int, delta: float) -> bool:
     """Whether delta lies in the regime 0 <= delta <= 3·exp(-4S/5) where the
     Devroye bound is stated."""
@@ -68,15 +75,15 @@ def devroye_valid(S: int, delta: float) -> bool:
 def agrawal_epsilon(n: int, delta: float) -> float:
     """The disputed dimension-free threshold sqrt(2 ln(1/d)/n)."""
     n, delta = integer(n, "n"), real(delta, "delta")
-    return math.sqrt(2.0 * math.log(1.0 / delta) / n)
+    return math.sqrt(2.0 * _log_over(1.0, delta) / n)
 
 
 # the threshold of each family at (n, S, delta); BoundSpec has checked the domain
 _EPSILON = {
-    BoundFamily.WEISSMAN_UNION: lambda n, S, delta: math.sqrt(2.0 * S * math.log(2.0 / delta) / n),
+    BoundFamily.WEISSMAN_UNION: lambda n, S, delta: math.sqrt(2.0 * S * _log_over(2.0, delta) / n),
     BoundFamily.WEISSMAN_EXACT: lambda n, S, delta: math.sqrt(
         2.0 * (_log_2S_minus_2(S) - math.log(delta)) / n),
-    BoundFamily.DEVROYE: lambda n, S, delta: 5.0 * math.sqrt(math.log(3.0 / delta) / n),
+    BoundFamily.DEVROYE: lambda n, S, delta: 5.0 * math.sqrt(_log_over(3.0, delta) / n),
     BoundFamily.AGRAWAL: lambda n, S, delta: agrawal_epsilon(n, delta),
 }
 

@@ -47,10 +47,11 @@ def _bound(b: int) -> str:
 def integer(value, name: str, domain: tuple | None = None, error=ValidationError) -> int:
     """``value`` as a Python int if it is an integer in [lo, hi) of
     ``domain``, by default ``DOMAINS[name]``; otherwise ``error`` (a
-    ``ValidationError`` unless given) naming ``name``.  Arithmetic on the
-    Python int is exact where that on a NumPy integer would wrap."""
+    ``ValidationError`` unless given) naming ``name``.  A bool is no
+    integer here.  Arithmetic on the Python int is exact where that on a
+    NumPy integer would wrap."""
     lo, hi = DOMAINS[name] if domain is None else domain
-    if isinstance(value, numbers.Integral):
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         value = int(value)
         if lo <= value and (hi is None or value < hi):
             return value

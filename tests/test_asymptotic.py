@@ -243,6 +243,15 @@ class TestClosedForms:
         with pytest.raises(ValidationError):
             anticoncentration_threshold(50, 1.0)
 
+    def test_anticoncentration_threshold_finite_at_subnormal_delta(self):
+        # 2/delta overflows at delta = 5e-324; ln 2 − ln delta does not
+        got = anticoncentration_threshold(50, 5e-324)
+        want = math.sqrt(98 / math.pi) - math.sqrt(2 * (math.log(2) - math.log(5e-324)))
+        assert got == pytest.approx(want, rel=1e-14) and math.isfinite(got)
+        for delta in (0.1, 0.05, 0.01):  # the benchmark's tail deltas keep their bits
+            assert anticoncentration_threshold(50, delta) == (
+                math.sqrt(98 / math.pi) - math.sqrt(2.0 * math.log(2.0 / delta)))
+
     def test_empirical_anticoncentration(self):
         # the threshold lives on the l1-deviation scale, i.e. D = 2
         N = 200_000

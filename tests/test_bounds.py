@@ -149,3 +149,33 @@ class TestBoundSpecEvaluation:
         assert ev.epsilon > 2.0 and ev.vacuous
         ev = evaluate_bound(BoundSpec(BoundFamily.AGRAWAL, 10_000, 2, 0.05))
         assert not ev.vacuous
+
+
+class TestSubnormalDelta:
+    # c/delta overflows to inf at a subnormal delta; there, and only there,
+    # ln(c/delta) is taken as ln(c) − ln(delta)
+
+    def test_agrawal_epsilon_finite_at_least_delta(self):
+        eps = agrawal_epsilon(100, 5e-324)
+        assert math.isfinite(eps)
+        assert eps == pytest.approx(math.sqrt(-2.0 * math.log(5e-324) / 100), rel=1e-15)
+        assert eps == pytest.approx(3.8586, abs=1e-4)
+
+    @pytest.mark.parametrize("family, c", [(UNION, 2.0), (DEVROYE, 3.0), (EXACT, None),
+                                           (BoundFamily.AGRAWAL, 1.0)])
+    def test_every_family_finite_at_subnormal_delta(self, family, c):
+        delta = 1e-309
+        eps = epsilon(family, 100, 5, delta)
+        assert math.isfinite(eps)
+        if c is not None:
+            log_over = math.log(c) - math.log(delta)
+            factor = {UNION: 2.0 * 5, DEVROYE: 25.0, BoundFamily.AGRAWAL: 2.0}[family]
+            assert eps == pytest.approx(math.sqrt(factor * log_over / 100), rel=1e-15)
+
+    # the deltas of the golden config and of the benchmark's falsify and tail cells
+    @pytest.mark.parametrize("delta", [0.5, 0.1, 0.05, 0.01])
+    @pytest.mark.parametrize("n, S", [(100, 10), (10_000, 50), (1000, 5)])
+    def test_epsilon_bits_unchanged_at_normal_delta(self, delta, n, S):
+        assert agrawal_epsilon(n, delta) == math.sqrt(2.0 * math.log(1.0 / delta) / n)
+        assert epsilon(UNION, n, S, delta) == math.sqrt(2.0 * S * math.log(2.0 / delta) / n)
+        assert epsilon(DEVROYE, n, S, delta) == 5.0 * math.sqrt(math.log(3.0 / delta) / n)
