@@ -17,9 +17,6 @@ longest request's trials, and counts every request's thresholds and grid
 points on that request's own prefix times its D·``scale``, as
 ``draw_samples`` returns it, so an API call for a report cell reads the
 sample its rows read, whatever trial counts other cells of its law ask for.
-A call that draws one law of at most 2^17 trials keeps its sorted chunks and
-moments, which the next call of that law and seed reads instead of drawing;
-any other call, such as the runner's of several laws, keeps none.
 It makes the chunks of every law as needed and runs them largest first, a
 few at a time, on at most one thread pool in this process, of no more
 threads than the CPUs it may run on, shut down before it returns; NumPy
@@ -50,7 +47,6 @@ precision at any N, and each endpoint is moved outward by the relative
 import heapq
 import math
 import os
-from collections import ChainMap
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -88,10 +84,6 @@ _POISSON_BLOCK_ELEMS = 1 << 16
 ProcessPoolExecutor = ThreadPoolExecutor
 # jobs a thread in a batch; the next batch waits for this one's last, smallest chunk
 _BATCH = 8
-# a call that draws one law of at most this many trials (1 MiB of float64) keeps
-# its {(chunk, rows): (sorted unit-scale rows, mean, m2)} in _memo, by law key
-_MEMO_TRIALS = 1 << 17
-_memo = (None, {})
 
 # cap on the exact oracle's convolution multiply-adds (M + 2·log2 S)·(n+1)²:
 # admits (S, n) = (50, 10^4), 1.1-1.4 s on a 2-core x86_64 (2.1-2.6 s of CPU
@@ -413,35 +405,29 @@ class SampleSummary:
 class _Law(NamedTuple):
     """The caller's requests that read one law's sample, longest first, and
     their positions in the caller's list; the law is drawn once, at the
-    longest's source, trials and stream.  ``memo``: see ``_MEMO_TRIALS``."""
+    longest's source, trials and stream."""
 
     source: DeviationSource
     trials: int
     stream: int
     requests: tuple
     positions: tuple
-    memo: ChainMap | None = None
 
 
 def _reduce_chunk(law: _Law, master_seed: int, chunk: int, count: int) -> list[tuple]:
     """(position, summary) of chunk ``chunk`` for each of the law's requests
     that reach it, longest first.  The chunk is drawn once, at ``count``
-    rows, unless the law's memo holds every prefix its requests read;
-    requests that read the same first rows of it share their sort and
+    rows; requests that read the same first rows of it share their sort and
     moments, and each counts its own points on D·``scale`` times them."""
-    x, memo, summaries = None, ({} if law.memo is None else law.memo), []
+    x = _draw_chunk(law, master_seed, chunk, count)
+    summaries = []
     for size, group in groupby(zip(law.positions, law.requests),
                                lambda job: min(job[1].trials - chunk * CHUNK_SIZE, count)):
         if size <= 0:
             break
-        entry = memo.get((chunk, size))
-        if entry is None:
-            x = _draw_chunk(law, master_seed, chunk, count) if x is None else x
-            rows = x[:size]
-            ordered, mean = np.sort(rows), rows.mean()
-            ordered.flags.writeable = False  # a later call of the law may read it
-            entry = ordered, mean, np.square(rows - mean).sum()
-        memo[chunk, size] = ordered, mean, m2 = entry  # a hit, too, is kept for the next call
+        rows = x[:size]
+        ordered, mean = np.sort(rows), rows.mean()
+        m2 = np.square(rows - mean).sum()
         for i, r in group:
             # draw_samples' values, still sorted as D·scale > 0, and inf where they are
             with np.errstate(over="ignore"):
@@ -461,19 +447,14 @@ def summarize_many(requests, master_seed: int, workers: int = 1) -> list[SampleS
     them, and its moments are the law's, so its summary is bit for bit the
     one it gets alone.  The chunks of every law share one schedule, so one
     pool serves them all, and each is merged in as it comes."""
-    global _memo
     master_seed = integer(master_seed, "master_seed", DOMAINS["word"])
     requests = [_checked(request) for request in requests]
     laws = {}  # (family, S, n, stream) -> positions in requests
     for i, request in enumerate(requests):
         source = request.source
         laws.setdefault((source.family, source.S, source.n, request.stream), []).append(i)
-    # a lone law's memo: this call's entries, then those the last call kept
-    keep = len(laws) == 1 and sum({request.trials for request in requests}) <= _MEMO_TRIALS
-    memo = ChainMap({}, _memo[1] if _memo[0] == (master_seed, *laws) else {}) if keep else None
-    _memo = ((master_seed, *laws), memo.maps[0]) if keep else (None, {})
     orders = [sorted(positions, key=lambda i: -requests[i].trials) for positions in laws.values()]
-    drawn = [_Law(*requests[order[0]][:3], tuple(requests[i] for i in order), tuple(order), memo)
+    drawn = [_Law(*requests[order[0]][:3], tuple(requests[i] for i in order), tuple(order))
              for order in orders]
     out = [None] * len(requests)
     for parts in _map_chunks(_reduce_chunk, drawn, master_seed, workers):

@@ -1,8 +1,6 @@
 import itertools
 import math
 import re
-import sys
-import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -528,27 +526,9 @@ class TestOneDrawPerLaw:
             assert (got.count, got.mean, got.m2) == (alone.count, alone.mean, alone.m2)
 
 
-class TestLawMemo:
-    # a call that draws one law of at most 2^17 trials keeps its sorted chunks
-    # and moments; the next call of that law reads them and draws nothing
-
-    @pytest.fixture(autouse=True)
-    def draws(self, monkeypatch):
-        # an empty memo to start from, and every chunk drawn, counted
-        monkeypatch.setattr(montecarlo, "_memo", (None, {}))
-        draws, draw_chunk = [], montecarlo._draw_chunk
-
-        def counting(law, master_seed, chunk, count):
-            draws.append(chunk)
-            return draw_chunk(law, master_seed, chunk, count)
-
-        monkeypatch.setattr(montecarlo, "_draw_chunk", counting)
-        return draws
-
-    @staticmethod
-    def _summary(summary) -> tuple:
-        return (summary.at_least.tolist(), summary.at_most.tolist(), summary.count,
-                summary.mean, summary.m2)
+class TestThresholdSweep:
+    # one estimate_tail_probability call a threshold reads the sample that one
+    # request of every threshold reads
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("source", [
@@ -558,128 +538,25 @@ class TestLawMemo:
         DeviationSource("dirichlet", 50, n=10**4),
         DeviationSource("limit", 50),
     ], ids=["counted", "poissonized", "chained", "dirichlet", "limit"])
-    def test_threshold_sweep_equals_one_request(self, source, workers, draws, monkeypatch):
+    def test_threshold_sweep_equals_one_request(self, source, workers, monkeypatch):
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
         trials = 2 * montecarlo.CHUNK_SIZE + 7
         thresholds = tuple(np.quantile(draw_samples(source, 1000, SEED + 1), [0.1, 0.5, 0.9]))
-        draws.clear()
         [want] = summarize_many([SampleRequest(source, trials, thresholds=thresholds)], SEED,
                                 workers)
-        assert sorted(draws) == [0, 1, 2]
         got = [estimate_tail_probability(source, t, trials, SEED, workers=workers)
                for t in thresholds]
-        assert sorted(draws) == [0, 1, 2]  # every sweep call read the memo
         assert got == [tail_estimate_from_count(t, int(k), trials)
                        for t, k in zip(thresholds, want.at_least, strict=True)]
 
-    def test_three_calls_draw_each_chunk_once(self, draws):
-        source = DeviationSource("limit", 5)
-        for t in (0.5, 1.0, 1.5):
-            estimate_tail_probability(source, t, 10**5, SEED)
-        assert draws == list(range(7))
-
-    @pytest.mark.parametrize("other", [
-        [SampleRequest(DeviationSource("limit", 6), 100)],
-        [SampleRequest(DeviationSource("limit", 5), 100),
-         SampleRequest(DeviationSource("limit", 6), 100)],
-    ], ids=["another-law", "several-laws"])
-    def test_another_call_empties_the_memo(self, draws, other):
-        request = SampleRequest(DeviationSource("limit", 5), 10**5, thresholds=(1.0,))
-        [first] = summarize_many([request], SEED)
-        summarize_many(other, SEED)
-        if len(other) > 1:
-            assert montecarlo._memo == (None, {})
-        draws.clear()
-        [again] = summarize_many([request], SEED)
-        assert draws == list(range(7))
-        assert self._summary(again) == self._summary(first)
-
-    def test_a_law_above_the_cap_keeps_nothing(self, draws):
-        source = DeviationSource("limit", 5)
-        for trials, chunks in ((2**17, 8), (2**17 + 1, 9)):
-            draws.clear()
-            estimate_tail_probability(source, 1.0, trials, SEED)
-            estimate_tail_probability(source, 1.5, trials, SEED)
-            assert len(draws) == (chunks if trials <= montecarlo._MEMO_TRIALS else 2 * chunks)
-        assert montecarlo._memo == (None, {})
-
-    def test_held_rows_are_read_only(self):
-        estimate_tail_probability(DeviationSource("limit", 5), 1.0, 100, SEED)
-        [(ordered, _, _)] = montecarlo._memo[1].values()
-        assert ordered.size == 100 and not ordered.flags.writeable
-
-    def test_each_law_and_seed_reads_its_own_sample(self, draws):
-        # interleaved calls that differ in one part of the law's key alone
-        base = SampleRequest(DeviationSource("multinomial", 10, n=40), 20_000, 0, (0.3,), (0.5,))
-        variants = [(base, SEED + 1), (base._replace(stream=1), SEED),
-                    (base._replace(source=DeviationSource("dirichlet", 10, n=40)), SEED),
-                    (base._replace(source=DeviationSource("multinomial", 10, n=41)), SEED)]
-        [want] = summarize_many([base], SEED)
-        for request, seed in variants:
-            x = draw_samples(request.source, request.trials, seed, stream=request.stream)
-            expected = ([int(np.count_nonzero(x >= 0.3))], [int(np.count_nonzero(x <= 0.5))])
-            for _ in range(2):
-                [got] = summarize_many([request], seed)
-                assert (got.at_least.tolist(), got.at_most.tolist()) == expected
-                [again] = summarize_many([base], SEED)
-                assert self._summary(again) == self._summary(want)
-
-    def test_D_and_scale_share_one_sample(self, draws):
-        sources = [DeviationSource("limit", 5), DeviationSource("limit", 5, D=2.0),
-                   DeviationSource("limit", 5, scale=0.3)]
-        for source in sources:
-            curve = estimate_quantile_curve(source, [0.5, 1.0, 2.0], 20_000, SEED)
-            x = draw_samples(source, 20_000, SEED)
-            assert curve.cdf_estimates.tolist() == [np.count_nonzero(x <= g) / 20_000
-                                                   for g in (0.5, 1.0, 2.0)]
-        # draw_samples keeps nothing: its chunks are two per call, the first
-        # curve's two and none for the other curves
-        assert len(draws) == 2 + 2 * len(sources)
-
     @pytest.mark.parametrize("seed", [1.0, True, -1, 2**64])
-    def test_bad_master_seed_refused_after_a_hit(self, seed, draws):
-        source = DeviationSource("limit", 5)
-        for _ in range(2):  # the second call reads the memo
-            estimate_tail_probability(source, 1.0, 1000, 1)
-        assert len(draws) == 1
+    def test_bad_master_seed_refused_before_any_draw(self, seed, monkeypatch):
+        def drawn(*args):
+            raise AssertionError("drew a chunk")
+
+        monkeypatch.setattr(montecarlo, "_draw_chunk", drawn)
         with pytest.raises(ValidationError, match="master_seed must be an integer"):
-            estimate_tail_probability(source, 1.0, 1000, seed)
-        assert len(draws) == 1
-
-    def test_concurrent_callers_read_their_own_laws(self, monkeypatch):
-        # four caller threads, each with a pool of two, alternate two laws,
-        # so the memo is replaced under them; every result is still its law's
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-        requests = [SampleRequest(DeviationSource("limit", S), 40_000, thresholds=(1.0,))
-                    for S in (5, 6)]
-        want = [self._summary(summarize_many([r], SEED)[0]) for r in requests]
-        got, interval = [], sys.getswitchinterval()
-
-        def caller(k):
-            for j in range(6):
-                law = (k + j) % 2
-                got.append((law, self._summary(summarize_many([requests[law]], SEED, 2)[0])))
-
-        threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
-        sys.setswitchinterval(1e-5)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert len(got) == 24 and all(summary == want[law] for law, summary in got)
-
-    def test_memory_held_is_one_law_at_the_cap(self):
-        tracemalloc.start()
-        try:
-            estimate_tail_probability(DeviationSource("limit", 5), 1.0, 2**17, SEED)
-            held, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert 2**20 <= held < 1.25 * 2**20
+            estimate_tail_probability(DeviationSource("limit", 5), 1.0, 1000, seed)
 
 
 class TestPoolSize:

@@ -609,6 +609,14 @@ def test_integer_arguments_admit_their_domain_alone(arg, data):
         assert _accepted(arg, value) == admitted
 
 
+@pytest.mark.parametrize("arg", INTEGER_ARGUMENTS, ids=[a.name for a in INTEGER_ARGUMENTS])
+@pytest.mark.parametrize("value", [False, True])
+def test_integer_arguments_refuse_bools(arg, value):
+    # a bool is an Integral, but no integer argument takes one, even in its domain
+    with _no_draws():
+        assert not _accepted(arg, value)
+
+
 class RealArgument(NamedTuple):
     """A public real argument: ``call(value)`` passes ``value`` for it and
     valid values for every other argument, and it admits the floats of
