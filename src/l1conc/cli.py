@@ -108,10 +108,7 @@ def _run(args) -> int:
     if args.config and flags:
         raise ConfigError(f"--config cannot be combined with task flags: --{', --'.join(flags)}")
     if args.workers is not None:  # refused before any draw, like a task key
-        errors: list[str] = []
-        args.workers = _parse_integer("workers", args.workers, "--workers", errors)
-        if errors:
-            raise ConfigError("; ".join(errors))
+        args.workers = _parse_integer("workers", args.workers, "--workers")
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             try:

@@ -105,21 +105,20 @@ def bound_family_from_name(name: str) -> BoundFamily:
 # config parsing
 
 
-def _parse_scalar(kind, text, path, errors):
+def _parse_scalar(kind, text, path):
     try:
         return kind(text)
     except ValueError:
-        errors.append(f"{path}: cannot parse {text!r}")
-        return None
+        raise ConfigError(f"{path}: cannot parse {text!r}")
 
 
-def _parse_number(kind, check, domains, name, text, path, errors):
+def _parse_number(kind, check, domains, name, text, path):
     # a number of the domain of the quantity ``name`` in errors.DOMAINS or INTERVALS
-    value = _parse_scalar(kind, text, path, errors)
+    value = _parse_scalar(kind, text, path)
     try:
-        return None if value is None else check(value, path, domains[name])
+        return check(value, path, domains[name])
     except ValidationError as exc:
-        errors.append(f"{exc}, got {text!r}")
+        raise ConfigError(f"{exc}, got {text!r}")
 
 
 _parse_integer = partial(_parse_number, int, integer, DOMAINS)
@@ -127,49 +126,39 @@ _parse_real = partial(_parse_number, float, real, INTERVALS)
 _parse_threshold = partial(_parse_real, "threshold")  # a threshold, or a grid point
 
 
-def _parse_list(parse, text, path, errors):
-    out = []
-    for part in text.split(","):
-        v = parse(part.strip(), path, errors)
-        if v is None:
-            return []
-        out.append(v)
-    return out
+def _parse_list(parse, text, path):
+    return [parse(part.strip(), path) for part in text.split(",")]
 
 
-def _parse_grid(text, path, errors):
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            errors.append(f"{path}: grid must be 'lo:hi:count' or a comma list")
-            return []
-        lo, hi = (_parse_threshold(part, path, errors) for part in parts[:2])
-        count = _parse_scalar(int, parts[2], path, errors)
-        if None in (lo, hi, count):
-            return []
-        if count < 2 or hi <= lo:
-            errors.append(f"{path}: grid needs hi > lo and count >= 2")
-            return []
-        if not math.isfinite(hi - lo):
-            errors.append(f"{path}: must be finite")
-            return []
-        if count >= 2**60:  # 2^63 bytes of float64, NumPy's array size limit
-            raise CapacityError(f"{path}: {count} grid points exceed any array")
-        return [float(x) for x in np.linspace(lo, hi, count)]
-    return _parse_list(_parse_threshold, text, path, errors)
+def _parse_grid(text, path):
+    if ":" not in text:
+        return _parse_list(_parse_threshold, text, path)
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ConfigError(f"{path}: grid must be 'lo:hi:count' or a comma list")
+    lo, hi = (_parse_threshold(part, path) for part in parts[:2])
+    count = _parse_scalar(int, parts[2], path)
+    if count < 2 or hi <= lo:
+        raise ConfigError(f"{path}: grid needs hi > lo and count >= 2")
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"{path}: must be finite")
+    if count >= 2**60:  # 2^63 bytes of float64, NumPy's array size limit
+        raise CapacityError(f"{path}: {count} grid points exceed any array")
+    return [float(x) for x in np.linspace(lo, hi, count)]
 
 
-def _parse_bound(text, path, errors):
+def _parse_bound(text, path):
     try:
         return bound_family_from_name(text)
     except ConfigError as exc:
-        errors.append(f"{path}: {exc}")
+        raise ConfigError(f"{path}: {exc}")
 
 
 class TaskKey(NamedTuple):
     """A ``[task]`` key: the TaskConfig attribute it sets, its parser
-    ``(text, path, errors) -> value or None``, and the task kinds and
-    families whose rows it changes; anywhere else it is an error."""
+    ``(text, path) -> value``, which raises ``ConfigError`` naming ``path``
+    at the first fault it finds, and the task kinds and families whose rows
+    it changes; anywhere else it is an error."""
 
     attr: str
     parse: Callable
@@ -180,7 +169,7 @@ class TaskKey(NamedTuple):
 # every task key except ``kind``: config blocks and the CLI's task flags are
 # parsed by this table, and the report's task echo is written from it
 TASK_KEYS = {
-    "family": TaskKey("family", lambda text, path, errors: text),
+    "family": TaskKey("family", lambda text, path: text),
     "bound": TaskKey("bound", _parse_bound, ("falsify",)),
     "S": TaskKey("S_values", partial(_parse_list, partial(_parse_integer, "S"))),
     "n": TaskKey("n", partial(_parse_integer, "n"), families=FINITE_N),
@@ -229,9 +218,10 @@ def build_task(index: int, raw: dict, errors: list) -> TaskConfig:
         elif task.family not in spec.families:
             errors.append(f"{path}.{key}: not used by the {task.family} family")
         else:
-            value = spec.parse(text, f"{path}.{key}", errors)
-            if value is not None:
-                setattr(task, spec.attr, value)
+            try:
+                setattr(task, spec.attr, spec.parse(text, f"{path}.{key}"))
+            except ConfigError as exc:
+                errors.append(str(exc))
 
     for key in REQUIRED_KEYS[kind] + (("n",) if task.family in FINITE_N else ()):
         if key not in raw:
@@ -288,15 +278,13 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         target[key] = (lineno, value.strip())
 
-    errors: list[str] = []
-    for key in globals_:
-        if key != "master_seed":
-            errors.append(f"{key}: unknown top-level key")
-    if "master_seed" not in globals_:
-        errors.append("master_seed: required (seeds are never auto-generated)")
-        master_seed = 0
-    else:
-        master_seed = _parse_scalar(int, globals_["master_seed"][1], "master_seed", errors) or 0
+    errors = [f"{key}: unknown top-level key" for key in globals_ if key != "master_seed"]
+    try:
+        if "master_seed" not in globals_:
+            raise ConfigError("master_seed: required (seeds are never auto-generated)")
+        master_seed = _parse_scalar(int, globals_["master_seed"][1], "master_seed")
+    except ConfigError as exc:
+        errors.append(str(exc))
 
     tasks = [build_task(i, raw, errors) for i, raw in enumerate(raw_tasks)]
     if errors:
@@ -421,21 +409,16 @@ def report_from_dict(obj: dict) -> Report:
     )
 
 
-def _non_finite(value, path: str):
-    # the path of the first non-finite float in a JSON-like value, else None
-    if isinstance(value, float):
-        return None if math.isfinite(value) else f"{path} = {value!r}"
+def _check_finite(value, path: str):
+    # refuse the first non-finite float in a JSON-like value, naming its path
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path} = {value!r} is not finite; a report holds finite numbers only")
     if isinstance(value, dict):
-        items = ((f"{path}.{key}", item) for key, item in value.items())
+        for key, item in value.items():
+            _check_finite(item, f"{path}.{key}")
     elif isinstance(value, (list, tuple)):
-        items = ((f"{path}[{i}]", item) for i, item in enumerate(value))
-    else:
-        return None
-    for where, item in items:
-        found = _non_finite(item, where)
-        if found is not None:
-            return found
-    return None
+        for i, item in enumerate(value):
+            _check_finite(item, f"{path}[{i}]")
 
 
 def emit_report(report: Report, fmt: str = "json") -> bytes:
@@ -444,9 +427,7 @@ def emit_report(report: Report, fmt: str = "json") -> bytes:
     infinity or NaN, so a non-finite float anywhere in it is refused, in
     either format."""
     obj = report_to_dict(report)
-    bad = _non_finite(obj, "report")
-    if bad is not None:
-        raise ConfigError(f"{bad} is not finite; a report holds finite numbers only")
+    _check_finite(obj, "report")
     if fmt == "json":
         text = json.dumps(obj, indent=2, sort_keys=True)
         return (text + "\n").encode()
@@ -474,12 +455,15 @@ _PLOT_COLUMNS = {
 
 def emit_plot_data(report: Report, task_id: str) -> bytes:
     """Whitespace-separated numeric columns for one task's curve, with a
-    comment header naming the columns."""
+    comment header naming the columns.  Like ``emit_report``, it refuses a
+    non-finite float; a curve cell must be a real number, and a string, or
+    an integer beyond any float, is refused too."""
     rows = [r for r in report.rows if r.get("task_id") == task_id]
     if not rows:
         raise ConfigError(f"no rows for task {task_id!r}")
+    _check_finite(rows, f"task {task_id!r} rows")
     kind = rows[0].get("kind")
-    if kind not in _PLOT_COLUMNS:
+    if not isinstance(kind, str) or kind not in _PLOT_COLUMNS:
         raise ConfigError(f"task {task_id!r} has no plottable curve")
     names, keys = _PLOT_COLUMNS[kind]
     lines = ["# " + " ".join(names)]
@@ -488,7 +472,7 @@ def emit_plot_data(report: Report, task_id: str) -> bytes:
         if any(v is None for v in values):
             raise ConfigError(f"task {task_id!r} rows lack curve data")
         try:
-            lines.append(" ".join(repr(float(v)) for v in values))
-        except (TypeError, ValueError):
+            lines.append(" ".join(repr(real(v, "cell", "(-inf, inf)")) for v in values))
+        except ValidationError:
             raise ConfigError(f"task {task_id!r} has a non-numeric curve cell")
     return ("\n".join(lines) + "\n").encode()

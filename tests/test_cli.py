@@ -208,14 +208,15 @@ class TestReportCommand:
         assert stdout.splitlines()[0] == ",".join(CSV_COLUMNS)
 
     @pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN"])
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plot"])
     def test_reemit_non_finite_refused(self, capsys, tmp_path, fmt, token):
         # json.load takes the bare tokens that json.dumps used to write
         saved = tmp_path / "r.json"
         saved.write_text('{"schema": 1, "master_seed": 1, "tasks": [], '
                          f'"rows": [{{"task_id": "t", "kind": "tail", "point": {token}}}]}}')
         out = tmp_path / f"again.{fmt}"
-        code, stdout, err = run_cli(capsys, "report", "--in", str(saved), "--format", fmt,
+        choice = ("--plot-task", "t") if fmt == "plot" else ("--format", fmt)
+        code, stdout, err = run_cli(capsys, "report", "--in", str(saved), *choice,
                                     "--out", str(out))
         assert code == EXIT_USAGE
         assert err.startswith("error:") and len(err.splitlines()) == 1
@@ -248,6 +249,12 @@ class TestReportCommand:
             (json.dumps({"schema": 1, "master_seed": 1, "tasks": [], "rows": 5}), ()),
             (json.dumps({"schema": 1, "master_seed": 1, "tasks": [], "rows": [row]}),
              ("--plot-task", "t")),
+            (json.dumps({"schema": 1, "master_seed": 1, "tasks": [],
+                         "rows": [{**row, "kind": ["tail"]}]}), ("--plot-task", "t")),
+            (json.dumps({"schema": 1, "master_seed": 1, "tasks": [],
+                         "rows": [{**row, "point": 10**400}]}), ("--plot-task", "t")),
+            (json.dumps({"schema": 1, "master_seed": 1, "tasks": [],
+                         "rows": [{**row, "point": "inf"}]}), ("--plot-task", "t")),
         ):
             bad.write_text(text)
             code, _, err = run_cli(capsys, "report", "--in", str(bad), *extra)

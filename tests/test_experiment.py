@@ -88,6 +88,20 @@ class TestParseConfig:
         msg = str(exc.value)
         assert "task[0].S" in msg and "task[0].delta" in msg
 
+    def test_every_bad_key_reported_in_order(self):
+        # each parser stops at its key's first fault; the collectors go on
+        # to every other key and task
+        bad = ("master_seed = 1.5\n"
+               "[task]\nkind = quantiles\nS = 3,x\nn = 10\ngrid = a:1:5\ntrials = 0\n"
+               "[task]\nkind = falsify\nS = 3\nn = 100\nbound = nope\ndelta = 0.1\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(bad)
+        assert str(exc.value) == (
+            "master_seed: cannot parse '1.5'; task[0].S: cannot parse 'x'; "
+            "task[0].grid: cannot parse 'a'; "
+            "task[0].trials must be an integer >= 1 and < 2^62, got '0'; "
+            "task[1].bound: unknown bound family 'nope'")
+
     def test_sweep_longer_than_4096_values_runs(self):
         # sweeps have no length cap, and their rows come in order; every cell
         # here is one law, so all read the sample of task 0's first S

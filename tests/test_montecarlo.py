@@ -946,6 +946,24 @@ class TestVerdicts:
         outcomes = [classify_verdict(est, 0.05) for est in cases]
         assert outcomes == [VIOLATED, CONSISTENT, INCONCLUSIVE]
 
+    def test_upper_end_at_delta_is_consistent(self):
+        # delta = 1 is in the domain (0, 1]; an interval whose upper end is
+        # exactly delta cannot exceed it
+        est = tail_estimate_from_count(0.0, 100, 100)
+        assert est.ci_high == 1.0
+        assert classify_verdict(est, 1.0) == CONSISTENT
+        # Agrawal's epsilon at delta = 1 is 0, which every draw reaches
+        verdict = falsify_bound(BoundSpec(BoundFamily.AGRAWAL, 100, 5, 1.0), 100, SEED)
+        assert verdict.evaluation.epsilon == 0.0
+        assert verdict.estimate.ci_high == 1.0
+        assert verdict.outcome == CONSISTENT
+
+    def test_lower_end_at_delta_is_inconclusive(self):
+        # Violated needs the whole interval above delta
+        est = TailEstimate(threshold=0.1, exceedance_count=30, trials=100, point=0.3,
+                           ci_low=0.25, ci_high=0.4, ci_level=0.95)
+        assert classify_verdict(est, 0.25) == INCONCLUSIVE
+
     def test_agrawal_violated(self):
         spec = BoundSpec(BoundFamily.AGRAWAL, 10_000, 50, 0.05)
         verdict = falsify_bound(spec, 2000, SEED)
