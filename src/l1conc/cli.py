@@ -12,12 +12,11 @@ import sys
 from .errors import CapacityError, ConfigError, ValidationError
 from .experiment import (
     TASK_KINDS,
-    ExperimentConfig,
     _parse_integer,
-    build_task,
+    build_config,
     emit_plot_data,
     emit_report,
-    parse_config,
+    read_blocks,
     report_from_dict,
     run_experiment,
 )
@@ -28,7 +27,7 @@ EXIT_USAGE = 1
 EXIT_CAPACITY = 2
 EXIT_VIOLATED = 10
 
-# the task keys a run command takes as flags; their values reach build_task
+# the task keys a run command takes as flags; their values reach build_config
 # as text, so a bad flag fails exactly like the same key in a config file
 TASK_FLAGS = {
     "S": "dimension, or comma list for asymptotic-mean sweeps",
@@ -79,16 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_flags(args, flags: dict) -> ExperimentConfig:
-    if args.seed is None:
-        raise ConfigError("--seed is required (seeds are never auto-generated)")
-    errors: list[str] = []
-    task = build_task(0, {"kind": (0, args.command), **flags}, errors)
-    if errors:
-        raise ConfigError("; ".join(errors))
-    return ExperimentConfig(master_seed=args.seed, tasks=[task], workers=args.workers)
-
-
 def _write(data: bytes, path: str | None):
     if path is None:
         sys.stdout.buffer.write(data)
@@ -104,7 +93,7 @@ def _exit_code(report) -> int:
 
 
 def _run(args) -> int:
-    flags = {key: (0, value) for key in TASK_FLAGS if (value := getattr(args, key)) is not None}
+    flags = {key: value for key in TASK_FLAGS if (value := getattr(args, key)) is not None}
     if args.config and flags:
         raise ConfigError(f"--config cannot be combined with task flags: --{', --'.join(flags)}")
     if args.workers is not None:  # refused before any draw, like a task key
@@ -115,12 +104,13 @@ def _run(args) -> int:
                 text = fh.read()
             except UnicodeDecodeError as exc:
                 raise ConfigError(f"{args.config}: not a UTF-8 config ({exc})")
-        config = parse_config(text)
-        config.workers = args.workers
-        if args.seed is not None:
-            config.master_seed = args.seed
+        pairs, blocks = read_blocks(text)
     else:
-        config = _config_from_flags(args, flags)
+        pairs, blocks = {}, [{"kind": args.command, **flags}]
+    if args.seed is not None:
+        pairs["master_seed"] = str(args.seed)
+    config = build_config(pairs, blocks)
+    config.workers = args.workers
     report = run_experiment(config)
     _write(emit_report(report, args.format), args.out)
     if args.plot_out:

@@ -10,6 +10,8 @@ import csv
 import io
 import json
 import math
+import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
 from statistics import NormalDist
@@ -34,14 +36,29 @@ from .montecarlo import (
 
 SCHEMA_VERSION = 1
 
-TASK_KINDS = ("tail", "quantiles", "falsify", "asymptotic-mean")
-
 FINITE_N = ("multinomial", "dirichlet")
+
+# a task kind's rules: the keys it requires (a finite-n family also requires
+# ``n``), the families it runs on, default first, its fewest trials, and its
+# plot data, the column names and the row keys they hold
+TaskKind = namedtuple("TaskKind", "required families min_trials plot")
+_CURVE = ("threshold", "point", "ci_low", "ci_high")
+TASK_KINDS = {
+    "tail": TaskKind(("S", "threshold"), SOURCE_FAMILIES, 1, (_CURVE, _CURVE)),
+    "quantiles": TaskKind(("S", "grid"), SOURCE_FAMILIES, 1,
+                          (("threshold", "cdf", "cdf_low", "cdf_high"), _CURVE)),
+    "falsify": TaskKind(("S", "bound", "delta"), FINITE_N, 100,
+                        (("delta", "point", "ci_low", "ci_high", "claimed"),
+                         ("delta", "point", "ci_low", "ci_high", "delta"))),
+    "asymptotic-mean": TaskKind(("S",), ("limit",), 2,
+                                (("S", "mean", "expected"), ("S", "point", "epsilon"))),
+}
 
 CSV_COLUMNS = (
     "task_id", "kind", "family", "S", "n", "delta", "D", "threshold",
     "epsilon", "point", "ci_low", "ci_high", "outcome", "trials", "seed",
 )
+TEXT_COLUMNS = ("task_id", "kind", "family", "outcome")  # the others hold numbers
 
 # task echoes write a family's own value ("WeissmanUnion"), so each parses back
 _BOUND_ALIASES = {
@@ -94,13 +111,6 @@ class Report:
     version: str = __version__
 
 
-def bound_family_from_name(name: str) -> BoundFamily:
-    key = name.strip().lower()
-    if key not in _BOUND_ALIASES:
-        raise ConfigError(f"unknown bound family {name!r}")
-    return _BOUND_ALIASES[key]
-
-
 # ---------------------------------------------------------------------------
 # config parsing
 
@@ -148,10 +158,10 @@ def _parse_grid(text, path):
 
 
 def _parse_bound(text, path):
-    try:
-        return bound_family_from_name(text)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}")
+    key = text.strip().lower()
+    if key not in _BOUND_ALIASES:
+        raise ConfigError(f"{path}: unknown bound family {text!r}")
+    return _BOUND_ALIASES[key]
 
 
 class TaskKey(NamedTuple):
@@ -162,7 +172,7 @@ class TaskKey(NamedTuple):
 
     attr: str
     parse: Callable
-    kinds: tuple = TASK_KINDS
+    kinds: tuple = tuple(TASK_KINDS)
     families: tuple = SOURCE_FAMILIES
 
 
@@ -183,31 +193,24 @@ TASK_KEYS = {
     "band_level": TaskKey("band_level", partial(_parse_real, "level"), ("quantiles",)),
 }
 
-# keys each kind requires; finite-n families also require ``n``
-REQUIRED_KEYS = {
-    "tail": ("S", "threshold"),
-    "quantiles": ("S", "grid"),
-    "falsify": ("S", "bound", "delta"),
-    "asymptotic-mean": ("S",),
-}
-
 
 def build_task(index: int, raw: dict, errors: list) -> TaskConfig:
-    """Validate one ``[task]`` block of ``key -> (lineno, text)``, appending
-    every problem to ``errors`` as ``task[index].<key>: ...``."""
+    """Validate one ``[task]`` block of ``key -> text``, appending every
+    problem to ``errors`` as ``task[index].<key>: ...``."""
     path = f"task[{index}]"
     task = TaskConfig(task_id=f"task{index}", kind="")
-    kind = raw.get("kind", (0, None))[1]
+    kind = raw.get("kind")
     if kind not in TASK_KINDS:
         errors.append(f"{path}.kind: must be one of {', '.join(TASK_KINDS)}")
         return task
     task.kind = kind
-    task.family = raw.get("family", (0, "limit" if kind == "asymptotic-mean" else task.family))[1]
+    rules = TASK_KINDS[kind]
+    task.family = raw.get("family", rules.families[0])
     if task.family not in SOURCE_FAMILIES:
         errors.append(f"{path}.family: unknown distribution family {task.family!r}")
         return task
 
-    for key, (_, text) in raw.items():
+    for key, text in raw.items():
         spec = TASK_KEYS.get(key)
         if key == "kind":
             pass
@@ -223,22 +226,19 @@ def build_task(index: int, raw: dict, errors: list) -> TaskConfig:
             except ConfigError as exc:
                 errors.append(str(exc))
 
-    for key in REQUIRED_KEYS[kind] + (("n",) if task.family in FINITE_N else ()):
+    for key in rules.required + (("n",) if task.family in FINITE_N else ()):
         if key not in raw:
             errors.append(f"{path}.{key}: required for {kind} tasks on the {task.family} family")
 
-    if kind == "asymptotic-mean" and task.family != "limit":
-        errors.append(f"{path}.family: asymptotic-mean tasks use the limit family")
-    if kind == "falsify" and task.family == "limit":
-        errors.append(f"{path}.family: falsify tasks need a finite-n family")
+    if task.family not in rules.families:
+        errors.append(f"{path}.family: {kind} tasks run on the "
+                      f"{' or '.join(rules.families)} family")
     if len(task.S_values) > 1 and kind != "asymptotic-mean":
         errors.append(f"{path}.S: only asymptotic-mean tasks accept an S sweep")
     if task.grid and any(b <= a for a, b in zip(task.grid, task.grid[1:])):
         errors.append(f"{path}.grid: must be strictly ascending")
-    if kind == "falsify" and task.trials < 100:
-        errors.append(f"{path}.trials: falsify tasks need >= 100 trials")
-    if kind == "asymptotic-mean" and task.trials < 2:
-        errors.append(f"{path}.trials: asymptotic-mean tasks need >= 2 trials")
+    if task.trials < rules.min_trials:
+        errors.append(f"{path}.trials: {kind} tasks need >= {rules.min_trials} trials")
     if kind == "asymptotic-mean" and task.S_values:
         # a mean row holds D times the sample mean, its interval and E[Z];
         # each stays below 2^9·D·E[Z], since a draw at D = 1 is below
@@ -251,45 +251,53 @@ def build_task(index: int, raw: dict, errors: list) -> TaskConfig:
     return task
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate the flat key-value config format.
-
-    Syntax errors and repeated keys report a line number; semantic errors
-    report every invalid field path at once.  A grid of more points than
-    any array holds raises ``CapacityError``.
-    """
-    globals_: dict = {}
-    raw_tasks: list[dict] = []
-    current = None
+def read_blocks(text: str) -> tuple[dict, list[dict]]:
+    """The top-level ``key -> text`` pairs of a config and its ``[task]``
+    blocks, each ``key -> text``.  A syntax error or a repeated key raises
+    ``ConfigError`` naming its line."""
+    pairs, blocks = {}, []
+    target = pairs
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line == "[task]":
-            current = {}
-            raw_tasks.append(current)
+            target = {}
+            blocks.append(target)
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value' or '[task]'")
         key, _, value = line.partition("=")
         key = key.strip()
-        target = globals_ if current is None else current
         if key in target:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        target[key] = (lineno, value.strip())
+        target[key] = value.strip()
+    return pairs, blocks
 
-    errors = [f"{key}: unknown top-level key" for key in globals_ if key != "master_seed"]
+
+def build_config(pairs: dict, blocks: list[dict]) -> ExperimentConfig:
+    """Validate top-level pairs and task blocks of plain text, from a config
+    file or the CLI's flags alike, and raise one ``ConfigError`` naming every
+    invalid field path.  A grid of more points than any array holds raises
+    ``CapacityError``."""
+    errors = [f"{key}: unknown top-level key" for key in pairs if key != "master_seed"]
     try:
-        if "master_seed" not in globals_:
+        if "master_seed" not in pairs:
             raise ConfigError("master_seed: required (seeds are never auto-generated)")
-        master_seed = _parse_scalar(int, globals_["master_seed"][1], "master_seed")
+        master_seed = _parse_scalar(int, pairs["master_seed"], "master_seed")
     except ConfigError as exc:
         errors.append(str(exc))
 
-    tasks = [build_task(i, raw, errors) for i, raw in enumerate(raw_tasks)]
+    tasks = [build_task(i, raw, errors) for i, raw in enumerate(blocks)]
     if errors:
         raise ConfigError("; ".join(errors))
     return ExperimentConfig(master_seed=master_seed, tasks=tasks)
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse and validate the flat key-value config format: ``read_blocks``,
+    then ``build_config``."""
+    return build_config(*read_blocks(text))
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +409,24 @@ def report_from_dict(obj: dict) -> Report:
         raise ConfigError("report tasks and rows must be lists")
     if not all(isinstance(row, dict) for row in obj["rows"]):
         raise ConfigError("every report row must be an object")
+    for i, row in enumerate(obj["rows"]):
+        for column in CSV_COLUMNS:
+            _check_cell(row.get(column), f"rows[{i}].{column}", column in TEXT_COLUMNS)
     return Report(
         master_seed=obj["master_seed"],
         tasks=obj["tasks"],
         rows=obj["rows"],
         version=obj.get("version", __version__),
     )
+
+
+def _check_cell(value, path: str, text: bool):
+    # a text cell holds a string or null, any other null or a number: a float
+    # (a non-finite one is left to _check_finite) or an integer a float holds
+    number = isinstance(value, float) or type(value) is int and abs(value) <= sys.float_info.max
+    if value is not None and not (isinstance(value, str) if text else number):
+        kind = "a string" if text else "a real number"
+        raise ConfigError(f"{path} must be {kind} or null, got {value!r}")
 
 
 def _check_finite(value, path: str):
@@ -441,18 +461,6 @@ def emit_report(report: Report, fmt: str = "json") -> bytes:
     raise ConfigError(f"unknown report format {fmt!r}")
 
 
-_PLOT_COLUMNS = {
-    "quantiles": (("threshold", "cdf", "cdf_low", "cdf_high"),
-                  ("threshold", "point", "ci_low", "ci_high")),
-    "tail": (("threshold", "point", "ci_low", "ci_high"),
-             ("threshold", "point", "ci_low", "ci_high")),
-    "falsify": (("delta", "point", "ci_low", "ci_high", "claimed"),
-                ("delta", "point", "ci_low", "ci_high", "delta")),
-    "asymptotic-mean": (("S", "mean", "expected"),
-                        ("S", "point", "epsilon")),
-}
-
-
 def emit_plot_data(report: Report, task_id: str) -> bytes:
     """Whitespace-separated numeric columns for one task's curve, with a
     comment header naming the columns.  Like ``emit_report``, it refuses a
@@ -463,9 +471,9 @@ def emit_plot_data(report: Report, task_id: str) -> bytes:
         raise ConfigError(f"no rows for task {task_id!r}")
     _check_finite(rows, f"task {task_id!r} rows")
     kind = rows[0].get("kind")
-    if not isinstance(kind, str) or kind not in _PLOT_COLUMNS:
+    if not isinstance(kind, str) or kind not in TASK_KINDS:
         raise ConfigError(f"task {task_id!r} has no plottable curve")
-    names, keys = _PLOT_COLUMNS[kind]
+    names, keys = TASK_KINDS[kind].plot
     lines = ["# " + " ".join(names)]
     for row in rows:
         values = [row.get(k) for k in keys]

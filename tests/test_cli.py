@@ -70,6 +70,15 @@ class TestFalsifyCommand:
         assert code == EXIT_USAGE
         assert "seed" in err
 
+    def test_missing_seed_reported_with_every_bad_flag(self, capsys):
+        # flags pass the config validator: one error line names them all
+        code, _, err = run_cli(capsys, "falsify", "--bound", "agrawal", "--S", "10",
+                               "--n", "x", "--delta", "2")
+        assert code == EXIT_USAGE
+        assert err == ("error: master_seed: required (seeds are never auto-generated); "
+                       "task[0].n: cannot parse 'x'; task[0].delta must be a finite real "
+                       "number in (0, 1], got '2'\n")
+
 
 class TestOtherCommands:
     def test_asymptotic_mean_csv(self, capsys):
@@ -175,6 +184,61 @@ class TestOtherCommands:
             assert needle in err
 
 
+@pytest.mark.parametrize("top", ["", "master_seed = x\n"], ids=["no-seed-line", "bad-seed-line"])
+def test_seed_flag_overrides_config_seed(capsys, tmp_path, top):
+    # --seed supplies or replaces the file's master seed before validation
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"{top}[task]\nkind = tail\nS = 3\nn = 50\nthreshold = 0.2\ntrials = 200\n")
+    code, stdout, err = run_cli(capsys, "tail", "--config", str(cfg), "--seed", "5")
+    assert (code, err) == (EXIT_OK, "")
+    report = json.loads(stdout)
+    assert report["master_seed"] == 5
+    assert {row["seed"] for row in report["rows"]} == {5}
+
+
+# one task of each kind as the flags of its subcommand
+ONE_TASK_FLAGS = {
+    "tail": {"S": "3", "n": "50", "threshold": "0.2,0.4", "trials": "500"},
+    "quantiles": {"family": "limit", "S": "5", "grid": "0:3:4", "trials": "500"},
+    "falsify": {"bound": "devroye", "S": "5", "n": "100", "delta": "0.1", "trials": "200"},
+    "asymptotic-mean": {"S": "2,10", "D": "2", "trials": "200"},
+}
+
+
+@pytest.mark.parametrize("kind", list(ONE_TASK_FLAGS))
+def test_flags_and_config_write_the_same_report(capsys, tmp_path, kind):
+    # flags and a config file reach the same validator and the same run
+    keys = ONE_TASK_FLAGS[kind]
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"master_seed = 7\n[task]\nkind = {kind}\n"
+                   + "".join(f"{key} = {value}\n" for key, value in keys.items()))
+    flags = [arg for key, value in keys.items() for arg in (f"--{key}", value)]
+    from_flags = run_cli(capsys, kind, "--seed", "7", *flags, "--workers", "1")
+    from_file = run_cli(capsys, kind, "--config", str(cfg), "--workers", "1")
+    assert from_flags == from_file
+    assert from_flags[0] == EXIT_OK and from_flags[2] == ""
+
+
+def test_golden_task7_replays_from_flags(capsys):
+    # a row depends on its own task alone: golden task7 run from flags gives
+    # its rows and echo but for the task id
+    code, stdout, err = run_cli(capsys, "falsify", "--S", "10", "--n", "100", "--bound",
+                                "weissman-exact", "--delta", "0.05,0.5", "--trials", "2000",
+                                "--seed", "20261018")
+    assert (code, err) == (EXIT_OK, "")
+    golden = json.loads((DATA / "golden.json").read_text())
+    got = json.loads(stdout)
+
+    def others(row):
+        return {key: value for key, value in row.items() if key not in ("task_id", "id")}
+
+    assert [others(row) for row in got["rows"]] == [
+        others(row) for row in golden["rows"] if row["task_id"] == "task7"]
+    assert len(got["rows"]) == 2
+    [task] = got["tasks"]
+    assert others(task) == others(next(t for t in golden["tasks"] if t["id"] == "task7"))
+
+
 @pytest.mark.parametrize("command", ["tail", "quantiles", "falsify", "asymptotic-mean"])
 def test_config_runs_every_task_whatever_the_subcommand(capsys, tmp_path, command):
     # with --config the subcommand selects nothing: the golden file's tasks
@@ -260,6 +324,17 @@ class TestReportCommand:
             code, _, err = run_cli(capsys, "report", "--in", str(bad), *extra)
             assert code == EXIT_USAGE, text
             assert err.startswith("error:") and len(err.splitlines()) == 1
+        # a saved cell must hold its column's type: text or null in the text
+        # columns, a number a float holds or null in the others
+        for column, value in (("point", "abc"), ("kind", ["tail"]), ("point", 10**400),
+                              ("point", "inf")):
+            bad.write_text(json.dumps({"schema": 1, "master_seed": 1, "tasks": [],
+                                       "rows": [{**row, "point": 0.5, column: value}]}))
+            for fmt in ("json", "csv"):
+                code, stdout, err = run_cli(capsys, "report", "--in", str(bad), "--format", fmt)
+                assert code == EXIT_USAGE, (column, value, fmt)
+                assert err.startswith("error:") and len(err.splitlines()) == 1
+                assert f"rows[0].{column}" in err and stdout == ""
 
 
 BIG = str(10**400)

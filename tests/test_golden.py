@@ -16,10 +16,9 @@ from pathlib import Path
 import pytest
 
 from l1conc import montecarlo
-from l1conc.bounds import BoundSpec
+from l1conc.bounds import BoundFamily, BoundSpec
 from l1conc.experiment import (
     TASK_KEYS,
-    bound_family_from_name,
     emit_report,
     parse_config,
     run_experiment,
@@ -129,7 +128,7 @@ def test_every_tail_quantiles_and_falsify_row_replays_from_the_api():
             got = [(cdf, max(0.0, cdf - half), min(1.0, cdf + half))
                    for cdf in curve.cdf_estimates.tolist()]
         else:
-            verdicts = [falsify_bound(BoundSpec(bound_family_from_name(task["bound"]),
+            verdicts = [falsify_bound(BoundSpec(BoundFamily(task["bound"]),
                                                 task["n"], S, delta),
                                       task["trials"], seed, family=task["family"],
                                       ci_level=task["ci_level"])

@@ -32,9 +32,9 @@ from l1conc.errors import CapacityError, ConfigError, ValidationError
 from l1conc.experiment import (
     CSV_COLUMNS,
     FINITE_N,
-    REQUIRED_KEYS,
     TASK_KEYS,
     TASK_KINDS,
+    TEXT_COLUMNS,
     Report,
     TaskConfig,
     _task_cells,
@@ -122,10 +122,10 @@ def value_text(kind: str, key: str):
 @st.composite
 def valid_tasks(draw, kind=None):
     """A ``key -> text`` block that parses, drawn from the key table."""
-    kind = kind or draw(st.sampled_from(TASK_KINDS))
+    kind = kind or draw(st.sampled_from(list(TASK_KINDS)))
     family = draw(st.sampled_from(FAMILIES_OF[kind]))
     task = {"kind": kind, "family": family}
-    required = set(REQUIRED_KEYS[kind]) | ({"n"} if family in FINITE_N else set())
+    required = set(TASK_KINDS[kind].required) | ({"n"} if family in FINITE_N else set())
     for key in TASK_KEYS:
         if key != "family" and used(kind, family, key) and (
                 key in required or draw(st.booleans())):
@@ -189,19 +189,19 @@ def wild_text(kind: str, key: str):
 
 @st.composite
 def wild_tasks(draw):
-    """A ``key -> (lineno, text)`` block of the keys a task uses, and maybe
-    one more, each maybe holding a value out of its range."""
-    kind = draw(st.sampled_from(TASK_KINDS))
+    """A ``key -> text`` block of the keys a task uses, and maybe one more,
+    each maybe holding a value out of its range."""
+    kind = draw(st.sampled_from(list(TASK_KINDS)))
     family = draw(st.sampled_from(FAMILIES_OF[kind]))
-    task = {"kind": (0, kind), "family": (0, family)}
-    required = set(REQUIRED_KEYS[kind]) | ({"n"} if family in FINITE_N else set())
+    task = {"kind": kind, "family": family}
+    required = set(TASK_KINDS[kind].required) | ({"n"} if family in FINITE_N else set())
     for key in TASK_KEYS:
         if key != "family" and used(kind, family, key) and (
                 key in required or draw(st.booleans())):
-            task[key] = (0, draw(wild_text(kind, key)))
+            task[key] = draw(wild_text(kind, key))
     if draw(st.booleans()):  # any key, maybe one the task does not use
         key = draw(st.sampled_from([key for key in TASK_KEYS if key != "family"]))
-        task[key] = (0, draw(wild_text(kind, key)))
+        task[key] = draw(wild_text(kind, key))
     return task
 
 
@@ -219,9 +219,12 @@ def test_task_parser_and_cells_raise_only_documented_errors(raw):
         pass
 
 
-cells = st.one_of(st.none(), st.integers(-2**62, 2**62), st.text(max_size=8),
-                  st.floats(allow_nan=False))
-rows = st.fixed_dictionaries({c: cells for c in CSV_COLUMNS})
+numeric_cells = st.one_of(st.none(), st.integers(-2**62, 2**62), st.floats(allow_nan=False))
+text_cells = st.one_of(st.none(), st.text(max_size=8))
+cells = st.one_of(numeric_cells, text_cells)
+# a saved row holds text in its text columns and numbers in the others
+rows = st.fixed_dictionaries({c: text_cells if c in TEXT_COLUMNS else numeric_cells
+                              for c in CSV_COLUMNS})
 task_echoes = st.dictionaries(st.text(max_size=6), st.one_of(cells, st.lists(cells, max_size=3)),
                               max_size=4)
 
@@ -765,8 +768,7 @@ def outside_edges(interval: str) -> list[float]:
 def _build_real(kind: str, key: str, value: float) -> tuple[TaskConfig, list]:
     # the task of kind's block with key set to repr(value), and its errors
     errors = []
-    raw = {k: (0, v) for k, v in {**REAL_TASKS[kind], key: repr(value)}.items()}
-    return build_task(0, raw, errors), errors
+    return build_task(0, {**REAL_TASKS[kind], key: repr(value)}, errors), errors
 
 
 @pytest.mark.parametrize("kind,key,interval", REAL_KEYS, ids=[key for _, key, _ in REAL_KEYS])
