@@ -114,7 +114,7 @@ def _run(args) -> int:
     report = run_experiment(config)
     _write(emit_report(report, args.format), args.out)
     if args.plot_out:
-        _write(emit_plot_data(report, config.tasks[0].task_id), args.plot_out)
+        _write(emit_plot_data(report, config.tasks[0]["id"]), args.plot_out)
     return _exit_code(report)
 
 

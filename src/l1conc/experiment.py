@@ -1,9 +1,11 @@
 """Experiment configs, the task runner, and report serialization.
 
 The config format is a flat key-value text file with repeated ``[task]``
-blocks; see ``parse_config``.  Reports serialize to CSV or canonical JSON,
-and identical configs with the same master seed produce byte-identical
-reports regardless of worker count.
+blocks; see ``parse_config``.  A parsed task is a dict of its config keys,
+each holding its parsed value or its default, and a report echoes it as it
+is.  Reports serialize to CSV or canonical JSON, and identical configs with
+the same master seed produce byte-identical reports regardless of worker
+count.
 """
 
 import csv
@@ -12,7 +14,8 @@ import json
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, field
+from copy import copy, deepcopy
+from dataclasses import dataclass
 from functools import partial
 from statistics import NormalDist
 from typing import Callable, NamedTuple
@@ -60,44 +63,16 @@ CSV_COLUMNS = (
 )
 TEXT_COLUMNS = ("task_id", "kind", "family", "outcome")  # the others hold numbers
 
-# task echoes write a family's own value ("WeissmanUnion"), so each parses back
-_BOUND_ALIASES = {
-    "weissman-union": BoundFamily.WEISSMAN_UNION,
-    "weissman-exact": BoundFamily.WEISSMAN_EXACT,
-    **{family.value.lower(): family for family in BoundFamily},
-}
-
-
-@dataclass
-class TaskConfig:
-    task_id: str
-    kind: str
-    family: str = "multinomial"
-    bound: BoundFamily | None = None
-    S_values: list[int] = field(default_factory=list)
-    n: int | None = None
-    deltas: list[float] = field(default_factory=list)
-    thresholds: list[float] = field(default_factory=list)
-    grid: list[float] = field(default_factory=list)
-    trials: int = 10_000
-    D: float = 1.0
-    ci_level: float = 0.95
-    band_level: float = 0.05
-
-    def echo(self) -> dict:
-        out = {"id": self.task_id, "kind": self.kind}
-        for key, spec in TASK_KEYS.items():
-            value = getattr(self, spec.attr)
-            if isinstance(value, BoundFamily):
-                value = value.value
-            out[key] = list(value) if isinstance(value, list) else value
-        return out
+# a task holds a family's own value ("WeissmanUnion"), so its echo parses back
+_BOUND_ALIASES = {"weissman-union": BoundFamily.WEISSMAN_UNION.value,
+                  "weissman-exact": BoundFamily.WEISSMAN_EXACT.value,
+                  **{family.value.lower(): family.value for family in BoundFamily}}
 
 
 @dataclass
 class ExperimentConfig:
     master_seed: int
-    tasks: list[TaskConfig]
+    tasks: list[dict]  # each as build_task returns it
     workers: int | None = None  # a cap on the threads; None = every usable CPU
 
 
@@ -165,49 +140,51 @@ def _parse_bound(text, path):
 
 
 class TaskKey(NamedTuple):
-    """A ``[task]`` key: the TaskConfig attribute it sets, its parser
-    ``(text, path) -> value``, which raises ``ConfigError`` naming ``path``
-    at the first fault it finds, and the task kinds and families whose rows
-    it changes; anywhere else it is an error."""
+    """A ``[task]`` key: its parser ``(text, path) -> value``, which raises
+    ``ConfigError`` naming ``path`` at the first fault it finds, the value a
+    task holds where the key is unset, and the task kinds and families whose
+    rows it changes; anywhere else it is an error."""
 
-    attr: str
     parse: Callable
+    default: object = None
     kinds: tuple = tuple(TASK_KINDS)
     families: tuple = SOURCE_FAMILIES
 
 
 # every task key except ``kind``: config blocks and the CLI's task flags are
-# parsed by this table, and the report's task echo is written from it
+# parsed by this table into a task; the family's default is its kind's first
 TASK_KEYS = {
-    "family": TaskKey("family", lambda text, path: text),
-    "bound": TaskKey("bound", _parse_bound, ("falsify",)),
-    "S": TaskKey("S_values", partial(_parse_list, partial(_parse_integer, "S"))),
-    "n": TaskKey("n", partial(_parse_integer, "n"), families=FINITE_N),
-    "delta": TaskKey("deltas", partial(_parse_list, partial(_parse_real, "delta")), ("falsify",)),
-    "threshold": TaskKey("thresholds", partial(_parse_list, _parse_threshold), ("tail",)),
-    "grid": TaskKey("grid", _parse_grid, ("quantiles",)),
-    "trials": TaskKey("trials", partial(_parse_integer, "trials")),
-    "D": TaskKey("D", partial(_parse_real, "D"), families=("limit",)),
-    "ci_level": TaskKey("ci_level", partial(_parse_real, "level"),
+    "family": TaskKey(lambda text, path: text),
+    "bound": TaskKey(_parse_bound, None, ("falsify",)),
+    "S": TaskKey(partial(_parse_list, partial(_parse_integer, "S")), []),
+    "n": TaskKey(partial(_parse_integer, "n"), families=FINITE_N),
+    "delta": TaskKey(partial(_parse_list, partial(_parse_real, "delta")), [], ("falsify",)),
+    "threshold": TaskKey(partial(_parse_list, _parse_threshold), [], ("tail",)),
+    "grid": TaskKey(_parse_grid, [], ("quantiles",)),
+    "trials": TaskKey(partial(_parse_integer, "trials"), 10_000),
+    "D": TaskKey(partial(_parse_real, "D"), 1.0, families=("limit",)),
+    "ci_level": TaskKey(partial(_parse_real, "level"), 0.95,
                         ("falsify", "tail", "asymptotic-mean")),
-    "band_level": TaskKey("band_level", partial(_parse_real, "level"), ("quantiles",)),
+    "band_level": TaskKey(partial(_parse_real, "level"), 0.05, ("quantiles",)),
 }
 
 
-def build_task(index: int, raw: dict, errors: list) -> TaskConfig:
-    """Validate one ``[task]`` block of ``key -> text``, appending every
-    problem to ``errors`` as ``task[index].<key>: ...``."""
+def build_task(index: int, raw: dict, errors: list) -> dict:
+    """Validate one ``[task]`` block of ``key -> text`` into a task: a dict
+    of its ``id``, ``kind`` and every ``TASK_KEYS`` key, each holding its
+    parsed value or its default.  Every problem is appended to ``errors``
+    as ``task[index].<key>: ...``."""
     path = f"task[{index}]"
-    task = TaskConfig(task_id=f"task{index}", kind="")
     kind = raw.get("kind")
+    task = {"id": f"task{index}", "kind": kind,
+            **{key: copy(spec.default) for key, spec in TASK_KEYS.items()}}
     if kind not in TASK_KINDS:
         errors.append(f"{path}.kind: must be one of {', '.join(TASK_KINDS)}")
         return task
-    task.kind = kind
     rules = TASK_KINDS[kind]
-    task.family = raw.get("family", rules.families[0])
-    if task.family not in SOURCE_FAMILIES:
-        errors.append(f"{path}.family: unknown distribution family {task.family!r}")
+    family = task["family"] = raw.get("family", rules.families[0])
+    if family not in SOURCE_FAMILIES:
+        errors.append(f"{path}.family: unknown distribution family {family!r}")
         return task
 
     for key, text in raw.items():
@@ -218,34 +195,35 @@ def build_task(index: int, raw: dict, errors: list) -> TaskConfig:
             errors.append(f"{path}.{key}: unknown key")
         elif kind not in spec.kinds:
             errors.append(f"{path}.{key}: not used by {kind} tasks")
-        elif task.family not in spec.families:
-            errors.append(f"{path}.{key}: not used by the {task.family} family")
+        elif family not in spec.families:
+            errors.append(f"{path}.{key}: not used by the {family} family")
         else:
             try:
-                setattr(task, spec.attr, spec.parse(text, f"{path}.{key}"))
+                task[key] = spec.parse(text, f"{path}.{key}")
             except ConfigError as exc:
                 errors.append(str(exc))
 
-    for key in rules.required + (("n",) if task.family in FINITE_N else ()):
+    for key in rules.required + (("n",) if family in FINITE_N else ()):
         if key not in raw:
-            errors.append(f"{path}.{key}: required for {kind} tasks on the {task.family} family")
+            errors.append(f"{path}.{key}: required for {kind} tasks on the {family} family")
 
-    if task.family not in rules.families:
+    if family not in rules.families:
         errors.append(f"{path}.family: {kind} tasks run on the "
                       f"{' or '.join(rules.families)} family")
-    if len(task.S_values) > 1 and kind != "asymptotic-mean":
+    if len(task["S"]) > 1 and kind != "asymptotic-mean":
         errors.append(f"{path}.S: only asymptotic-mean tasks accept an S sweep")
-    if task.grid and any(b <= a for a, b in zip(task.grid, task.grid[1:])):
+    grid = task["grid"]
+    if any(b <= a for a, b in zip(grid, grid[1:])):
         errors.append(f"{path}.grid: must be strictly ascending")
-    if task.trials < rules.min_trials:
+    if task["trials"] < rules.min_trials:
         errors.append(f"{path}.trials: {kind} tasks need >= {rules.min_trials} trials")
-    if kind == "asymptotic-mean" and task.S_values:
+    if kind == "asymptotic-mean" and task["S"]:
         # a mean row holds D times the sample mean, its interval and E[Z];
         # each stays below 2^9·D·E[Z], since a draw at D = 1 is below
         # 14·sqrt(S) < 50·E[Z] (NumPy's normals are below 14 in magnitude)
         # and the interval's half-width is below 8.3 standard errors
-        S = max(task.S_values)
-        if not math.isfinite(2.0**10 * task.D * expected_Z(S)):
+        S = max(task["S"])
+        if not math.isfinite(2.0**10 * task["D"] * expected_Z(S)):
             errors.append(f"{path}.D: too large; the mean row at S = {S} could hold values "
                           "that are not finite")
     return task
@@ -284,7 +262,7 @@ def build_config(pairs: dict, blocks: list[dict]) -> ExperimentConfig:
     try:
         if "master_seed" not in pairs:
             raise ConfigError("master_seed: required (seeds are never auto-generated)")
-        master_seed = _parse_scalar(int, pairs["master_seed"], "master_seed")
+        master_seed = _parse_integer("word", pairs["master_seed"], "master_seed")
     except ConfigError as exc:
         errors.append(str(exc))
 
@@ -304,31 +282,31 @@ def parse_config(text: str) -> ExperimentConfig:
 # execution
 
 
-def _row(task: TaskConfig, seed: int, **kw) -> dict:
-    return {**dict.fromkeys(CSV_COLUMNS), "task_id": task.task_id, "kind": task.kind,
-            "family": task.family, "n": task.n, "D": task.D, "trials": task.trials,
+def _row(task: dict, seed: int, **kw) -> dict:
+    return {**dict.fromkeys(CSV_COLUMNS), "task_id": task["id"], "kind": task["kind"],
+            "family": task["family"], "n": task["n"], "D": task["D"], "trials": task["trials"],
             "seed": seed, **kw}
 
 
-def _cell_rows(task: TaskConfig, seed: int, S: int, thresholds, evaluations,
-               summary) -> list[dict]:
+def _cell_rows(task: dict, seed: int, S: int, thresholds, evaluations, summary) -> list[dict]:
     """The report rows of one cell of ``task`` at dimension ``S``, read from
     the summary of its sample: a mean row, one CDF row per grid point, or one
     tail row per threshold.  A falsify cell is a tail cell at its bounds'
     epsilons, each row then classified against its delta.  A summary's
-    moments are the law's, so a mean row multiplies them by ``task.D``."""
-    if task.kind == "asymptotic-mean":
-        z_crit = NormalDist().inv_cdf(0.5 + task.ci_level / 2.0)
-        mean = task.D * float(summary.mean)
-        se = task.D * math.sqrt(summary.variance) / math.sqrt(task.trials)
-        return [_row(task, seed, S=S, epsilon=task.D * expected_Z(S),
+    moments are the law's, so a mean row multiplies them by the task's D."""
+    D, trials = task["D"], task["trials"]
+    if task["kind"] == "asymptotic-mean":
+        z_crit = NormalDist().inv_cdf(0.5 + task["ci_level"] / 2.0)
+        mean = D * float(summary.mean)
+        se = D * math.sqrt(summary.variance) / math.sqrt(trials)
+        return [_row(task, seed, S=S, epsilon=D * expected_Z(S),
                      point=mean, ci_low=mean - z_crit * se, ci_high=mean + z_crit * se)]
-    if task.kind == "quantiles":
-        half = dkw_halfwidth(task.trials, task.band_level)
+    if task["kind"] == "quantiles":
+        half = dkw_halfwidth(trials, task["band_level"])
         return [_row(task, seed, S=S, threshold=g, point=cdf,
                      ci_low=max(0.0, cdf - half), ci_high=min(1.0, cdf + half))
-                for g, cdf in zip(task.grid, (summary.at_most / task.trials).tolist())]
-    estimates = [tail_estimate_from_count(threshold, int(k), task.trials, task.ci_level)
+                for g, cdf in zip(task["grid"], (summary.at_most / trials).tolist())]
+    estimates = [tail_estimate_from_count(threshold, int(k), trials, task["ci_level"])
                  for threshold, k in zip(thresholds, summary.at_least)]
     rows = [_row(task, seed, S=S, threshold=est.threshold, point=est.point,
                  ci_low=est.ci_low, ci_high=est.ci_high) for est in estimates]
@@ -339,7 +317,7 @@ def _cell_rows(task: TaskConfig, seed: int, S: int, thresholds, evaluations,
     return rows
 
 
-def _task_cells(task: TaskConfig, seed: int) -> list:
+def _task_cells(task: dict, seed: int) -> list:
     """``(request, rows)`` for every cell of a task: the sample the cell
     needs and the function that turns its summary into report rows.  A task
     has a cell per S; only asymptotic-mean tasks sweep S, so every other task
@@ -350,13 +328,14 @@ def _task_cells(task: TaskConfig, seed: int) -> list:
     counted divided by D, and its summary's moments are the law's, so its
     variance never holds D²."""
     cells = []
-    for S in task.S_values:
-        # the parser leaves deltas empty, so evaluations too, unless falsify
-        evaluations = [evaluate_bound(BoundSpec(task.bound, task.n, S, delta))
-                       for delta in task.deltas]
-        thresholds = tuple(e.epsilon for e in evaluations) or tuple(task.thresholds)
-        request = SampleRequest(DeviationSource(task.family, S, n=task.n, D=task.D), task.trials,
-                                thresholds=thresholds, grid=tuple(task.grid))
+    for S in task["S"]:
+        # the parser leaves delta empty, so evaluations too, unless falsify
+        evaluations = [evaluate_bound(BoundSpec(task["bound"], task["n"], S, delta))
+                       for delta in task["delta"]]
+        thresholds = tuple(e.epsilon for e in evaluations) or tuple(task["threshold"])
+        source = DeviationSource(task["family"], S, n=task["n"], D=task["D"])
+        request = SampleRequest(source, task["trials"], thresholds=thresholds,
+                                grid=tuple(task["grid"]))
         cells.append((request, partial(_cell_rows, task, seed, S, thresholds, evaluations)))
     return cells
 
@@ -370,7 +349,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
     usable CPU; it draws each law once, whatever the D of its cells, and
     each cell's summary holds the law's own moments.  A row depends only on
     its own task and the master seed, never on the other tasks, the worker
-    count or scheduling.
+    count or scheduling.  The report echoes each task as a copy of it.
     """
     seed = integer(config.master_seed, "master_seed", DOMAINS["word"], ConfigError)
     workers = _usable_cpus() if config.workers is None else config.workers
@@ -378,7 +357,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
     summaries = summarize_many([request for request, _ in cells], seed, workers)
     return Report(
         master_seed=seed,
-        tasks=[t.echo() for t in config.tasks],
+        tasks=deepcopy(config.tasks),
         rows=[row for (_, rows), summary in zip(cells, summaries) for row in rows(summary)],
     )
 
@@ -409,14 +388,17 @@ def report_from_dict(obj: dict) -> Report:
         raise ConfigError("report tasks and rows must be lists")
     if not all(isinstance(row, dict) for row in obj["rows"]):
         raise ConfigError("every report row must be an object")
+    version = obj.get("version", __version__)
+    if not isinstance(version, str):
+        raise ConfigError(f"report version must be a string, got {version!r}")
     for i, row in enumerate(obj["rows"]):
         for column in CSV_COLUMNS:
             _check_cell(row.get(column), f"rows[{i}].{column}", column in TEXT_COLUMNS)
     return Report(
-        master_seed=obj["master_seed"],
+        master_seed=integer(obj["master_seed"], "master_seed", DOMAINS["word"], ConfigError),
         tasks=obj["tasks"],
         rows=obj["rows"],
-        version=obj.get("version", __version__),
+        version=version,
     )
 
 

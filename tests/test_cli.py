@@ -336,6 +336,26 @@ class TestReportCommand:
                 assert err.startswith("error:") and len(err.splitlines()) == 1
                 assert f"rows[0].{column}" in err and stdout == ""
 
+    def test_reemit_refuses_a_bad_seed_or_version(self, capsys, tmp_path):
+        # a saved master seed is a 64-bit word and a saved version a string;
+        # a report holding anything else is refused, not re-emitted
+        bad = tmp_path / "r.json"
+        for fields, needle in (({"master_seed": "abc", "version": [1]}, "version"),
+                               ({"master_seed": "abc"}, "master_seed"),
+                               ({"master_seed": -5}, "master_seed"),
+                               ({"master_seed": 2**64}, "master_seed"),
+                               ({"version": [1]}, "version")):
+            bad.write_text(json.dumps({"schema": 1, "master_seed": 1, "tasks": [], "rows": [],
+                                       **fields}))
+            code, stdout, err = run_cli(capsys, "report", "--in", str(bad))
+            assert (code, stdout) == (EXIT_USAGE, ""), fields
+            assert err.startswith("error:") and len(err.splitlines()) == 1
+            assert needle in err, err
+        # the golden report passes both checks and re-emits byte for byte
+        code, stdout, _ = run_cli(capsys, "report", "--in", str(DATA / "golden.json"))
+        assert code == EXIT_VIOLATED
+        assert stdout.encode() == (DATA / "golden.json").read_bytes()
+
 
 BIG = str(10**400)
 TAIL = ("tail", "--seed", "4", "--S", "3", "--n", "50", "--threshold", "0.2", "--trials", "200")

@@ -47,15 +47,15 @@ class TestParseConfig:
         cfg = parse_config(MINIMAL_FALSIFY)
         assert cfg.master_seed == 7
         task = cfg.tasks[0]
-        assert task.kind == "falsify"
-        assert task.trials == 1000
-        assert task.ci_level == 0.95
-        assert task.D == 1.0
-        assert task.family == "multinomial"
+        assert task["kind"] == "falsify"
+        assert task["trials"] == 1000
+        assert task["ci_level"] == 0.95
+        assert task["D"] == 1.0
+        assert task["family"] == "multinomial"
 
     def test_default_trials(self):
         cfg = parse_config("master_seed = 1\n[task]\nkind = asymptotic-mean\nS = 5\n")
-        assert cfg.tasks[0].trials == 10_000
+        assert cfg.tasks[0]["trials"] == 10_000
 
     def test_missing_seed_rejected(self):
         with pytest.raises(ConfigError, match="master_seed"):
@@ -75,7 +75,7 @@ class TestParseConfig:
             parse_config(MINIMAL_FALSIFY + "trials = 200\n")
         # the same key in two blocks belongs to two tasks
         cfg = parse_config(MINIMAL_FALSIFY + MINIMAL_FALSIFY.split("\n", 2)[2])
-        assert [t.trials for t in cfg.tasks] == [1000, 1000]
+        assert [t["trials"] for t in cfg.tasks] == [1000, 1000]
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="bogus"):
@@ -101,6 +101,19 @@ class TestParseConfig:
             "task[0].grid: cannot parse 'a'; "
             "task[0].trials must be an integer >= 1 and < 2^62, got '0'; "
             "task[1].bound: unknown bound family 'nope'")
+
+    def test_bad_master_seed_reported_with_every_other_bad_key(self):
+        # the parser reads the seed against the domain of a 64-bit word, so a
+        # seed outside it is one more fault of the config's one error
+        for seed in ("-5", str(2**64)):
+            with pytest.raises(ConfigError) as exc:
+                parse_config(f"master_seed = {seed}\n[task]\nkind = asymptotic-mean\nS = 1\n")
+            assert str(exc.value) == (
+                f"master_seed must be an integer >= 0 and < 2^64, got {seed!r}; "
+                "task[0].S must be an integer >= 2 and < 2^64, got '1'")
+        # a config built through the API is checked by the runner
+        with pytest.raises(ConfigError, match="master_seed must be an integer"):
+            run_experiment(ExperimentConfig(master_seed=-5, tasks=[]))
 
     def test_sweep_longer_than_4096_values_runs(self):
         # sweeps have no length cap, and their rows come in order; every cell
@@ -143,7 +156,7 @@ class TestParseConfig:
             "# experiment\nmaster_seed = 3\n[task]\nkind = quantiles\n"
             "family = limit\nS = 10\ngrid = 0:2:5\ntrials = 100\n"
         )
-        assert cfg.tasks[0].grid == [0.0, 0.5, 1.0, 1.5, 2.0]
+        assert cfg.tasks[0]["grid"] == [0.0, 0.5, 1.0, 1.5, 2.0]
 
 
 class TestRunExperiment:
@@ -211,8 +224,8 @@ class TestRunExperiment:
         summary = montecarlo.SampleSummary(np.zeros(0), np.zeros(0), t, 0.0, float(t * (t - 1)))
         [row] = rows(summary)
         # the standard library's quantile, within an ulp or two of SciPy's
-        z = NormalDist().inv_cdf(0.5 + task.ci_level / 2.0)
-        assert row["ci_high"] == z == pytest.approx(norm.ppf(0.5 + task.ci_level / 2.0),
+        z = NormalDist().inv_cdf(0.5 + task["ci_level"] / 2.0)
+        assert row["ci_high"] == z == pytest.approx(norm.ppf(0.5 + task["ci_level"] / 2.0),
                                                     rel=1e-15)
 
 
@@ -272,9 +285,9 @@ class TestFalsifySweep:
         task = cfg.tasks[1]
         rows = [row for row in run_experiment(cfg).rows if row["kind"] == "falsify"]
         source = DeviationSource("multinomial", 3, n=100)
-        for row, delta in zip(rows, task.deltas, strict=True):
-            epsilon = evaluate_bound(BoundSpec(task.bound, task.n, 3, delta)).epsilon
-            est = _law_tail(source, task.trials, cfg.master_seed, epsilon)
+        for row, delta in zip(rows, task["delta"], strict=True):
+            epsilon = evaluate_bound(BoundSpec(task["bound"], task["n"], 3, delta)).epsilon
+            est = _law_tail(source, task["trials"], cfg.master_seed, epsilon)
             assert (row["epsilon"], row["point"], row["ci_low"], row["ci_high"],
                     row["outcome"]) == (epsilon, est.point, est.ci_low, est.ci_high,
                                         classify_verdict(est, delta))
@@ -330,9 +343,9 @@ class TestSharedLaw:
         task = cfg.tasks[1]
         source = DeviationSource("multinomial", 5, n=100)
         agrawal = [row for row in rows if row["task_id"] == "task1"]
-        for row, delta in zip(agrawal, task.deltas, strict=True):
-            epsilon = evaluate_bound(BoundSpec(task.bound, task.n, 5, delta)).epsilon
-            est = _law_tail(source, task.trials, cfg.master_seed, epsilon)
+        for row, delta in zip(agrawal, task["delta"], strict=True):
+            epsilon = evaluate_bound(BoundSpec(task["bound"], task["n"], 5, delta)).epsilon
+            est = _law_tail(source, task["trials"], cfg.master_seed, epsilon)
             assert (row["epsilon"], row["point"], row["ci_low"], row["ci_high"],
                     row["outcome"]) == (epsilon, est.point, est.ci_low, est.ci_high,
                                         classify_verdict(est, delta))

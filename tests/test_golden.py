@@ -19,8 +19,10 @@ from l1conc import montecarlo
 from l1conc.bounds import BoundFamily, BoundSpec
 from l1conc.experiment import (
     TASK_KEYS,
+    TASK_KINDS,
     emit_report,
     parse_config,
+    read_blocks,
     run_experiment,
 )
 from l1conc.montecarlo import (
@@ -54,13 +56,28 @@ def _chunk_method(S: int, n: int) -> str:
 
 
 def test_golden_covers_every_kind_and_family(config):
-    assert {t.kind for t in config.tasks} == {"tail", "quantiles", "falsify",
-                                               "asymptotic-mean"}
-    assert {t.family for t in config.tasks} == {"multinomial", "dirichlet", "limit"}
+    assert {t["kind"] for t in config.tasks} == {"tail", "quantiles", "falsify",
+                                                  "asymptotic-mean"}
+    assert {t["family"] for t in config.tasks} == {"multinomial", "dirichlet", "limit"}
     # and one multinomial law of each chunk method, read from its cutoffs
-    methods = [_chunk_method(S, t.n) for t in config.tasks if t.family == "multinomial"
-               for S in t.S_values]
+    methods = [_chunk_method(S, t["n"]) for t in config.tasks if t["family"] == "multinomial"
+               for S in t["S"]]
     assert set(methods) == {"counted", "poissonized", "chained"}, methods
+
+
+def test_a_task_is_its_config_keys_and_its_echo(config):
+    # a parsed task holds its id, its kind and every task key: each key its
+    # block sets at its parsed value, each other at its default (a family at
+    # its kind's first); the report echoes the task as it is
+    _, blocks = read_blocks((DATA / "golden.ini").read_text())
+    for i, (task, block) in enumerate(zip(config.tasks, blocks, strict=True)):
+        assert set(task) == {"id", "kind", *TASK_KEYS}
+        assert (task["id"], task["kind"]) == (f"task{i}", block["kind"])
+        unset = {key: spec.default for key, spec in TASK_KEYS.items() if key not in block}
+        unset["family"] = block.get("family", TASK_KINDS[block["kind"]].families[0])
+        assert {key: task[key] for key in unset} == unset
+    report = run_experiment(replace(config, workers=1))
+    assert json.loads(json.dumps(report.tasks)) == config.tasks
 
 
 def test_rows_hold_plain_python_values(config):

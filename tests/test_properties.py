@@ -36,7 +36,6 @@ from l1conc.experiment import (
     TASK_KINDS,
     TEXT_COLUMNS,
     Report,
-    TaskConfig,
     _task_cells,
     build_task,
     emit_report,
@@ -151,9 +150,9 @@ def echo_to_block(echo: dict) -> dict:
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32), tasks=st.lists(valid_tasks(), min_size=1, max_size=3))
 def test_config_echo_round_trip(seed, tasks):
-    echoes = [t.echo() for t in parse_config(config_text(seed, tasks)).tasks]
+    echoes = parse_config(config_text(seed, tasks)).tasks
     again = parse_config(config_text(seed, [echo_to_block(e) for e in echoes]))
-    assert [t.echo() for t in again.tasks] == echoes
+    assert again.tasks == echoes
 
 
 UNUSED = [(kind, family, key) for kind in TASK_KINDS for family in SOURCE_FAMILIES
@@ -765,7 +764,7 @@ def outside_edges(interval: str) -> list[float]:
             hi if interval[-1] == ")" else math.nextafter(hi, math.inf)]
 
 
-def _build_real(kind: str, key: str, value: float) -> tuple[TaskConfig, list]:
+def _build_real(kind: str, key: str, value: float) -> tuple[dict, list]:
     # the task of kind's block with key set to repr(value), and its errors
     errors = []
     return build_task(0, {**REAL_TASKS[kind], key: repr(value)}, errors), errors
@@ -779,7 +778,7 @@ def test_parser_reads_real_keys_in_their_domain_alone(kind, key, interval):
     for edge in admitted_edges(interval):
         task, errors = _build_real(kind, key, edge)
         assert errors == [], edge
-        value = getattr(task, TASK_KEYS[key].attr)
+        value = task[key]
         assert value == ([edge] if isinstance(value, list) else edge)
     for bad in outside_edges(interval) + [math.nan, math.inf, -math.inf]:
         _, errors = _build_real(kind, key, bad)
