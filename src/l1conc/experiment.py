@@ -5,7 +5,9 @@ blocks; see ``parse_config``.  A parsed task is a dict of its config keys,
 each holding its parsed value or its default, and a report echoes it as it
 is.  Reports serialize to CSV or canonical JSON, and identical configs with
 the same master seed produce byte-identical reports regardless of worker
-count.
+count.  A saved report is read back only if each task echo is what
+``build_task`` makes of its ``task_block`` and each row holds its task's
+``TASK_COLUMNS`` and the master seed.
 """
 
 import csv
@@ -27,6 +29,8 @@ from .asymptotic import expected_Z
 from .bounds import BoundFamily, BoundSpec, evaluate_bound
 from .errors import DOMAINS, INTERVALS, CapacityError, ConfigError, ValidationError, integer, real
 from .montecarlo import (
+    FALSIFY_MIN_TRIALS,
+    FINITE_N,
     SOURCE_FAMILIES,
     DeviationSource,
     SampleRequest,
@@ -39,8 +43,6 @@ from .montecarlo import (
 
 SCHEMA_VERSION = 1
 
-FINITE_N = ("multinomial", "dirichlet")
-
 # a task kind's rules: the keys it requires (a finite-n family also requires
 # ``n``), the families it runs on, default first, its fewest trials, and its
 # plot data, the column names and the row keys they hold
@@ -50,18 +52,18 @@ TASK_KINDS = {
     "tail": TaskKind(("S", "threshold"), SOURCE_FAMILIES, 1, (_CURVE, _CURVE)),
     "quantiles": TaskKind(("S", "grid"), SOURCE_FAMILIES, 1,
                           (("threshold", "cdf", "cdf_low", "cdf_high"), _CURVE)),
-    "falsify": TaskKind(("S", "bound", "delta"), FINITE_N, 100,
+    "falsify": TaskKind(("S", "bound", "delta"), FINITE_N, FALSIFY_MIN_TRIALS,
                         (("delta", "point", "ci_low", "ci_high", "claimed"),
                          ("delta", "point", "ci_low", "ci_high", "delta"))),
     "asymptotic-mean": TaskKind(("S",), ("limit",), 2,
                                 (("S", "mean", "expected"), ("S", "point", "epsilon"))),
 }
 
-CSV_COLUMNS = (
-    "task_id", "kind", "family", "S", "n", "delta", "D", "threshold",
-    "epsilon", "point", "ci_low", "ci_high", "outcome", "trials", "seed",
-)
-TEXT_COLUMNS = ("task_id", "kind", "family", "outcome")  # the others hold numbers
+# a row's columns in CSV order, each cell null or of its type (an int a float holds is a float)
+COLUMNS = {"task_id": str, "kind": str, "family": str, "S": float, "n": float, "delta": float,
+           "D": float, "threshold": float, "epsilon": float, "point": float, "ci_low": float,
+           "ci_high": float, "outcome": str, "trials": float, "seed": float}
+TASK_COLUMNS = ("kind", "n", "D", "trials")  # the columns a row copies from its task
 
 # a task holds a family's own value ("WeissmanUnion"), so its echo parses back
 _BOUND_ALIASES = {"weissman-union": BoundFamily.WEISSMAN_UNION.value,
@@ -229,6 +231,15 @@ def build_task(index: int, raw: dict, errors: list) -> dict:
     return task
 
 
+def task_block(task: dict) -> dict:
+    """The ``key -> text`` block ``build_task`` parses back into ``task``: its
+    ``kind`` and every other key not at its default, a list as its items'
+    reprs joined by commas, a string as it is, anything else by its repr."""
+    text = {list: lambda value: ",".join(map(repr, value)), str: str}
+    return {key: text.get(type(task[key]), repr)(task[key]) for key in ("kind", *TASK_KEYS)
+            if key == "kind" or task[key] != TASK_KEYS[key].default}
+
+
 def read_blocks(text: str) -> tuple[dict, list[dict]]:
     """The top-level ``key -> text`` pairs of a config and its ``[task]``
     blocks, each ``key -> text``.  A syntax error or a repeated key raises
@@ -283,9 +294,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _row(task: dict, seed: int, **kw) -> dict:
-    return {**dict.fromkeys(CSV_COLUMNS), "task_id": task["id"], "kind": task["kind"],
-            "family": task["family"], "n": task["n"], "D": task["D"], "trials": task["trials"],
-            "seed": seed, **kw}
+    return {**dict.fromkeys(COLUMNS), **{column: task[column] for column in TASK_COLUMNS},
+            "task_id": task["id"], "family": task["family"], "seed": seed, **kw}
 
 
 def _cell_rows(task: dict, seed: int, S: int, thresholds, evaluations, summary) -> list[dict]:
@@ -377,6 +387,7 @@ def report_to_dict(report: Report) -> dict:
 
 
 def report_from_dict(obj: dict) -> Report:
+    """A saved report, or a ``ConfigError`` naming its first fault (see the module docstring)."""
     if not isinstance(obj, dict):
         raise ConfigError("a report must be a JSON object")
     if obj.get("schema") != SCHEMA_VERSION:
@@ -391,24 +402,42 @@ def report_from_dict(obj: dict) -> Report:
     version = obj.get("version", __version__)
     if not isinstance(version, str):
         raise ConfigError(f"report version must be a string, got {version!r}")
+    _check_finite(obj["rows"], "rows")
     for i, row in enumerate(obj["rows"]):
-        for column in CSV_COLUMNS:
-            _check_cell(row.get(column), f"rows[{i}].{column}", column in TEXT_COLUMNS)
-    return Report(
-        master_seed=integer(obj["master_seed"], "master_seed", DOMAINS["word"], ConfigError),
-        tasks=obj["tasks"],
-        rows=obj["rows"],
-        version=version,
-    )
+        for column, holds in COLUMNS.items():
+            value = row.get(column)
+            fits = type(value) is int and abs(value) <= sys.float_info.max  # a float holds it
+            if not (value is None or isinstance(value, holds) or holds is float and fits):
+                kind = "a string" if holds is str else "a real number"
+                raise ConfigError(f"rows[{i}].{column} must be {kind} or null, got {value!r}")
+    seed = integer(obj["master_seed"], "master_seed", DOMAINS["word"], ConfigError)
+    tasks = {f"task{i}": _check_task(i, task) for i, task in enumerate(obj["tasks"])}
+    for i, row in enumerate(obj["rows"]):
+        task = tasks.get(row.get("task_id"))
+        if task is None:
+            raise ConfigError(f"rows[{i}].task_id: {row.get('task_id')!r} names no task")
+        for column, value in (*((c, task[c]) for c in TASK_COLUMNS), ("seed", seed)):
+            if repr(row.get(column)) != repr(value):  # repr tells 2 from 2.0
+                raise ConfigError(f"rows[{i}].{column}: holds {row.get(column)!r}, not {value!r}")
+    return Report(master_seed=seed, tasks=obj["tasks"], rows=obj["rows"], version=version)
 
 
-def _check_cell(value, path: str, text: bool):
-    # a text cell holds a string or null, any other null or a number: a float
-    # (a non-finite one is left to _check_finite) or an integer a float holds
-    number = isinstance(value, float) or type(value) is int and abs(value) <= sys.float_info.max
-    if value is not None and not (isinstance(value, str) if text else number):
-        kind = "a string" if text else "a real number"
-        raise ConfigError(f"{path} must be {kind} or null, got {value!r}")
+def _check_task(i: int, task) -> dict:
+    path = f"tasks[{i}]"
+    if not isinstance(task, dict):
+        raise ConfigError(f"{path} must be an object, got {task!r}")
+    for key in sorted(task.keys() ^ {"id", "kind", *TASK_KEYS}):
+        raise ConfigError(f"{path}.{key}: {'unknown key' if key in task else 'missing'}")
+    for key, spec in TASK_KEYS.items():
+        if isinstance(spec.default, list) and not isinstance(task[key], list):  # no grid span
+            raise ConfigError(f"{path}.{key} must be a list, got {task[key]!r}")
+    errors = []
+    built = build_task(i, task_block(task), errors)  # which the echo must equal
+    errors += [f"task[{i}].{key}: holds {task[key]!r}, but its block builds {value!r}"
+               for key, value in built.items() if repr(task[key]) != repr(value)]
+    if errors:  # build_task's own message, at the report's path
+        raise ConfigError(errors[0].replace(f"task[{i}]", path, 1))
+    return task
 
 
 def _check_finite(value, path: str):
@@ -431,14 +460,13 @@ def emit_report(report: Report, fmt: str = "json") -> bytes:
     obj = report_to_dict(report)
     _check_finite(obj, "report")
     if fmt == "json":
-        text = json.dumps(obj, indent=2, sort_keys=True)
-        return (text + "\n").encode()
+        return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
     if fmt == "csv":
         out = io.StringIO()
         # floats go out by repr, None as an empty cell; a comma is quoted
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows([row.get(c) for c in CSV_COLUMNS] for row in report.rows)
+        writer.writerow(COLUMNS)
+        writer.writerows([row.get(c) for c in COLUMNS] for row in report.rows)
         return out.getvalue().encode()
     raise ConfigError(f"unknown report format {fmt!r}")
 

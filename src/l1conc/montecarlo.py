@@ -92,6 +92,8 @@ _BATCH = 8
 MAX_EXACT_WORK = 10**10
 
 SOURCE_FAMILIES = ("multinomial", "dirichlet", "limit")
+FINITE_N = ("multinomial", "dirichlet")  # the families with a sample size n
+FALSIFY_MIN_TRIALS = 100  # the fewest trials a falsify call accepts
 
 
 @dataclass(frozen=True)
@@ -757,8 +759,8 @@ def falsify_bound(spec: BoundSpec, trials: int, master_seed: int, *,
                   stream: int = 0, workers: int = 1) -> Verdict:
     """Estimate the exceedance probability at the bound's own threshold (uniform
     p) and classify the claim as Violated / Consistent / Inconclusive."""
-    trials = integer(trials, "trials", (100, DOMAINS["trials"][1]))
-    if family not in ("multinomial", "dirichlet"):
+    trials = integer(trials, "trials", (FALSIFY_MIN_TRIALS, DOMAINS["trials"][1]))
+    if family not in FINITE_N:
         raise ValidationError(f"unsupported distribution family {family!r}")
     evaluation = evaluate_bound(spec)
     estimate = estimate_tail_probability(DeviationSource(family, spec.S, n=spec.n),

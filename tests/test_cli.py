@@ -8,7 +8,7 @@ import pytest
 
 from l1conc import experiment, montecarlo
 from l1conc.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USAGE, EXIT_VIOLATED, main
-from l1conc.experiment import CSV_COLUMNS
+from l1conc.experiment import COLUMNS
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -88,7 +88,7 @@ class TestOtherCommands:
         )
         assert code == EXIT_OK
         lines = stdout.splitlines()
-        assert lines[0] == ",".join(CSV_COLUMNS)
+        assert lines[0] == ",".join(COLUMNS)
         assert len(lines) == 3
 
     def test_tail_command(self, capsys):
@@ -250,7 +250,54 @@ def test_config_runs_every_task_whatever_the_subcommand(capsys, tmp_path, comman
     assert out.read_bytes() == (DATA / "golden.json").read_bytes()
 
 
+def _golden_with(edit):
+    report = json.loads((DATA / "golden.json").read_text())
+    edit(report)
+    return report
+
+
+# (saved report, the path its error line names): a saved report that is not
+# one the runner could write, in a task echo or a row
+SAVED_FAULTS = [
+    pytest.param({"schema": 1, "master_seed": 1, "tasks": [1, "x"], "rows": []}, "tasks[0]",
+                 id="tasks-not-objects"),
+    pytest.param(_golden_with(lambda r: r["tasks"][0].update(S=[1])), "tasks[0].S", id="S-1"),
+    pytest.param(_golden_with(lambda r: r["tasks"][0].update(delta=[0.1])), "tasks[0].delta",
+                 id="delta-on-tail"),
+    pytest.param(_golden_with(lambda r: r["tasks"][0].update(trials="x")), "tasks[0].trials",
+                 id="trials-text"),
+    pytest.param(_golden_with(lambda r: r["tasks"][0].update(grid=[0.9, 0.5])), "tasks[0].grid",
+                 id="grid-on-tail"),
+    pytest.param(_golden_with(lambda r: r["tasks"][3].update(grid=[0.6, 0.5])), "tasks[3].grid",
+                 id="grid-descending"),
+    pytest.param(_golden_with(lambda r: r["tasks"][2].update(grid="0:1:1000000000")),
+                 "tasks[2].grid", id="grid-span-text"),
+    pytest.param(_golden_with(lambda r: r["tasks"][0].pop("D")), "tasks[0].D", id="D-missing"),
+    pytest.param(_golden_with(lambda r: r["tasks"][2].update(D=2)), "tasks[2].D", id="D-int"),
+    pytest.param(_golden_with(lambda r: r["tasks"][0].update(id="task7")), "tasks[0].id",
+                 id="id-moved"),
+    pytest.param(_golden_with(lambda r: r["tasks"].__setitem__(0, 1)), "tasks[0]",
+                 id="task-a-number"),
+    pytest.param(_golden_with(lambda r: r["rows"][0].update(task_id="task9")),
+                 "rows[0].task_id", id="row-of-no-task"),
+    pytest.param(_golden_with(lambda r: r["rows"][0].update(n=21)), "rows[0].n", id="row-n"),
+    pytest.param(_golden_with(lambda r: r["rows"][0].update(seed=1)), "rows[0].seed",
+                 id="row-seed"),
+]
+
+
 class TestReportCommand:
+    @pytest.mark.parametrize("saved,path", SAVED_FAULTS)
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_reemit_refuses_what_the_runner_cannot_write(self, capsys, tmp_path, saved, path,
+                                                         fmt):
+        bad = tmp_path / "r.json"
+        bad.write_text(json.dumps(saved))
+        code, stdout, err = run_cli(capsys, "report", "--in", str(bad), "--format", fmt)
+        assert (code, stdout) == (EXIT_USAGE, "")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith(f"error: {path}"), err
+
     def test_reemit_byte_identical(self, capsys, tmp_path):
         out = tmp_path / "r.json"
         run_cli(
@@ -269,7 +316,7 @@ class TestReportCommand:
         )
         code, stdout, _ = run_cli(capsys, "report", "--in", str(out), "--format", "csv")
         assert code == EXIT_OK
-        assert stdout.splitlines()[0] == ",".join(CSV_COLUMNS)
+        assert stdout.splitlines()[0] == ",".join(COLUMNS)
 
     @pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN"])
     @pytest.mark.parametrize("fmt", ["json", "csv", "plot"])

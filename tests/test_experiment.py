@@ -12,7 +12,7 @@ from l1conc import montecarlo
 from l1conc.bounds import BoundFamily, BoundSpec, evaluate_bound
 from l1conc.errors import ConfigError
 from l1conc.experiment import (
-    CSV_COLUMNS,
+    COLUMNS,
     ExperimentConfig,
     Report,
     _task_cells,
@@ -478,13 +478,13 @@ class TestEmitReport:
     def test_empty_csv_is_header_only(self):
         report = run_experiment(ExperimentConfig(master_seed=1, tasks=[]))
         text = emit_report(report, "csv").decode()
-        assert text == ",".join(CSV_COLUMNS) + "\n"
+        assert text == ",".join(COLUMNS) + "\n"
 
     def test_csv_row_fields(self):
         report = run_experiment(parse_config(MINIMAL_FALSIFY))
         lines = emit_report(report, "csv").decode().splitlines()
         assert len(lines) == 2
-        cells = dict(zip(CSV_COLUMNS, lines[1].split(",")))
+        cells = dict(zip(COLUMNS, lines[1].split(",")))
         assert cells["outcome"] in ("Violated", "Consistent", "Inconclusive")
         assert cells["task_id"] == "task0"
         assert cells["seed"] == "7"
@@ -493,7 +493,7 @@ class TestEmitReport:
         row = {"task_id": "a,b", "kind": "tail", "point": [1, 2]}
         text = emit_report(Report(master_seed=1, tasks=[], rows=[row]), "csv").decode()
         header, cells = csv.reader(io.StringIO(text))
-        assert len(cells) == len(CSV_COLUMNS) == 15
+        assert len(cells) == len(COLUMNS) == 15
         got = dict(zip(header, cells))
         assert (got["task_id"], got["kind"], got["point"], got["seed"]) == (
             "a,b", "tail", "[1, 2]", "")

@@ -4,6 +4,7 @@ chunk scheduler, the exact oracle, the Clopper-Pearson interval and the
 domain of every public integer and real argument."""
 
 import contextlib
+import io
 import itertools
 import json
 import operator
@@ -11,6 +12,7 @@ import re
 import math
 import numbers
 import tempfile
+from copy import deepcopy
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -30,17 +32,16 @@ from l1conc.bounds import BoundFamily, BoundSpec, agrawal_epsilon, devroye_valid
 from l1conc.cli import main
 from l1conc.errors import CapacityError, ConfigError, ValidationError
 from l1conc.experiment import (
-    CSV_COLUMNS,
+    COLUMNS,
     FINITE_N,
     TASK_KEYS,
     TASK_KINDS,
-    TEXT_COLUMNS,
     Report,
     _task_cells,
     build_task,
     emit_report,
     parse_config,
-    report_to_dict,
+    task_block,
 )
 from l1conc.montecarlo import (
     SOURCE_FAMILIES,
@@ -137,21 +138,11 @@ def config_text(seed: int, tasks: list[dict]) -> str:
     return f"master_seed = {seed}\n" + "".join(blocks)
 
 
-def echo_to_block(echo: dict) -> dict:
-    """The config block of a task echo: every set key its task uses."""
-    block = {"kind": echo["kind"]}
-    for key in TASK_KEYS:
-        value = echo[key]
-        if value not in (None, []) and used(echo["kind"], echo["family"], key):
-            block[key] = ",".join(map(repr, value)) if isinstance(value, list) else value
-    return block
-
-
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32), tasks=st.lists(valid_tasks(), min_size=1, max_size=3))
 def test_config_echo_round_trip(seed, tasks):
     echoes = parse_config(config_text(seed, tasks)).tasks
-    again = parse_config(config_text(seed, [echo_to_block(e) for e in echoes]))
+    again = parse_config(config_text(seed, [task_block(e) for e in echoes]))
     assert again.tasks == echoes
 
 
@@ -221,39 +212,62 @@ def test_task_parser_and_cells_raise_only_documented_errors(raw):
 numeric_cells = st.one_of(st.none(), st.integers(-2**62, 2**62), st.floats(allow_nan=False))
 text_cells = st.one_of(st.none(), st.text(max_size=8))
 cells = st.one_of(numeric_cells, text_cells)
-# a saved row holds text in its text columns and numbers in the others
-rows = st.fixed_dictionaries({c: text_cells if c in TEXT_COLUMNS else numeric_cells
-                              for c in CSV_COLUMNS})
-task_echoes = st.dictionaries(st.text(max_size=6), st.one_of(cells, st.lists(cells, max_size=3)),
-                              max_size=4)
+GOLDEN = json.loads((Path(__file__).resolve().parent / "data" / "golden.json").read_text())
 
 
-@settings(max_examples=50, deadline=None)
-@given(seed=st.integers(0, 2**63), tasks=st.lists(task_echoes, max_size=3),
-       rows=st.lists(rows, max_size=4), fmt=st.sampled_from(["json", "csv"]))
-def test_report_reemit_byte_identical(seed, tasks, rows, fmt):
-    # a report holds finite numbers only: one with an infinite float is
-    # refused in either format, whether emitted from memory or re-read from
-    # a file whose bare Infinity tokens json.load takes
-    report = Report(master_seed=seed, tasks=tasks, rows=rows)
-    text = json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+@st.composite
+def golden_edits(draw):
+    """The golden report with one key of a task echo, or one cell of a row,
+    deleted or set to a drawn value: any cell or list of cells, or the value
+    the key holds in another golden task or row."""
+    report = deepcopy(GOLDEN)
+    if draw(st.booleans()):
+        target = draw(st.sampled_from(report["tasks"]))
+        key = draw(st.sampled_from([*TASK_KEYS, "id", "kind", "extra"]))
+        others = [task[key] for task in GOLDEN["tasks"] if key in task]
+    else:
+        target = draw(st.sampled_from(report["rows"]))
+        key = draw(st.sampled_from(list(COLUMNS)))
+        others = [row[key] for row in GOLDEN["rows"]]
+    if key in target and draw(st.integers(0, 9)) == 0:
+        del target[key]
+    else:
+        values = [cells, st.lists(cells, max_size=3)] + [st.sampled_from(others)] * bool(others)
+        target[key] = draw(st.one_of(values))
+    return report
+
+
+@settings(max_examples=150, deadline=None)
+@given(saved=golden_edits(), fmt=st.sampled_from(["json", "csv"]))
+def test_report_reemit_byte_identical(saved, fmt):
+    # a report read back is one the runner could write: an edit to a task echo
+    # or a row cell either re-emits byte for byte or is refused with exit 1
+    # and one error line; a report holding an infinite float is refused in
+    # either format, whether emitted from memory or re-read from a file whose
+    # bare Infinity tokens json.load takes
+    report = Report(master_seed=saved["master_seed"], tasks=saved["tasks"], rows=saved["rows"],
+                    version=saved["version"])
+    text = json.dumps(saved, indent=2, sort_keys=True) + "\n"
     try:
-        json.dumps(report_to_dict(report), allow_nan=False)
+        json.dumps(saved, allow_nan=False)
         finite = True
     except ValueError:  # an infinite float
         finite = False
     with tempfile.TemporaryDirectory() as tmp:
-        saved, out = Path(tmp, "r.json"), Path(tmp, "out")
-        saved.write_text(text)
-        code = main(["report", "--in", str(saved), "--format", fmt, "--out", str(out)])
-        if not finite:
-            assert code == 1 and not out.exists()
-            with pytest.raises(ConfigError, match="not finite"):
-                emit_report(report, fmt)
-            return
-        assert code in (0, 10)
-        assert saved.read_bytes() == emit_report(report, "json")
-        assert out.read_bytes() == emit_report(report, fmt)
+        path, out, err = Path(tmp, "r.json"), Path(tmp, "out"), io.StringIO()
+        path.write_text(text)
+        with contextlib.redirect_stderr(err):
+            code = main(["report", "--in", str(path), "--format", fmt, "--out", str(out)])
+        if code == 1:
+            assert not out.exists()
+            assert err.getvalue().startswith("error:") and len(err.getvalue().splitlines()) == 1
+        else:
+            assert code in (0, 10) and err.getvalue() == ""
+            assert out.read_bytes() == (text.encode() if fmt == "json" else emit_report(report, fmt))
+    if not finite:
+        assert code == 1
+        with pytest.raises(ConfigError, match="not finite"):
+            emit_report(report, fmt)
 
 
 words = st.integers(0, 2**64 - 1)
