@@ -6,15 +6,16 @@ each holding its parsed value or its default, and a report echoes it as it
 is.  Reports serialize to CSV or canonical JSON, and identical configs with
 the same master seed produce byte-identical reports regardless of worker
 count.  A saved report is read back only if each task echo is what
-``build_task`` makes of its ``task_block`` and each row holds its task's
-``TASK_COLUMNS`` and the master seed.
+``build_task`` makes of its ``task_block`` and its rows are the rows its
+tasks make: ``_task_cells`` fixes every column but the three sample cells,
+which are taken as saved, and a falsify row's outcome must be the verdict
+its saved interval gives.
 """
 
 import csv
 import io
 import json
 import math
-import sys
 from collections import namedtuple
 from copy import copy, deepcopy
 from dataclasses import dataclass
@@ -59,11 +60,11 @@ TASK_KINDS = {
                                 (("S", "mean", "expected"), ("S", "point", "epsilon"))),
 }
 
-# a row's columns in CSV order, each cell null or of its type (an int a float holds is a float)
-COLUMNS = {"task_id": str, "kind": str, "family": str, "S": float, "n": float, "delta": float,
-           "D": float, "threshold": float, "epsilon": float, "point": float, "ci_low": float,
-           "ci_high": float, "outcome": str, "trials": float, "seed": float}
-TASK_COLUMNS = ("kind", "n", "D", "trials")  # the columns a row copies from its task
+# a row's columns in CSV order
+COLUMNS = ("task_id", "kind", "family", "S", "n", "delta", "D", "threshold", "epsilon", "point",
+           "ci_low", "ci_high", "outcome", "trials", "seed")
+# a row's sample cells: the only columns its task and the master seed do not fix
+Sample = namedtuple("Sample", "point ci_low ci_high")
 
 # a task holds a family's own value ("WeissmanUnion"), so its echo parses back
 _BOUND_ALIASES = {"weissman-union": BoundFamily.WEISSMAN_UNION.value,
@@ -293,50 +294,19 @@ def parse_config(text: str) -> ExperimentConfig:
 # execution
 
 
-def _row(task: dict, seed: int, **kw) -> dict:
-    return {**dict.fromkeys(COLUMNS), **{column: task[column] for column in TASK_COLUMNS},
-            "task_id": task["id"], "family": task["family"], "seed": seed, **kw}
-
-
-def _cell_rows(task: dict, seed: int, S: int, thresholds, evaluations, summary) -> list[dict]:
-    """The report rows of one cell of ``task`` at dimension ``S``, read from
-    the summary of its sample: a mean row, one CDF row per grid point, or one
-    tail row per threshold.  A falsify cell is a tail cell at its bounds'
-    epsilons, each row then classified against its delta.  A summary's
-    moments are the law's, so a mean row multiplies them by the task's D."""
-    D, trials = task["D"], task["trials"]
-    if task["kind"] == "asymptotic-mean":
-        z_crit = NormalDist().inv_cdf(0.5 + task["ci_level"] / 2.0)
-        mean = D * float(summary.mean)
-        se = D * math.sqrt(summary.variance) / math.sqrt(trials)
-        return [_row(task, seed, S=S, epsilon=D * expected_Z(S),
-                     point=mean, ci_low=mean - z_crit * se, ci_high=mean + z_crit * se)]
-    if task["kind"] == "quantiles":
-        half = dkw_halfwidth(trials, task["band_level"])
-        return [_row(task, seed, S=S, threshold=g, point=cdf,
-                     ci_low=max(0.0, cdf - half), ci_high=min(1.0, cdf + half))
-                for g, cdf in zip(task["grid"], (summary.at_most / trials).tolist())]
-    estimates = [tail_estimate_from_count(threshold, int(k), trials, task["ci_level"])
-                 for threshold, k in zip(thresholds, summary.at_least)]
-    rows = [_row(task, seed, S=S, threshold=est.threshold, point=est.point,
-                 ci_low=est.ci_low, ci_high=est.ci_high) for est in estimates]
-    for row, est, evaluation in zip(rows, estimates, evaluations):  # falsify rows only
-        spec = evaluation.spec
-        row.update(family=spec.family.value, delta=spec.delta, epsilon=evaluation.epsilon,
-                   outcome=classify_verdict(est, spec.delta))
-    return rows
-
-
-def _task_cells(task: dict, seed: int) -> list:
+def _task_cells(task: dict, seed: int) -> list[tuple[SampleRequest, list[dict]]]:
     """``(request, rows)`` for every cell of a task: the sample the cell
-    needs and the function that turns its summary into report rows.  A task
-    has a cell per S; only asymptotic-mean tasks sweep S, so every other task
-    is one cell, and its thresholds (a falsify task's epsilons), grid points
-    or deltas are all counted on that one sample.  A request names the law
-    at its default stream 0, so its draws do not depend on the task's place
-    in the config.  Every cell is sent at its task's own D: its points are
-    counted divided by D, and its summary's moments are the law's, so its
-    variance never holds D²."""
+    needs, and its report rows with every column but the sample cells: a
+    mean row, one CDF row per grid point, or one tail row per threshold (a
+    falsify row's threshold is its bound's epsilon).  A task has a cell per
+    S; only asymptotic-mean tasks sweep S, so every other task is one cell,
+    counted on one sample.  A request names the law at its default stream
+    0, so its draws do not depend on the task's place in the config.  Every
+    cell is sent at its task's own D: its points are counted divided by D,
+    and its summary's moments are the law's, so its variance never holds D²."""
+    base = {**dict.fromkeys(COLUMNS), "task_id": task["id"], "kind": task["kind"],
+            "family": task["family"], "n": task["n"], "D": task["D"],
+            "trials": task["trials"], "seed": seed}
     cells = []
     for S in task["S"]:
         # the parser leaves delta empty, so evaluations too, unless falsify
@@ -346,8 +316,45 @@ def _task_cells(task: dict, seed: int) -> list:
         source = DeviationSource(task["family"], S, n=task["n"], D=task["D"])
         request = SampleRequest(source, task["trials"], thresholds=thresholds,
                                 grid=tuple(task["grid"]))
-        cells.append((request, partial(_cell_rows, task, seed, S, thresholds, evaluations)))
+        if task["kind"] == "asymptotic-mean":
+            rows = [{**base, "S": S, "epsilon": task["D"] * expected_Z(S)}]
+        else:  # only a quantiles task has a grid
+            rows = [{**base, "S": S, "threshold": t} for t in task["grid"] or thresholds]
+        for row, evaluation in zip(rows, evaluations):  # falsify rows only
+            spec = evaluation.spec
+            row.update(family=spec.family.value, delta=spec.delta, epsilon=evaluation.epsilon)
+        cells.append((request, rows))
     return cells
+
+
+def _cell_rows(task: dict, rows: list[dict], summary) -> list[dict]:
+    """A cell's ``rows`` with their sample cells read from the summary of its
+    sample.  A summary's moments are the law's, so a mean row multiplies
+    them by the task's D."""
+    trials = task["trials"]
+    if task["kind"] == "asymptotic-mean":
+        z_crit = NormalDist().inv_cdf(0.5 + task["ci_level"] / 2.0)
+        mean = task["D"] * float(summary.mean)
+        se = task["D"] * math.sqrt(summary.variance) / math.sqrt(trials)
+        samples = [Sample(mean, mean - z_crit * se, mean + z_crit * se)]
+    elif task["kind"] == "quantiles":
+        half = dkw_halfwidth(trials, task["band_level"])
+        samples = [Sample(cdf, max(0.0, cdf - half), min(1.0, cdf + half))
+                   for cdf in (summary.at_most / trials).tolist()]
+    else:
+        estimates = [tail_estimate_from_count(row["threshold"], int(k), trials, task["ci_level"])
+                     for row, k in zip(rows, summary.at_least)]
+        samples = [Sample(est.point, est.ci_low, est.ci_high) for est in estimates]
+    return [_with_sample(row, sample) for row, sample in zip(rows, samples, strict=True)]
+
+
+def _with_sample(row: dict, sample: Sample) -> dict:
+    """A copy of ``row`` holding ``sample``; a falsify row's outcome is then
+    the verdict its own interval gives at its delta."""
+    row = {**row, **sample._asdict()}
+    if row["kind"] == "falsify":
+        row["outcome"] = classify_verdict(sample, row["delta"])
+    return row
 
 
 def run_experiment(config: ExperimentConfig) -> Report:
@@ -363,27 +370,18 @@ def run_experiment(config: ExperimentConfig) -> Report:
     """
     seed = integer(config.master_seed, "master_seed", DOMAINS["word"], ConfigError)
     workers = _usable_cpus() if config.workers is None else config.workers
-    cells = [cell for task in config.tasks for cell in _task_cells(task, seed)]
-    summaries = summarize_many([request for request, _ in cells], seed, workers)
+    cells = [(task, *cell) for task in config.tasks for cell in _task_cells(task, seed)]
+    summaries = summarize_many([request for _, request, _ in cells], seed, workers)
     return Report(
         master_seed=seed,
         tasks=deepcopy(config.tasks),
-        rows=[row for (_, rows), summary in zip(cells, summaries) for row in rows(summary)],
+        rows=[row for (task, _, rows), summary in zip(cells, summaries)
+              for row in _cell_rows(task, rows, summary)],
     )
 
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def report_to_dict(report: Report) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "version": report.version,
-        "master_seed": report.master_seed,
-        "tasks": report.tasks,
-        "rows": report.rows,
-    }
 
 
 def report_from_dict(obj: dict) -> Report:
@@ -402,23 +400,24 @@ def report_from_dict(obj: dict) -> Report:
     version = obj.get("version", __version__)
     if not isinstance(version, str):
         raise ConfigError(f"report version must be a string, got {version!r}")
-    _check_finite(obj["rows"], "rows")
-    for i, row in enumerate(obj["rows"]):
-        for column, holds in COLUMNS.items():
-            value = row.get(column)
-            fits = type(value) is int and abs(value) <= sys.float_info.max  # a float holds it
-            if not (value is None or isinstance(value, holds) or holds is float and fits):
-                kind = "a string" if holds is str else "a real number"
-                raise ConfigError(f"rows[{i}].{column} must be {kind} or null, got {value!r}")
     seed = integer(obj["master_seed"], "master_seed", DOMAINS["word"], ConfigError)
-    tasks = {f"task{i}": _check_task(i, task) for i, task in enumerate(obj["tasks"])}
+    tasks = [_check_task(i, task) for i, task in enumerate(obj["tasks"])]
     for i, row in enumerate(obj["rows"]):
-        task = tasks.get(row.get("task_id"))
-        if task is None:
-            raise ConfigError(f"rows[{i}].task_id: {row.get('task_id')!r} names no task")
-        for column, value in (*((c, task[c]) for c in TASK_COLUMNS), ("seed", seed)):
-            if repr(row.get(column)) != repr(value):  # repr tells 2 from 2.0
-                raise ConfigError(f"rows[{i}].{column}: holds {row.get(column)!r}, not {value!r}")
+        for column in Sample._fields:
+            if type(row.get(column)) is not float or not math.isfinite(row[column]):
+                raise ConfigError(f"rows[{i}].{column}: {row.get(column)!r} is not a finite float")
+    made = [row for task in tasks for _, rows in _task_cells(task, seed) for row in rows]
+    if len(made) != len(obj["rows"]):
+        raise ConfigError(f"rows: the report holds {len(obj['rows'])}, "
+                          f"but its tasks make {len(made)}")
+    for i, (row, template) in enumerate(zip(obj["rows"], made)):
+        for column in sorted(row.keys() ^ template.keys()):
+            raise ConfigError(f"rows[{i}].{column}: "
+                              f"{'unknown key' if column in row else 'missing'}")
+        for column, value in _with_sample(template, Sample(*map(row.get, Sample._fields))).items():
+            if repr(row[column]) != repr(value):  # repr tells 2 from 2.0
+                raise ConfigError(f"rows[{i}].{column}: holds {row[column]!r}, "
+                                  f"but its task makes {value!r}")
     return Report(master_seed=seed, tasks=obj["tasks"], rows=obj["rows"], version=version)
 
 
@@ -457,7 +456,8 @@ def emit_report(report: Report, fmt: str = "json") -> bytes:
     A report holds finite numbers only: strict JSON has no token for
     infinity or NaN, so a non-finite float anywhere in it is refused, in
     either format."""
-    obj = report_to_dict(report)
+    obj = {"schema": SCHEMA_VERSION, "version": report.version,
+           "master_seed": report.master_seed, "tasks": report.tasks, "rows": report.rows}
     _check_finite(obj, "report")
     if fmt == "json":
         return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()

@@ -283,6 +283,23 @@ SAVED_FAULTS = [
     pytest.param(_golden_with(lambda r: r["rows"][0].update(n=21)), "rows[0].n", id="row-n"),
     pytest.param(_golden_with(lambda r: r["rows"][0].update(seed=1)), "rows[0].seed",
                  id="row-seed"),
+    # a row is the row its task makes: only its sample cells are taken as
+    # saved, and a falsify row's outcome is the verdict its interval gives
+    pytest.param(_golden_with(lambda r: r["rows"][13].update(outcome="Consistent")),
+                 "rows[13].outcome", id="outcome-flipped"),
+    pytest.param(_golden_with(lambda r: r["rows"][0].update(S=7)), "rows[0].S", id="row-S"),
+    pytest.param(_golden_with(lambda r: r["rows"].pop(0)), "rows: the report holds 19",
+                 id="row-deleted"),
+    pytest.param(_golden_with(lambda r: r["rows"].append(r["rows"][0])),
+                 "rows: the report holds 21", id="row-repeated"),
+    pytest.param(_golden_with(lambda r: r["rows"][0].update(extra=1)), "rows[0].extra",
+                 id="row-extra-key"),
+    pytest.param(_golden_with(lambda r: r["rows"][13].update(family="Devroye")),
+                 "rows[13].family", id="row-bound-family"),
+    pytest.param(_golden_with(lambda r: r["rows"][13].update(delta=0.9)), "rows[13].delta",
+                 id="row-delta"),
+    pytest.param(_golden_with(lambda r: r["tasks"][0].update(threshold=[0.1, 0.2])),
+                 "rows[0].threshold", id="task-thresholds"),
 ]
 
 
@@ -371,17 +388,19 @@ class TestReportCommand:
             code, _, err = run_cli(capsys, "report", "--in", str(bad), *extra)
             assert code == EXIT_USAGE, text
             assert err.startswith("error:") and len(err.splitlines()) == 1
-        # a saved cell must hold its column's type: text or null in the text
-        # columns, a number a float holds or null in the others
-        for column, value in (("point", "abc"), ("kind", ["tail"]), ("point", 10**400),
-                              ("point", "inf")):
+        # a saved sample cell must be a finite float; a report of no tasks
+        # makes no rows, so any row of it is refused, whatever its kind
+        for column, value, needle in (("point", "abc", "rows[0].point"),
+                                      ("kind", ["tail"], "rows: "),
+                                      ("point", 10**400, "rows[0].point"),
+                                      ("point", "inf", "rows[0].point")):
             bad.write_text(json.dumps({"schema": 1, "master_seed": 1, "tasks": [],
                                        "rows": [{**row, "point": 0.5, column: value}]}))
             for fmt in ("json", "csv"):
                 code, stdout, err = run_cli(capsys, "report", "--in", str(bad), "--format", fmt)
                 assert code == EXIT_USAGE, (column, value, fmt)
                 assert err.startswith("error:") and len(err.splitlines()) == 1
-                assert f"rows[0].{column}" in err and stdout == ""
+                assert needle in err and stdout == ""
 
     def test_reemit_refuses_a_bad_seed_or_version(self, capsys, tmp_path):
         # a saved master seed is a 64-bit word and a saved version a string;

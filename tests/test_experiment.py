@@ -15,6 +15,7 @@ from l1conc.experiment import (
     COLUMNS,
     ExperimentConfig,
     Report,
+    _cell_rows,
     _task_cells,
     emit_plot_data,
     emit_report,
@@ -222,7 +223,7 @@ class TestRunExperiment:
         # mean 0 and standard error exactly 1 put ci_high at the critical value
         t = request.trials
         summary = montecarlo.SampleSummary(np.zeros(0), np.zeros(0), t, 0.0, float(t * (t - 1)))
-        [row] = rows(summary)
+        [row] = _cell_rows(task, rows, summary)
         # the standard library's quantile, within an ulp or two of SciPy's
         z = NormalDist().inv_cdf(0.5 + task["ci_level"] / 2.0)
         assert row["ci_high"] == z == pytest.approx(norm.ppf(0.5 + task["ci_level"] / 2.0),

@@ -37,6 +37,7 @@ from l1conc.experiment import (
     TASK_KEYS,
     TASK_KINDS,
     Report,
+    Sample,
     _task_cells,
     build_task,
     emit_report,
@@ -199,12 +200,14 @@ def wild_tasks(draw):
 @given(raw=wild_tasks())
 def test_task_parser_and_cells_raise_only_documented_errors(raw):
     # a block is parsed, and one that parses is turned into its cells'
-    # requests and bound evaluations; nothing is drawn
+    # requests and rows, each holding every column but its sample cells;
+    # nothing is drawn
     errors = []
     try:
         task = build_task(0, raw, errors)
         if not errors:
-            _task_cells(task, 1)
+            for _, rows in _task_cells(task, 1):
+                assert all(tuple(row) == COLUMNS and row["point"] is None for row in rows)
     except (ConfigError, ValidationError):
         pass
 
@@ -219,32 +222,37 @@ GOLDEN = json.loads((Path(__file__).resolve().parent / "data" / "golden.json").r
 def golden_edits(draw):
     """The golden report with one key of a task echo, or one cell of a row,
     deleted or set to a drawn value: any cell or list of cells, or the value
-    the key holds in another golden task or row."""
-    report = deepcopy(GOLDEN)
+    the key holds in another golden task or row; then the edited row (None
+    for a task edit) and the key."""
+    report, row = deepcopy(GOLDEN), None
     if draw(st.booleans()):
         target = draw(st.sampled_from(report["tasks"]))
         key = draw(st.sampled_from([*TASK_KEYS, "id", "kind", "extra"]))
         others = [task[key] for task in GOLDEN["tasks"] if key in task]
     else:
-        target = draw(st.sampled_from(report["rows"]))
+        target = row = draw(st.sampled_from(report["rows"]))
         key = draw(st.sampled_from(list(COLUMNS)))
-        others = [row[key] for row in GOLDEN["rows"]]
+        others = [other[key] for other in GOLDEN["rows"]]
     if key in target and draw(st.integers(0, 9)) == 0:
         del target[key]
     else:
         values = [cells, st.lists(cells, max_size=3)] + [st.sampled_from(others)] * bool(others)
         target[key] = draw(st.one_of(values))
-    return report
+    return report, row, key
 
 
 @settings(max_examples=150, deadline=None)
-@given(saved=golden_edits(), fmt=st.sampled_from(["json", "csv"]))
-def test_report_reemit_byte_identical(saved, fmt):
+@given(edit=golden_edits(), fmt=st.sampled_from(["json", "csv"]))
+def test_report_reemit_byte_identical(edit, fmt):
     # a report read back is one the runner could write: an edit to a task echo
     # or a row cell either re-emits byte for byte or is refused with exit 1
     # and one error line; a report holding an infinite float is refused in
     # either format, whether emitted from memory or re-read from a file whose
-    # bare Infinity tokens json.load takes
+    # bare Infinity tokens json.load takes.  A row is the row its task makes
+    # but for its sample cells, taken as saved if finite floats: a re-emitted
+    # row edit set one of them or left the report as it was, and a sample
+    # cell set to a finite float re-emits unless it moves a falsify verdict
+    saved, row, key = edit
     report = Report(master_seed=saved["master_seed"], tasks=saved["tasks"], rows=saved["rows"],
                     version=saved["version"])
     text = json.dumps(saved, indent=2, sort_keys=True) + "\n"
@@ -264,6 +272,11 @@ def test_report_reemit_byte_identical(saved, fmt):
         else:
             assert code in (0, 10) and err.getvalue() == ""
             assert out.read_bytes() == (text.encode() if fmt == "json" else emit_report(report, fmt))
+    if row is not None and code != 1:
+        assert key in Sample._fields or saved == GOLDEN
+    if (row is not None and key in Sample._fields and type(row.get(key)) is float
+            and math.isfinite(row[key]) and (row["kind"] != "falsify" or key == "point")):
+        assert code in (0, 10)
     if not finite:
         assert code == 1
         with pytest.raises(ConfigError, match="not finite"):
